@@ -23,16 +23,17 @@ MODE_ALL = "all"
 MODE_DISTINCT = "distinct"
 
 
-def _integer_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n, exact."""
+def integer_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0, exact at any size (integer Newton
+    iteration, descending from a power of two above the root)."""
     if n < 2 or k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + n // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 def _primitive_power(n: int) -> tuple[int, int]:
@@ -40,7 +41,7 @@ def _primitive_power(n: int) -> tuple[int, int]:
     if n < 2:
         return n, 1
     for e in range(n.bit_length(), 1, -1):
-        u = _integer_root(n, e)
+        u = integer_root(n, e)
         if u >= 2 and u ** e == n:
             return u, e
     return n, 1
@@ -72,55 +73,48 @@ class Rate:
 
     def as_fraction(self) -> Fraction | None:
         """Exact rational value when size and base are powers of a common root."""
+        key = self._canonical()
+        return key if isinstance(key, Fraction) else None
+
+    def _canonical(self):
+        """The exact value as a Fraction when rational, else the canonical
+        (root_num, root_den, exponent ratio) key of an irrational rate.
+
+        log(u**e)/log(v**f) equals log(u**e')/log(v**f') iff e*f' == e'*f, so
+        the exponent pair is reduced by its gcd.
+        """
         if self.size < 2:
             return Fraction(0)
         u, e = _primitive_power(self.size)
         v, f = _primitive_power(self.base)
         if u == v:
             return Fraction(e, f)
-        return None
-
-    def _cmp_key(self):
-        """Canonical (root_num, root_den, exponent ratio) for irrational rates.
-
-        log(u**e)/log(v**f) equals log(u**e')/log(v**f') iff e*f' == e'*f, so
-        the exponent pair is reduced by its gcd.
-        """
-        u, e = _primitive_power(self.size)
-        v, f = _primitive_power(self.base)
         g = math.gcd(e, f)
         return (u, v, e // g, f // g)
 
     def __eq__(self, other):
         if not isinstance(other, Rate):
             return NotImplemented
-        a, b = self.as_fraction(), other.as_fraction()
-        if a is not None and b is not None:
-            return a == b
-        if (a is None) != (b is None):
-            return False  # rational never equals irrational
-        return self._cmp_key() == other._cmp_key()
+        # a Fraction never equals a key tuple: rational never equals irrational
+        return self._canonical() == other._canonical()
 
     def __hash__(self):
-        frac = self.as_fraction()
-        if frac is not None:
-            return hash(("rate", frac))
-        return hash(("rate", self._cmp_key()))
+        return hash(("rate", self._canonical()))
 
     def __lt__(self, other):
         if not isinstance(other, Rate):
             return NotImplemented
-        if self == other:
+        a, b = self._canonical(), other._canonical()
+        if a == b:
             return False
-        a, b = self.as_fraction(), other.as_fraction()
-        if a is not None and b is not None:
+        a_rational, b_rational = isinstance(a, Fraction), isinstance(b, Fraction)
+        if a_rational and b_rational:
             return a < b
-        if a is not None:
+        if a_rational:
             return not _log_ratio_below(other.size, other.base, a)
-        if b is not None:
+        if b_rational:
             return _log_ratio_below(self.size, self.base, b)
-        # both irrational with multiplicatively independent pairs: bigint
-        # cross powers decide; ties are impossible here at integer scale
+        # both irrational and unequal, so the log products differ
         return _log_products_below(self.size, self.base, other.size, other.base)
 
     def to_json(self) -> dict:
@@ -144,7 +138,15 @@ def _log_ratio_below(s: int, b: int, frac: Fraction) -> bool:
 
 
 def _log_products_below(s1: int, b1: int, s2: int, b2: int) -> bool:
-    """log s1 * log b2 < log s2 * log b1, at high fixed precision."""
+    """log s1 * log b2 < log s2 * log b1.
+
+    Floats decide when the products differ by more than a relative 1e-9,
+    far above their rounding error; closer pairs go to 60-digit decimals.
+    """
+    lhs = math.log(s1) * math.log(b2)
+    rhs = math.log(s2) * math.log(b1)
+    if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
+        return lhs < rhs
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         lhs = decimal.Decimal(s1).ln() * decimal.Decimal(b2).ln()

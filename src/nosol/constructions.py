@@ -18,6 +18,7 @@ from .certificates import (
     Certificate,
     DigitSet,
     Rate,
+    integer_root,
     make_digit_set,
     tight_base,
 )
@@ -437,7 +438,7 @@ def three_coefficient_pipeline(
     if c > b ** 3:
         # two-variable alphabet below c**(2/3)/2 already dodges the c term;
         # the emitted base is tightened so the no-carry condition holds
-        cap = max(_icbrt(c * c) // 2, 1)
+        cap = max(integer_root(c * c, 3) // 2, 1)
         base0 = (a + b) * (b - 1) + 1
         digits = _lift_below(range(b), base0, cap)
         try:
@@ -473,15 +474,6 @@ def three_coefficient_pipeline(
             plan={"digits": list(digits)})
     return emit(filtered, case, dep, alpha2,
                 {"exponent_claim": exponent, "cap": cap})
-
-
-def _icbrt(n: int) -> int:
-    r = round(n ** (1 / 3))
-    while r ** 3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
 
 
 def _lift_below(digits, base, cap) -> list[int]:

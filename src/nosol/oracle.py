@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .certificates import MODE_DISTINCT, Certificate
 from .equations import Equation, SolutionClass, SolutionKind
@@ -261,6 +262,23 @@ class IncrementalSolutionIndex:
     the value tuples achieving them.  Adding a candidate value only touches
     the tuples that contain it, so a legality test costs time proportional
     to the solutions it brushes against.
+
+    Node accounting: a tuple costs one node when it is built and a pairing
+    of two tuples one node when it is tested.  New tuples are built in
+    chunks that differ in one position only, and a chunk's nodes are spent
+    together, so a rejected test stops after the chunk holding its witness.
+    Each new tuple is built once:
+
+    - when ``conflict(x)`` accepts, the tuples it built are kept, and an
+      ``add(x)`` that follows on the same values stores them and spends no
+      nodes; ``pop`` and any other ``conflict`` or ``add`` drop them;
+    - when both sides have the same coefficients (a symmetric equation),
+      the sides share their tuples and one table;
+    - in distinct mode a one-side tuple that repeats a value can never be
+      part of a countable solution, so it is neither built nor counted.
+
+    The answers do not depend on this accounting, but the node counts, and
+    so how far a given budget reaches, do.
     """
 
     def __init__(self, eq: Equation, distinct: bool = False,
@@ -272,9 +290,13 @@ class IncrementalSolutionIndex:
         self.pos_coeffs = [eq.coeffs[i] for i in self.pos_idx]
         self.neg_coeffs = [-eq.coeffs[i] for i in self.neg_idx]
         self.values: list[int] = []
+        # equal coefficient lists give both sides the same tuples: they are
+        # built once and share one table
+        self.symmetric = self.pos_coeffs == self.neg_coeffs
         self.pos_table: dict[int, list[tuple[int, ...]]] = {}
-        self.neg_table: dict[int, list[tuple[int, ...]]] = {}
+        self.neg_table = self.pos_table if self.symmetric else {}
         self._undo: list[tuple[list, list]] = []
+        self._kept = None   # (x, pos chunks, neg chunks) of an accepting conflict
         self.tracker = _Budget(budget)
 
     @property
@@ -282,66 +304,155 @@ class IncrementalSolutionIndex:
         return self.tracker.nodes
 
     def _new_tuples(self, coeffs, x):
-        """(tuple, sum) for every tuple over values+[x] that uses x."""
+        """Chunks (tuples, sums) covering, in product order, every tuple over
+        values+[x] that uses x.  A chunk's tuples differ only in the last
+        position free to vary: the last one, or the one before when that
+        holds x."""
         old = self.values
-        both = old + [x]
+        distinct = self.distinct
+        later = old if distinct else old + [x]
+        spend = self.tracker.spend
         k = len(coeffs)
+        if k == 1:
+            spend()
+            yield [(x,)], [coeffs[0] * x]
+            return
         for first in range(k):
-            pools = [old] * first + [[x]] + [both] * (k - first - 1)
-            for tup in product(*pools):
-                self.tracker.spend()
-                yield tup, sum(c * v for c, v in zip(coeffs, tup))
+            if first < k - 1:
+                pools = [old] * first + [[x]] + [later] * (k - first - 2)
+                tail_pool, c, base = later, coeffs[-1], 0
+            else:
+                pools = [old] * (k - 2)
+                tail_pool, c, base = old, coeffs[-2], coeffs[-1] * x
+            for prefix in product(*pools):
+                if distinct and len(set(prefix)) < len(prefix):
+                    continue
+                tail = tail_pool
+                if distinct and prefix:
+                    tail = [v for v in tail if v not in prefix]
+                if not tail:
+                    continue
+                partial = base + sum(map(mul, coeffs, prefix))
+                spend(len(tail))
+                if first < k - 1:
+                    tups = [prefix + (v,) for v in tail]
+                else:
+                    tups = [prefix + (v, x) for v in tail]
+                yield tups, [partial + c * v for v in tail]
 
     def _solution(self, pos_tup, neg_tup) -> bool:
         self.tracker.spend()
+        if self.distinct:
+            return set(pos_tup).isdisjoint(neg_tup)
         assignment = [0] * self.eq.num_vars
         for i, v in zip(self.pos_idx, pos_tup):
             assignment[i] = v
         for i, v in zip(self.neg_idx, neg_tup):
             assignment[i] = v
-        return _is_countable(self.eq, assignment, self.distinct)
+        return _is_countable(self.eq, assignment, False)
+
+    def _first_solution(self, chunks, tables, new_is_pos, built=None):
+        """First countable pairing, in chunk order, of a new tuple with a
+        mate of equal sum from tables; None when there is none.  Each chunk
+        scanned is appended to built, when given."""
+        keys = [table.keys() for table in tables]
+        for chunk in chunks:
+            if built is not None:
+                built.append(chunk)
+            tups, sums = chunk
+            for k in keys:
+                if not k.isdisjoint(sums):
+                    break
+            else:
+                continue
+            for tup, s in zip(tups, sums):
+                for table in tables:
+                    for mate in table.get(s, ()):
+                        if mate is tup:
+                            continue    # x = x' itself: trivial in both modes
+                        pair = (tup, mate) if new_is_pos else (mate, tup)
+                        if self._solution(*pair):
+                            return pair
+        return None
 
     def conflict(self, x: int):
-        """A solution that adding x would create, or None."""
+        """A solution that adding x would create, or None.
+
+        A value already present creates none.
+        """
+        self._kept = None
+        if x in self.values:
+            return None
+        pos_chunks = []
+        found = self._first_solution(self._new_tuples(self.pos_coeffs, x),
+                                     (self.neg_table,), True, pos_chunks)
+        if found:
+            return found
         new_pos: dict[int, list[tuple[int, ...]]] = {}
-        for tup, s in self._new_tuples(self.pos_coeffs, x):
-            new_pos.setdefault(s, []).append(tup)
-            for mate in self.neg_table.get(s, ()):
-                if self._solution(tup, mate):
-                    return tup, mate
-        for tup, s in self._new_tuples(self.neg_coeffs, x):
-            for mate in self.pos_table.get(s, ()):
-                if self._solution(mate, tup):
-                    return mate, tup
-            for mate in new_pos.get(s, ()):
-                if self._solution(mate, tup):
-                    return mate, tup
+        _store(new_pos, pos_chunks)
+        if self.symmetric:
+            # the sides' tuples and tables coincide, and each pairing of a
+            # new tuple with an old one mirrors one rejected above
+            neg_chunks = pos_chunks
+            found = self._first_solution(neg_chunks, (new_pos,), False)
+        else:
+            neg_chunks = []
+            found = self._first_solution(self._new_tuples(self.neg_coeffs, x),
+                                         (self.pos_table, new_pos), False,
+                                         neg_chunks)
+        if found:
+            return found
+        self._kept = (x, pos_chunks, neg_chunks)
         return None
 
     def legal(self, x: int) -> bool:
         return x not in self.values and self.conflict(x) is None
 
     def add(self, x: int) -> None:
-        pos_added, neg_added = [], []
-        for tup, s in self._new_tuples(self.pos_coeffs, x):
-            self.pos_table.setdefault(s, []).append(tup)
-            pos_added.append(s)
-        for tup, s in self._new_tuples(self.neg_coeffs, x):
-            self.neg_table.setdefault(s, []).append(tup)
-            neg_added.append(s)
+        kept, self._kept = self._kept, None
+        if x in self.values:
+            raise ValueError(f"{x} is already in the index")
+        if kept is not None and kept[0] == x:
+            _, pos_chunks, neg_chunks = kept
+        else:
+            pos_chunks = list(self._new_tuples(self.pos_coeffs, x))
+            neg_chunks = (pos_chunks if self.symmetric
+                          else list(self._new_tuples(self.neg_coeffs, x)))
+        _store(self.pos_table, pos_chunks)
+        neg_sums = []
+        if not self.symmetric:
+            _store(self.neg_table, neg_chunks)
+            neg_sums = [s for _, s in neg_chunks]
         self.values.append(x)
-        self._undo.append((pos_added, neg_added))
+        self._undo.append(([s for _, s in pos_chunks], neg_sums))
 
     def pop(self) -> int:
-        pos_added, neg_added = self._undo.pop()
-        for s in reversed(pos_added):
-            bucket = self.pos_table[s]
-            bucket.pop()
-            if not bucket:
-                del self.pos_table[s]
-        for s in reversed(neg_added):
-            bucket = self.neg_table[s]
-            bucket.pop()
-            if not bucket:
-                del self.neg_table[s]
+        self._kept = None
+        pos_sums, neg_sums = self._undo.pop()
+        _unstore(self.pos_table, pos_sums)
+        _unstore(self.neg_table, neg_sums)
         return self.values.pop()
+
+
+def _store(table, chunks) -> None:
+    for tups, sums in chunks:
+        # a chunk's tuples differ in one value, so its sums are distinct and
+        # keys new to the table need no bucket lookups
+        if table.keys().isdisjoint(sums):
+            table.update(zip(sums, [[tup] for tup in tups]))
+            continue
+        for tup, s in zip(tups, sums):
+            bucket = table.get(s)
+            if bucket is None:
+                table[s] = [tup]
+            else:
+                bucket.append(tup)
+
+
+def _unstore(table, chunk_sums) -> None:
+    for sums in reversed(chunk_sums):
+        for s in reversed(sums):
+            bucket = table[s]
+            bucket.pop()
+            if not bucket:
+                del table[s]

@@ -105,7 +105,7 @@ class _Tracker:
         self._last_report = nodes
 
 
-def _greedy_pass(index, candidates, tracker, phase, distinct):
+def _greedy_pass(index, candidates, tracker, phase):
     """Add candidates in ascending order whenever legal; snapshot each gain."""
     for x in candidates:
         if x in index.values:
@@ -189,15 +189,12 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
 
     phases = []
 
-    def run_phase(name, seed_candidates, extend):
+    def run_phase(name, seed_candidates):
         nonlocal nodes_total
         index = IncrementalSolutionIndex(eq, distinct=distinct,
                                          budget=max(1, cfg.budget - nodes_total))
         try:
-            _greedy_pass(index, seed_candidates, tracker, name, distinct)
-            if extend:
-                rest = [x for x in candidates if x not in set(seed_candidates)]
-                _greedy_pass(index, rest, tracker, name + "+ext", distinct)
+            _greedy_pass(index, seed_candidates, tracker, name)
         except BudgetExhausted:
             pass
         nodes_total += index.nodes
@@ -205,7 +202,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
         return sorted(index.values)
 
     # phase 1: plain ascending greedy
-    run_phase("greedy", candidates, extend=False)
+    run_phase("greedy", candidates)
 
     # phase 2: structured two-level seeds; each base is tried with the
     # greedy inner alphabet and with its pure interval prefix (the prefix
@@ -236,7 +233,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             seeds = sorted({a + base * b
                             for b in range(cap // base + 1)
                             for a in alphabet if a < base and a + base * b <= cap})
-            filtered = run_phase(f"{label}[{base}]", seeds, extend=False)
+            filtered = run_phase(f"{label}[{base}]", seeds)
             seed_results.append((len(filtered), -base, filtered, seeds))
 
     # phase 3: greedy extension of the most promising seeds
@@ -250,7 +247,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             for x in filtered:
                 index.add(x)
             _greedy_pass(index, [x for x in candidates if x not in set(filtered)],
-                         tracker, f"extend[{-negbase}]", distinct)
+                         tracker, f"extend[{-negbase}]")
         except BudgetExhausted:
             pass
         nodes_total += index.nodes

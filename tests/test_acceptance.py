@@ -116,6 +116,25 @@ def search_43_69_70(tmp_path_factory):
     return results
 
 
+# (L, digits) of every row of the 43/69/70 distinct-mode search, pinned bit
+# for bit; the extended grid adds the last two bases to the auto grid's six
+ROWS_43_69_70 = [
+    (729, [0, 1, 2, 3, 4]),
+    (1457, [0, 1, 2, 3, 4, 5, 6, 7]),
+    (2913, [0, 1, 5, 6, 7, 10, 11, 12, 16]),
+    (5825, [0, 1, 2, 3, 4, 5, 6, 7, 20]),
+    (11649, [0, 1, 2, 3, 4, 5, 6, 7, 20, 46, 56]),
+    (23297, [0, 1, 2, 3, 4, 5, 6, 7, 69, 70, 71, 72, 73, 74, 75, 76]),
+    (46593, [0, 1, 2, 3, 4, 5, 6, 7, 69, 70, 71, 72, 73, 74, 75, 76,
+             138, 139, 140, 141, 142, 143, 144, 145,
+             207, 208, 209, 210, 211, 212, 213, 214]),
+    (93185, [0, 1, 2, 3, 4, 5, 6, 7, 69, 70, 71, 72, 73, 74, 75, 76,
+             138, 139, 140, 141, 142, 143, 144, 145,
+             207, 208, 209, 210, 211, 212, 213, 214,
+             277, 278, 279, 280, 281, 282, 283, 491]),
+]
+
+
 def test_criterion_05_43_69_70_computer_check(search_43_69_70):
     best_rate = 0.0
     best = None
@@ -125,6 +144,8 @@ def test_criterion_05_43_69_70_computer_check(search_43_69_70):
             continue
         code, table, out = search_43_69_70[label]
         assert code in (0, 3)
+        rows = [(row["L"], row["digits"]) for row in table["table"]]
+        assert rows == ROWS_43_69_70[:{"auto": 6, "extended": 8}[label]]
         if "best" in table and table["best"]["rate"]["decimal"] > best_rate:
             best_rate = table["best"]["rate"]["decimal"]
             best = table["best"]

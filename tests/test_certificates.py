@@ -7,6 +7,7 @@ from nosol.certificates import (
     Certificate,
     DigitSet,
     Rate,
+    integer_root,
     load_certificate,
     make_digit_set,
     save_certificate,
@@ -62,6 +63,35 @@ def test_rate_ordering_agrees_with_floats():
             assert (r1 < r2) == (f1 < f2)
         if r1 == r2:
             assert abs(f1 - f2) < 1e-12
+
+
+def test_integer_root_exact_at_any_size():
+    import random
+
+    rng = random.Random(17)
+    for _ in range(2000):
+        n = rng.randrange(10 ** rng.randint(1, 500))
+        k = rng.randint(1, 40)
+        r = integer_root(n, k)
+        assert r ** k <= n < (r + 1) ** k
+    assert integer_root(10 ** 400, 400) == 10
+    assert integer_root(10 ** 400 - 1, 400) == 9
+
+
+def test_rate_ordering_beyond_float_range():
+    assert Rate(2, 10 ** 400) < Rate(3, 10)
+    assert not Rate(3, 10) < Rate(2, 10 ** 400)
+    assert Rate(10 ** 300, 10 ** 400) == Rate(8, 16) == Rate(3 ** 300, 3 ** 400)
+    assert Rate(10 ** 300, 10 ** 400).as_fraction() == Fraction(3, 4)
+
+
+def test_rate_ordering_near_ties():
+    # log(2**30)/log(3**30 +- 1) is within 1e-16 of log 2/log 3, closer
+    # than floats resolve, so the decimal comparison decides
+    assert Rate(2 ** 30, 3 ** 30 + 1) < Rate(2, 3) < Rate(2 ** 30, 3 ** 30 - 1)
+    assert not Rate(2, 3) < Rate(2 ** 30, 3 ** 30 + 1)
+    assert sorted([Rate(2 ** 30, 3 ** 30 - 1), Rate(2, 3), Rate(2 ** 30, 3 ** 30 + 1)]) \
+        == [Rate(2 ** 30, 3 ** 30 + 1), Rate(2, 3), Rate(2 ** 30, 3 ** 30 - 1)]
 
 
 def test_digit_set_invariants():

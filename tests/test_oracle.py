@@ -16,22 +16,22 @@ from nosol.oracle import (
 )
 
 
+def countable_solution(eq, x, distinct):
+    """Whether assignment x solves eq and counts in the given mode."""
+    if sum(c * v for c, v in zip(eq.coeffs, x)) != 0:
+        return False
+    if distinct:
+        return len(set(x)) == len(x)
+    sums = {}
+    for c, v in zip(eq.coeffs, x):
+        sums[v] = sums.get(v, 0) + c
+    return any(s != 0 for s in sums.values())
+
+
 def brute_count(eq, values, distinct=False):
     """Reference count, straight product scan with no shared code paths."""
-    n = 0
-    for x in product(values, repeat=eq.num_vars):
-        if sum(c * v for c, v in zip(eq.coeffs, x)) != 0:
-            continue
-        if distinct:
-            if len(set(x)) == len(x):
-                n += 1
-            continue
-        sums = {}
-        for c, v in zip(eq.coeffs, x):
-            sums[v] = sums.get(v, 0) + c
-        if any(s != 0 for s in sums.values()):
-            n += 1
-    return n
+    return sum(countable_solution(eq, x, distinct)
+               for x in product(values, repeat=eq.num_vars))
 
 
 SIDON = make_equation([1, 1, -1, -1])
@@ -211,3 +211,59 @@ def test_incremental_index_pop_restores_state():
     idx.pop()
     assert idx.values == [0, 1]
     assert idx.legal(3)
+
+
+def test_incremental_index_random_operations():
+    """Random legal/add/conflict/pop sequences against the naive engine.
+
+    Covers an add after an accepting legal, an add with no legal before it,
+    a pop between an accepting legal and the add of the same value (the
+    tuples kept by legal are then stale), and conflict witnesses.  Sets stay
+    small so the naive product scan stays cheap.
+    """
+    rng = random.Random(20261018)
+    cases = [(make_symmetric([43, 69, 70]), 4), (make_symmetric([10, 11, 31]), 4),
+             (make_symmetric([1, 2]), 7), (make_equation([2, 2, -3, -1]), 7)]
+    for eq, cap in cases:
+        for distinct in (False, True):
+            expected = {}
+
+            def free_with(idx, x):
+                key = tuple(sorted(idx.values + [x]))
+                if key not in expected:
+                    q = SolutionQuery(eq, key, distinct_variables=distinct)
+                    expected[key] = find_nontrivial_solution(q, engine="naive") is None
+                return expected[key]
+
+            idx = IncrementalSolutionIndex(eq, distinct=distinct)
+            for _ in range(60):
+                x = rng.randrange(0, 24)
+                op = rng.randrange(4)
+                if x in idx.values:
+                    assert not idx.legal(x)
+                    assert idx.conflict(x) is None
+                elif op == 0:
+                    assert idx.legal(x) == free_with(idx, x)
+                    if free_with(idx, x) and len(idx.values) < cap:
+                        if idx.values and rng.random() < 0.3:
+                            idx.pop()
+                        idx.add(x)
+                elif op == 1:
+                    witness = idx.conflict(x)
+                    assert (witness is None) == free_with(idx, x)
+                    if witness is not None:
+                        pos, neg = iter(witness[0]), iter(witness[1])
+                        sol = [next(pos) if c > 0 else next(neg) for c in eq.coeffs]
+                        assert x in sol
+                        assert set(sol) <= set(idx.values) | {x}
+                        assert countable_solution(eq, sol, distinct)
+                elif op == 2 and free_with(idx, x) and len(idx.values) < cap:
+                    idx.add(x)
+                elif op == 3 and idx.values:
+                    idx.pop()
+            # the tables match those of a fresh index fed the same values
+            fresh = IncrementalSolutionIndex(eq, distinct=distinct)
+            for v in idx.values:
+                fresh.add(v)
+            assert fresh.pos_table == idx.pos_table
+            assert fresh.neg_table == idx.neg_table
