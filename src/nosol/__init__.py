@@ -22,7 +22,6 @@ from .constructions import (
     distinct_var_digits,
     geometric_digits,
     lift,
-    lift_rate,
     double_progression_digits,
     shift_transfer,
     spaced_digits,

@@ -251,19 +251,25 @@ class Certificate:
         )
 
 
-def save_certificate(cert: Certificate, path: str) -> None:
-    """Write certificate JSON atomically (temp file + rename)."""
-    payload = json.dumps(cert.to_json(), indent=2, sort_keys=True)
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path atomically (temp file in the same directory, then
+    rename), so readers never see a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_certificate(cert: Certificate, path: str) -> None:
+    """Write certificate JSON atomically."""
+    atomic_write_text(
+        path, json.dumps(cert.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def load_certificate(path: str) -> Certificate:

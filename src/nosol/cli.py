@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 
 from . import __version__
@@ -21,6 +20,7 @@ from .certificates import (
     MODE_ALL,
     MODE_DISTINCT,
     Certificate,
+    atomic_write_text,
     load_certificate,
     make_digit_set,
     save_certificate,
@@ -60,32 +60,24 @@ AUTO_GRID = (4, 8, 16, 32, 64, 128)
 EXTENDED_GRID = AUTO_GRID + (256, 512)
 
 
+class _UsageError(Exception):
+    """Malformed input found after argument parsing; main() exits 64."""
+
+
 def _default_budget() -> int:
     raw = os.environ.get("NOSOL_BUDGET")
     if raw:
         try:
             return int(raw)
         except ValueError:
-            raise SystemExit(EXIT_USAGE)
+            raise _UsageError(
+                f"NOSOL_BUDGET must be an integer, got {raw!r}") from None
     return DEFAULT_BUDGET
 
 
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_manifest(cert_path: str, argv, budget: int, started: float,
@@ -99,8 +91,8 @@ def _write_manifest(cert_path: str, argv, budget: int, started: float,
         "config": config,
         "certificates": [os.path.basename(cert_path)],
     }
-    _atomic_write(cert_path + ".manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(cert_path + ".manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _equation_from_args(args):
@@ -212,8 +204,8 @@ def cmd_construct(args, argv) -> int:
             print(f"error: lift failed: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
         set_path = args.set_out or out + ".set"
-        _atomic_write(set_path,
-                      "\n".join(str(x) for x in lifted.elements) + "\n")
+        atomic_write_text(set_path,
+                          "\n".join(str(x) for x in lifted.elements) + "\n")
         _emit({"certificate": out, "rate": cert.rate.to_json(),
                "lifted_size": lifted.size, "lifted_file": set_path})
     else:
@@ -430,7 +422,11 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             return EXIT_USAGE
         return 0
-    return args.func(args, argv)
+    try:
+        return args.func(args, argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -189,13 +189,6 @@ def lift(cert: Certificate | DigitSet, N: int, budget: int = DEFAULT_BUDGET,
     return lifted
 
 
-def lift_rate(ds: DigitSet | Certificate) -> Rate:
-    """Exact rate log|A_L| / log L; degenerate (zero) for singleton alphabets."""
-    if isinstance(ds, Certificate):
-        ds = ds.digit_set
-    return ds.rate
-
-
 # ---------------------------------------------------------------------------
 # digit alphabet constructions
 
@@ -384,15 +377,6 @@ class ThreePipelineResult:
     plan: dict = field(default_factory=dict)
 
 
-def _filter_digits(eq: Equation, digits, budget: int) -> tuple[tuple[int, ...], int]:
-    """Largest greedy-legal prefix structure of digits (ascending scan)."""
-    index = IncrementalSolutionIndex(eq, distinct=False, budget=budget)
-    for x in digits:
-        if index.legal(x):
-            index.add(x)
-    return tuple(sorted(index.values)), index.nodes
-
-
 def three_coefficient_pipeline(
         a: int, b: int, c: int,
         config: PipelineConfig | None = None) -> ThreePipelineResult:
@@ -441,13 +425,14 @@ def three_coefficient_pipeline(
         cap = max(integer_root(c * c, 3) // 2, 1)
         base0 = (a + b) * (b - 1) + 1
         digits = _lift_below(range(b), base0, cap)
+        index = IncrementalSolutionIndex(eq, budget=cfg.budget)
         try:
-            filtered, _ = _filter_digits(eq, digits, cfg.budget)
+            index.greedy(digits)
         except BudgetExhausted:
             return ThreePipelineResult(
                 "unverified-plan", None, "easy-c-gt-b3", None, alpha, None,
                 plan={"digits": list(digits)})
-        return emit(filtered, "easy-c-gt-b3", None, None, {"cap": cap})
+        return emit(index.values, "easy-c-gt-b3", None, None, {"cap": cap})
 
     M = int(b ** alpha)
     dep = small_dependency_search(a, b, c, M) if M >= 1 else None
@@ -466,13 +451,14 @@ def three_coefficient_pipeline(
         exponent = 0.44
     cap = max(int(b ** (1 - alpha2) / 2), 1)
     digits = avoid_one_dependency_digits(dep, cap)
+    index = IncrementalSolutionIndex(eq, budget=cfg.budget)
     try:
-        filtered, _ = _filter_digits(eq, digits, cfg.budget)
+        index.greedy(digits)
     except BudgetExhausted:
         return ThreePipelineResult(
             "unverified-plan", None, case, dep, alpha, alpha2,
             plan={"digits": list(digits)})
-    return emit(filtered, case, dep, alpha2,
+    return emit(index.values, case, dep, alpha2,
                 {"exponent_claim": exponent, "cap": cap})
 
 

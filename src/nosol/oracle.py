@@ -200,8 +200,9 @@ def count_nontrivial_solutions(q: SolutionQuery, engine: str = "auto") -> int:
 def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether (i_1..i_k) -> sum(i_j * a_j) is injective on [1, B]^k.
 
-    Uses the difference form: injective iff no nonzero d in
-    [-(B-1), B-1]^k has sum(d_j * a_j) == 0.
+    Scans the sums in product order, one node per tuple, and answers False
+    at the first repeated sum.  The sums seen are kept, so memory grows
+    with the nodes spent.
     """
     a = [int(v) for v in a]
     if len(a) < 2:
@@ -210,28 +211,15 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
         raise ValueError("coefficients must be positive")
     if B < 1:
         raise ValueError("B must be positive")
-    if B == 1:
-        return True
     tracker = _Budget(budget)
-    k = len(a)
-    span = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        span[i] = span[i + 1] + a[i] * (B - 1)
-    lim = B - 1
-
-    def search(i, partial, nonzero):
-        if i == k:
-            return nonzero and partial == 0
-        for d in range(-lim, lim + 1):
-            tracker.spend()
-            p = partial + a[i] * d
-            if p - span[i + 1] > 0 or p + span[i + 1] < 0:
-                continue
-            if search(i + 1, p, nonzero or d != 0):
-                return True
-        return False
-
-    return not search(0, 0, False)
+    seen: set[int] = set()
+    for tup in product(range(1, B + 1), repeat=len(a)):
+        tracker.spend()
+        s = sum(map(mul, a, tup))
+        if s in seen:
+            return False
+        seen.add(s)
+    return True
 
 
 def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:
@@ -425,6 +413,16 @@ class IncrementalSolutionIndex:
             neg_sums = [s for _, s in neg_chunks]
         self.values.append(x)
         self._undo.append(([s for _, s in pos_chunks], neg_sums))
+
+    def greedy(self, candidates, on_gain=None) -> None:
+        """Add, in order, each candidate that keeps the set solution-free,
+        calling on_gain() after each addition.  A BudgetExhausted leaves
+        the values added so far in place."""
+        for x in candidates:
+            if self.legal(x):
+                self.add(x)
+                if on_gain is not None:
+                    on_gain()
 
     def pop(self) -> int:
         self._kept = None

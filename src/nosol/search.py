@@ -2,9 +2,11 @@
 
 max_digit_set finds large solution-free digit alphabets below a base:
 exact branch-and-bound when the candidate range is small, or an anytime
-pipeline (greedy dive, structured two-level seeds derived from the
-coefficients, greedy extension) under a node budget.  Everything is
-deterministic: rerunning a search reproduces the same sets bit for bit.
+pipeline under a node budget.  Every anytime phase is one greedy pass
+(IncrementalSolutionIndex.greedy) over a candidate order: the ascending
+range, two-level seeds built from coefficient-derived bases, and the best
+seeds followed by the rest of the range.  Everything is deterministic:
+rerunning a search reproduces the same sets bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .equations import Equation
 from .oracle import DEFAULT_BUDGET, BudgetExhausted, IncrementalSolutionIndex
 
 MODE_EXACT = "exact"
-MODE_GREEDY = "greedy"
 MODE_ANYTIME = "anytime"
 
 EXACT_AUTO_LIMIT = 22          # candidate count below which anytime finishes exactly
@@ -56,7 +57,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if self.mode not in (MODE_EXACT, MODE_GREEDY, MODE_ANYTIME):
+        if self.mode not in (MODE_EXACT, MODE_ANYTIME):
             raise ValueError(f"unknown search mode {self.mode!r}")
 
 
@@ -103,16 +104,6 @@ class _Tracker:
             self.cfg.report({"best_size": len(self.best), "nodes": nodes,
                              "depth": depth, "phase": phase})
         self._last_report = nodes
-
-
-def _greedy_pass(index, candidates, tracker, phase):
-    """Add candidates in ascending order whenever legal; snapshot each gain."""
-    for x in candidates:
-        if x in index.values:
-            continue
-        if index.legal(x):
-            index.add(x)
-            tracker.offer(sorted(index.values), index.nodes, phase)
 
 
 def _seed_bases(eq: Equation, cap: int) -> list[int]:
@@ -189,12 +180,14 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
 
     phases = []
 
-    def run_phase(name, seed_candidates):
+    def run_phase(name, order):
+        """One greedy pass over order in a fresh index; its values, sorted."""
         nonlocal nodes_total
         index = IncrementalSolutionIndex(eq, distinct=distinct,
                                          budget=max(1, cfg.budget - nodes_total))
         try:
-            _greedy_pass(index, seed_candidates, tracker, name)
+            index.greedy(order, lambda: tracker.offer(
+                sorted(index.values), index.nodes, name))
         except BudgetExhausted:
             pass
         nodes_total += index.nodes
@@ -202,56 +195,41 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
         return sorted(index.values)
 
     # phase 1: plain ascending greedy
-    run_phase("greedy", candidates)
+    greedy = run_phase("greedy", candidates)
 
-    # phase 2: structured two-level seeds; each base is tried with the
-    # greedy inner alphabet and with its pure interval prefix (the prefix
-    # keeps the row structure clean when the greedy inner is irregular)
+    # phase 2: structured two-level seeds.  The greedy scan is ascending, so
+    # its values below a base are the greedy inner alphabet for that base;
+    # each base is also tried with the pure interval below the first value
+    # greedy rejected (it keeps the row structure clean when the greedy
+    # inner alphabet is irregular).  Seeds run only after a complete greedy
+    # phase: an exhausted one leaves no budget.
+    accepted = set(greedy)
+    first_rejected = next((x for x in candidates if x not in accepted), cap + 1)
     seed_results = []
     for base in _seed_bases(eq, cap):
         if nodes_total >= cfg.budget:
             break
-        inner_index = IncrementalSolutionIndex(
-            eq, distinct=distinct, budget=max(1, cfg.budget - nodes_total))
-        prefix_end = None
-        try:
-            for x in range(min(base - 1, cap) + 1):
-                if inner_index.legal(x):
-                    inner_index.add(x)
-                elif prefix_end is None:
-                    prefix_end = x
-        except BudgetExhausted:
-            nodes_total += inner_index.nodes
-            break
-        nodes_total += inner_index.nodes
-        inner = sorted(inner_index.values)
+        inner = [x for x in greedy if x < base]
         inners = [("seed", inner)]
-        prefix = list(range(prefix_end)) if prefix_end is not None else inner
+        prefix = list(range(min(first_rejected, base)))
         if prefix and prefix != inner:
             inners.append(("pseed", prefix))
         for label, alphabet in inners:
             seeds = sorted({a + base * b
                             for b in range(cap // base + 1)
-                            for a in alphabet if a < base and a + base * b <= cap})
+                            for a in alphabet if a + base * b <= cap})
             filtered = run_phase(f"{label}[{base}]", seeds)
-            seed_results.append((len(filtered), -base, filtered, seeds))
+            seed_results.append((len(filtered), -base, filtered))
 
-    # phase 3: greedy extension of the most promising seeds
+    # phase 3: greedy extension of the most promising seeds; a seed phase's
+    # set is solution-free, so the pass accepts all of it again first
     seed_results.sort(reverse=True)
-    for _, negbase, filtered, seeds in seed_results[:SEED_EXTENSION_PHASES]:
+    for _, negbase, filtered in seed_results[:SEED_EXTENSION_PHASES]:
         if nodes_total >= cfg.budget:
             break
-        index = IncrementalSolutionIndex(eq, distinct=distinct,
-                                         budget=max(1, cfg.budget - nodes_total))
-        try:
-            for x in filtered:
-                index.add(x)
-            _greedy_pass(index, [x for x in candidates if x not in set(filtered)],
-                         tracker, f"extend[{-negbase}]")
-        except BudgetExhausted:
-            pass
-        nodes_total += index.nodes
-        phases.append((f"extend[{-negbase}]", len(index.values)))
+        kept = set(filtered)
+        run_phase(f"extend[{-negbase}]",
+                  filtered + [x for x in candidates if x not in kept])
 
     return SearchResult(tracker.best, exhausted, nodes_total,
                         tracker.best_rate_digits, phases=phases)
@@ -272,9 +250,7 @@ def greedy_set(eq: Equation, N: int, budget: int = DEFAULT_BUDGET,
     index = IncrementalSolutionIndex(eq, distinct=distinct, budget=budget)
     complete = True
     try:
-        for x in range(1, N + 1):
-            if index.legal(x):
-                index.add(x)
+        index.greedy(range(1, N + 1))
     except BudgetExhausted:
         complete = False
     return GreedyResult(sorted(index.values), complete, index.nodes)

@@ -173,3 +173,9 @@ def test_env_budget_override(tmp_path, capsys, monkeypatch):
 
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 64
+
+
+def test_env_budget_malformed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NOSOL_BUDGET", "abc")
+    assert main(["verify", "--sym", "1,2", "--set", "0,1"]) == 64
+    assert "NOSOL_BUDGET" in capsys.readouterr().err

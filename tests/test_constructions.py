@@ -15,7 +15,6 @@ from nosol.constructions import (
     distinct_var_digits,
     geometric_digits,
     lift,
-    lift_rate,
     double_progression_digits,
     shift_transfer,
     spaced_digits,
@@ -187,8 +186,8 @@ def test_lift_rejects_bad_inputs():
 def test_lift_rate_degenerate():
     eq = make_symmetric([1, 2])
     ds = make_digit_set(4, [0], eq)
-    assert lift_rate(ds).degenerate
-    assert lift_rate(ds).decimal == 0.0
+    assert ds.rate.degenerate
+    assert ds.rate.decimal == 0.0
 
 
 def test_lift_count_matches_enumeration():

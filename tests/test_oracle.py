@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -267,3 +268,14 @@ def test_incremental_index_random_operations():
                 fresh.add(v)
             assert fresh.pos_table == idx.pos_table
             assert fresh.neg_table == idx.neg_table
+
+
+def test_injectivity_two_coefficients_closed_form():
+    # a1*i + a2*j repeats on [1,B]^2 iff the smallest nonzero difference
+    # (a2/g, -a1/g), g = gcd(a1, a2), fits in [-(B-1), B-1]^2
+    rng = random.Random(23)
+    for _ in range(500):
+        a1, a2 = rng.randint(1, 60), rng.randint(1, 60)
+        B = rng.randint(1, 12)
+        fails = max(a1, a2) // math.gcd(a1, a2) <= B - 1
+        assert is_injective_map([a1, a2], B) == (not fails)

@@ -160,3 +160,43 @@ def test_search_result_has_best_rate_prefix():
     res = max_digit_set(eq, 100, SearchConfig(budget=100_000))
     assert res.best_rate_digits
     assert set(res.best_rate_digits) <= set(range(34))
+
+
+# (equation, distinct, M) -> (digits, best_rate_digits, exhausted) at base
+# L = s*M + 1 under the CLI's per-base budget; each row's result is decided
+# by a seed or extension phase, named in the comment
+PHASE_REGRESSION = [
+    (("sym", (10, 11, 31)), False, 64,                          # extend[11]
+     (0, 1, 12, 26, 30, 44, 55, 56), (0, 1, 12, 26, 30, 44, 55, 56), False),
+    (("sym", (10, 11, 31)), False, 128,                         # extend[8]
+     (0, 1, 4, 5, 28, 29, 89, 90, 117), (0, 1, 4, 5, 28, 29, 89, 90, 117),
+     False),
+    (("sym", (5, 6)), False, 64,                                # seed[10]
+     (0, 1, 2, 3, 4, 5, 21, 22, 23, 31, 32, 42, 60, 61, 62, 63, 64),
+     (0, 1, 2, 3, 4, 5), False),
+    (("sym", (5, 6)), True, 128,                                # extend[32]
+     (0, 1, 2, 3, 4, 5, 6, 13, 32, 33, 34, 35, 64, 65, 66, 67, 95, 96, 97, 98,
+      99, 125, 126, 128), (0, 1, 2, 3, 4, 5, 6), False),
+    (("sym", (3, 5, 17)), False, 512,                           # pseed[128]
+     (0, 1, 2, 3, 128, 129, 130, 131, 256, 257, 258, 259, 384, 385, 386, 387),
+     (0, 1, 2, 3), False),
+    (("sym", (3, 5, 17)), True, 512,                            # seed[8]
+     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300, 354), (0, 1, 2, 3, 4, 5), False),
+    (("eq", (2, 2, -3, -1)), False, 32,                         # seed[5]
+     (0, 1, 5, 6, 25, 26, 30, 31), (0, 1), False),
+    (("eq", (2, 2, -3, -1)), True, 128,                         # extend[8]
+     (0, 1, 2, 3, 4, 16, 17, 18, 19, 48, 105, 106, 114, 115, 117),
+     (0, 1, 2, 3, 4), False),
+]
+
+
+@pytest.mark.parametrize("equation,distinct,M,digits,best,exhausted",
+                         PHASE_REGRESSION)
+def test_seed_and_extend_phase_regression(equation, distinct, M, digits,
+                                          best, exhausted):
+    kind, coeffs = equation
+    eq = make_symmetric(coeffs) if kind == "sym" else make_equation(coeffs)
+    res = max_digit_set(eq, eq.side_sum * M + 1,
+                        SearchConfig(budget=10 ** 9 // 8), distinct=distinct)
+    assert (res.digits, res.best_rate_digits, res.exhausted) == (
+        digits, best, exhausted)
