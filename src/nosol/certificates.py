@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import total_ordering
 
@@ -36,14 +36,22 @@ def integer_root(n: int, k: int) -> int:
         r = y
 
 
-def _primitive_power(n: int) -> tuple[int, int]:
-    """Write n = u**e with e maximal; returns (u, e)."""
-    if n < 2:
-        return n, 1
-    for e in range(n.bit_length(), 1, -1):
-        u = integer_root(n, e)
-        if u >= 2 and u ** e == n:
-            return u, e
+def _primitive_power(n: int, start: int = 2) -> tuple[int, int]:
+    """Write n = u**e with e maximal; returns (u, e).
+
+    n is a p-th power for a prime p iff p divides e, so the search recurses
+    on the root for the smallest such p, and that root has no prime
+    exponent below p (start).  Only 2, 3 and exponents prime to 6 are
+    tried: a composite one (25, 35, ...) never succeeds, since a prime
+    factor of it was tried first.
+    """
+    for p in range(start, n.bit_length()):
+        if p > 3 and (p % 2 == 0 or p % 3 == 0):
+            continue
+        u = integer_root(n, p)
+        if u ** p == n:
+            u, e = _primitive_power(u, p)
+            return u, e * p
     return n, 1
 
 
@@ -273,5 +281,14 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 
 def load_certificate(path: str) -> Certificate:
+    """Read a certificate file.  Its verified field is not trusted: it is
+    set by a fresh oracle run on the alphabet, and a run that exhausts the
+    default budget leaves the certificate unverified."""
+    from .oracle import BudgetExhausted, verify_certificate  # oracle imports this module
     with open(path, encoding="utf-8") as fh:
-        return Certificate.from_json(json.load(fh))
+        cert = Certificate.from_json(json.load(fh))
+    try:
+        verified = verify_certificate(cert)
+    except BudgetExhausted:
+        verified = False
+    return replace(cert, verified=verified)

@@ -2,22 +2,35 @@
 
 Three interchangeable enumeration engines (pruned DFS, naive product scan,
 meet-in-the-middle over the equation's sides) answer "does this finite set
-contain a non-trivial solution?" exactly.  A search is only trusted when it
-ran to completion within its node budget; running out raises BudgetExhausted
-so callers can never mistake "unknown" for "verified absent".
+contain a non-trivial solution?" exactly.  For a symmetric equation with
+dissociated generators in all mode, the automatic choice first runs a scan
+of one-side sums, which certifies a clean set without storing any tuple.
+A search is only trusted when it ran to completion within its node budget;
+running out raises BudgetExhausted so callers can never mistake "unknown"
+for "verified absent".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from itertools import islice, product
+from operator import eq, mul
 
 from .certificates import MODE_DISTINCT, Certificate
-from .equations import Equation, SolutionClass, SolutionKind
+from .equations import (
+    DISSOCIATED_MAX_LEN,
+    Equation,
+    SolutionClass,
+    SolutionKind,
+    is_dissociated,
+)
 
 DEFAULT_BUDGET = 10 ** 8
 MITM_TABLE_CAP = 2_000_000
+# a scanned sum costs about 40 bytes (its int, a list slot and the sort's
+# buffer) against about 220 for a mitm table entry, so a scan within this
+# cap peaks well below mitm at MITM_TABLE_CAP
+SCAN_SUMS_CAP = 4_000_000
 
 
 class BudgetExhausted(RuntimeError):
@@ -171,11 +184,58 @@ def _pick_engine(q: SolutionQuery, engine: str):
     return _dfs_solutions
 
 
+def _sums_repeat(coeffs, values, budget) -> bool:
+    """Whether two different tuples x, x' in values^k (values distinct) have
+    sum(c_j * x_j) == sum(c_j * x'_j), for k = len(coeffs).
+
+    Builds the sums of j-tuples stage by stage, j = 1..k, spending one node
+    per sum, and stops at the first stage whose sums repeat: equal values
+    appended to both j-tuples extend the repeat to k-tuples.  Each stage is
+    sorted so that repeats are adjacent: it is built as one ascending run
+    per value, which the sort merges, and a list takes less memory than a
+    set.
+    """
+    sums = [0]
+    for c in coeffs:
+        budget.spend(len(sums) * len(values))
+        sums = [s + cv for cv in [c * v for v in values] for s in sums]
+        sums.sort()
+        if any(map(eq, sums, islice(sums, 1, None))):
+            return True
+    return False
+
+
+def _scan_applies(q: SolutionQuery) -> bool:
+    """Whether the automatic choice may answer q by the one-side sum scan.
+
+    For dissociated generators a_1..a_k, a solution of
+    sum(a_j x_j) = sum(a_j x'_j) is trivial in all mode iff x = x', so the
+    set is solution-free iff the sums over S^k never repeat (its k-fold
+    additive energy is |S|^k).  The scan must also fit the query's budget
+    and SCAN_SUMS_CAP.
+    """
+    gens = q.equation.symmetric_gen
+    if q.distinct_variables or gens is None or len(gens) > DISSOCIATED_MAX_LEN:
+        return False
+    size = len(q.ground_set)
+    nodes = sum(size ** j for j in range(1, len(gens) + 1))
+    return nodes <= min(q.budget, SCAN_SUMS_CAP) and is_dissociated(gens)
+
+
 def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
     """(first countable solution or None, nodes spent).
 
-    A None result certifies the whole space was enumerated.
+    A None result certifies the whole space was enumerated.  With
+    engine="auto", a primitive symmetric equation in all mode whose sum scan
+    fits the budget and SCAN_SUMS_CAP is certified clean by that scan, whose
+    nodes are its sums.  When the scan finds a repeat, the engine
+    _pick_engine chooses runs under a fresh budget, so witnesses and their
+    node counts do not depend on the scan.
     """
+    if engine == "auto" and _scan_applies(q):
+        budget = _Budget(q.budget)
+        if not _sums_repeat(q.equation.symmetric_gen, q.ground_set, budget):
+            return None, budget.nodes
     run = _pick_engine(q, engine)
     budget = _Budget(q.budget)
     for assignment in run(q.equation, q.ground_set, q.distinct_variables, budget):
@@ -200,26 +260,17 @@ def count_nontrivial_solutions(q: SolutionQuery, engine: str = "auto") -> int:
 def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether (i_1..i_k) -> sum(i_j * a_j) is injective on [1, B]^k.
 
-    Scans the sums in product order, one node per tuple, and answers False
-    at the first repeated sum.  The sums seen are kept, so memory grows
-    with the nodes spent.
+    Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
+    injective; memory grows with the largest stage.
     """
     a = [int(v) for v in a]
     if len(a) < 2:
         raise ValueError("need at least two coefficients")
-    if any(v < 1 for v in a):
+    if min(a) < 1:
         raise ValueError("coefficients must be positive")
     if B < 1:
         raise ValueError("B must be positive")
-    tracker = _Budget(budget)
-    seen: set[int] = set()
-    for tup in product(range(1, B + 1), repeat=len(a)):
-        tracker.spend()
-        s = sum(map(mul, a, tup))
-        if s in seen:
-            return False
-        seen.add(s)
-    return True
+    return not _sums_repeat(a, range(1, B + 1), _Budget(budget))
 
 
 def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:

@@ -139,7 +139,8 @@ def random_tuple_sweep(k: int, C: int, epsilon: float,
     bound = 2 ** k * C ** (k - epsilon * k)
 
     if samples is None:
-        work = C ** k * max(2 * B - 1, 1) ** k
+        # is_injective_map spends at most sum_j B**j nodes per tuple
+        work = C ** k * sum(B ** j for j in range(1, k + 1))
         if work > budget:
             raise BudgetExhausted(work)
         total = C ** k

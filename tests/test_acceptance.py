@@ -220,13 +220,13 @@ def test_criterion_09_oracle_equivalence():
                   for e in ("dfs", "naive", "mitm")}
         assert counts["dfs"] == counts["naive"] == counts["mitm"]
         founds = {e: find_nontrivial_solution(q, engine=e) is not None
-                  for e in ("dfs", "naive", "mitm")}
-        assert founds["dfs"] == founds["naive"] == founds["mitm"]
+                  for e in ("dfs", "naive", "mitm", "auto")}
+        assert founds["dfs"] == founds["naive"] == founds["mitm"] == founds["auto"]
         assert founds["dfs"] == (counts["dfs"] > 0)
         checked += 1
     assert checked == 500
-    report(9, "pruned DFS, meet-in-the-middle, and naive enumeration agree "
-              "on 500 random instances")
+    report(9, "pruned DFS, meet-in-the-middle, naive enumeration and the "
+              "automatic choice agree on 500 random instances")
 
 
 def test_criterion_10_primitive_iff_dissociated():

@@ -7,6 +7,7 @@ from nosol.certificates import (
     Certificate,
     DigitSet,
     Rate,
+    _primitive_power,
     integer_root,
     load_certificate,
     make_digit_set,
@@ -76,6 +77,25 @@ def test_integer_root_exact_at_any_size():
         assert r ** k <= n < (r + 1) ** k
     assert integer_root(10 ** 400, 400) == 10
     assert integer_root(10 ** 400 - 1, 400) == 9
+
+
+def test_primitive_power_matches_every_exponent_scan():
+    def every_exponent(n):
+        if n < 2:
+            return n, 1
+        for e in range(n.bit_length(), 1, -1):
+            u = integer_root(n, e)
+            if u >= 2 and u ** e == n:
+                return u, e
+        return n, 1
+
+    for n in range(10 ** 5):
+        assert _primitive_power(n) == every_exponent(n), n
+    for n in (6 ** 120, 2 ** 127, (10 ** 9 + 7) ** 6, 2 ** 1024, 12 ** 60,
+              3 ** 625, 10 ** 400, 10 ** 400 + 1, (2 ** 61 - 1) ** 35):
+        assert _primitive_power(n) == every_exponent(n), n
+    assert _primitive_power(6 ** 120) == (6, 120)
+    assert _primitive_power(3 ** 625) == (3, 625)
 
 
 def test_rate_ordering_beyond_float_range():

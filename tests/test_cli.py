@@ -1,10 +1,13 @@
 import json
 import os
 
+import pytest
+
 from nosol.cli import main
-from nosol.certificates import load_certificate
-from nosol.constructions import two_var_digits
+from nosol.certificates import Certificate, load_certificate, make_digit_set
+from nosol.constructions import lift, two_var_digits
 from nosol.certificates import save_certificate
+from nosol.equations import make_symmetric
 
 
 def run(capsys, *argv):
@@ -162,6 +165,20 @@ def test_rate_cli(tmp_path, capsys):
     code, report = run(capsys, "rate", "--cert", str(path))
     assert code == 0
     assert 0.445 < report["rate_decimal"] < 0.446
+
+
+def test_tampered_certificate_is_not_trusted(tmp_path, capsys):
+    # 1 + 2*1 = 3 + 2*0 solves sym(1,2) in {0,1,2,3}; base 10 is legal
+    eq = make_symmetric([1, 2])
+    path = tmp_path / "tampered.json"
+    save_certificate(Certificate(make_digit_set(10, [0, 1, 2, 3], eq),
+                                 verified=True), str(path))
+    assert json.loads(path.read_text())["verified"] is True
+    assert not load_certificate(str(path)).verified
+    assert main(["rate", "--cert", str(path)]) == 64
+    assert "unverified" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        lift(load_certificate(str(path)), 1000)
 
 
 def test_env_budget_override(tmp_path, capsys, monkeypatch):

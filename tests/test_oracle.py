@@ -5,12 +5,16 @@ from itertools import product
 import pytest
 
 from nosol.certificates import Certificate, make_digit_set
-from nosol.equations import make_equation, make_symmetric
+from nosol.constructions import geometric_digits, lift
+from nosol.equations import is_dissociated, make_equation, make_symmetric
 from nosol.oracle import (
     BudgetExhausted,
     IncrementalSolutionIndex,
     SolutionQuery,
+    _Budget,
+    _pick_engine,
     count_nontrivial_solutions,
+    exhaustive_check,
     find_nontrivial_solution,
     is_injective_map,
     verify_certificate,
@@ -279,3 +283,77 @@ def test_injectivity_two_coefficients_closed_form():
         B = rng.randint(1, 12)
         fails = max(a1, a2) // math.gcd(a1, a2) <= B - 1
         assert is_injective_map([a1, a2], B) == (not fails)
+
+
+def _picked_engine_result(q):
+    """(witness or None, nodes) of the engine _pick_engine(q, "auto")
+    chooses, run directly under a fresh budget; ("budget", nodes) when it
+    runs out."""
+    budget = _Budget(q.budget)
+    try:
+        for assignment in _pick_engine(q, "auto")(
+                q.equation, q.ground_set, q.distinct_variables, budget):
+            return assignment, budget.nodes
+    except BudgetExhausted as exc:
+        return "budget", exc.nodes
+    return None, budget.nodes
+
+
+def _auto_result(q):
+    try:
+        solution, nodes = exhaustive_check(q)
+    except BudgetExhausted as exc:
+        return "budget", exc.nodes
+    return (solution.assignment if solution else None), nodes
+
+
+def test_auto_sum_scan_differential():
+    """The automatic choice against the naive engine and the engine it
+    falls back to.  On a dissociated symmetric equation in all mode a clean
+    set costs the scan's sum_j |S|**j nodes, unless the scan exceeds the
+    budget; every other answer, witnesses included, is exactly that of the
+    engine _pick_engine selects.  Non-dissociated generators and distinct
+    mode never use the scan."""
+    rng = random.Random(20261018)
+    dissociated = [(1, 2), (2, 5), (1, 2, 4), (1, 3, 9), (10, 11, 31),
+                   (43, 69, 70), (1, 2, 4, 8)]
+    other = [(1, 1), (1, 2, 3), (2, 3, 5)]
+    max_size = {2: 12, 3: 5, 4: 3}
+    outcomes = set()
+    for _ in range(300):
+        gens = rng.choice(dissociated + other)
+        k = len(gens)
+        size = rng.randint(1, max_size[k])
+        lo = rng.randint(-60, 20)
+        spread = rng.choice((3 * size, 40 * size))
+        values = tuple(sorted(rng.sample(range(lo, lo + spread), size)))
+        distinct = rng.random() < 0.2
+        scan_nodes = sum(size ** j for j in range(1, k + 1))
+        budget = rng.choice((10 ** 6, scan_nodes - 1))
+        q = SolutionQuery(make_symmetric(gens), values, distinct, budget)
+        got = _auto_result(q)
+        direct = _picked_engine_result(q)
+        uses_scan = (not distinct and is_dissociated(gens)
+                     and budget >= scan_nodes)
+        if uses_scan and got[0] is None:
+            assert got == (None, scan_nodes), (gens, values)
+        else:
+            assert got == direct, (gens, values, distinct, budget)
+        if got[0] != "budget":
+            naive = find_nontrivial_solution(
+                SolutionQuery(q.equation, values, distinct), engine="naive")
+            assert (got[0] is None) == (naive is None), (gens, values)
+        outcomes.add((uses_scan, got[0] is None, got[0] == "budget"))
+    # clean and witness answers on both sides of the rule, and a fallback
+    # that runs out of budget
+    assert {(True, True, False), (True, False, False), (False, True, False),
+            (False, False, False), (False, False, True)} <= outcomes
+
+
+def test_auto_certifies_geometric_lift_at_8_pow_7():
+    # 128 elements: the mitm table (128**3) is over MITM_TABLE_CAP, and the
+    # depth-first engine runs out of this budget
+    cert = geometric_digits(2, 3)
+    values = lift(cert, 8 ** 7).elements
+    q = SolutionQuery(cert.equation, values, budget=10 ** 7)
+    assert exhaustive_check(q) == (None, 128 + 128 ** 2 + 128 ** 3)

@@ -99,6 +99,12 @@ def test_sweep_budget_guard():
         random_tuple_sweep(3, 200, 0.05, budget=10 ** 4)
 
 
+def test_sweep_budget_guard_counts_scan_nodes():
+    # B = 3: each tuple costs at most 3 + 9 scan nodes, 1,920,000 in all
+    rep = random_tuple_sweep(2, 400, 0.3, budget=2_000_000)
+    assert (rep.B, rep.total, rep.bad) == (3, 160_000, 800)
+
+
 def test_sweep_report_json():
     rep = random_tuple_sweep(2, 50, 0.3)
     obj = rep.to_json()
