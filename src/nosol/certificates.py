@@ -280,13 +280,19 @@ def save_certificate(cert: Certificate, path: str) -> None:
         path, json.dumps(cert.to_json(), indent=2, sort_keys=True) + "\n")
 
 
+def read_certificate(path: str) -> Certificate:
+    """Read a certificate file without checking it: the result is
+    unverified, whatever the file's verified field says."""
+    with open(path, encoding="utf-8") as fh:
+        return replace(Certificate.from_json(json.load(fh)), verified=False)
+
+
 def load_certificate(path: str) -> Certificate:
     """Read a certificate file.  Its verified field is not trusted: it is
     set by a fresh oracle run on the alphabet, and a run that exhausts the
     default budget leaves the certificate unverified."""
     from .oracle import BudgetExhausted, verify_certificate  # oracle imports this module
-    with open(path, encoding="utf-8") as fh:
-        cert = Certificate.from_json(json.load(fh))
+    cert = read_certificate(path)
     try:
         verified = verify_certificate(cert)
     except BudgetExhausted:

@@ -205,21 +205,27 @@ def _sums_repeat(coeffs, values, budget) -> bool:
     return False
 
 
-def _scan_applies(q: SolutionQuery) -> bool:
-    """Whether the automatic choice may answer q by the one-side sum scan.
+def _sums_decide(eq: Equation, distinct: bool) -> bool:
+    """Whether one-side sums alone decide solution-freeness for eq.
 
     For dissociated generators a_1..a_k, a solution of
-    sum(a_j x_j) = sum(a_j x'_j) is trivial in all mode iff x = x', so the
-    set is solution-free iff the sums over S^k never repeat (its k-fold
-    additive energy is |S|^k).  The scan must also fit the query's budget
-    and SCAN_SUMS_CAP.
+    sum(a_j x_j) = sum(a_j x'_j) is trivial in all mode iff x = x', so a
+    set is solution-free iff its sums over S^k never repeat (its k-fold
+    additive energy is |S|^k).
     """
-    gens = q.equation.symmetric_gen
-    if q.distinct_variables or gens is None or len(gens) > DISSOCIATED_MAX_LEN:
-        return False
-    size = len(q.ground_set)
-    nodes = sum(size ** j for j in range(1, len(gens) + 1))
-    return nodes <= min(q.budget, SCAN_SUMS_CAP) and is_dissociated(gens)
+    gens = eq.symmetric_gen
+    return (not distinct and gens is not None
+            and len(gens) <= DISSOCIATED_MAX_LEN and is_dissociated(gens))
+
+
+def _scan_applies(q: SolutionQuery) -> bool:
+    """Whether the automatic choice may answer q by the one-side sum scan:
+    sums decide it (_sums_decide) and the scan fits the query's budget and
+    SCAN_SUMS_CAP."""
+    k = len(q.equation.symmetric_gen or ())
+    nodes = sum(len(q.ground_set) ** j for j in range(1, k + 1))
+    return (nodes <= min(q.budget, SCAN_SUMS_CAP)
+            and _sums_decide(q.equation, q.distinct_variables))
 
 
 def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
@@ -297,12 +303,25 @@ def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:
 class IncrementalSolutionIndex:
     """Incremental legality oracle used by the digit searches.
 
-    Keeps, for each side of the equation, a table mapping one-side sums to
-    the value tuples achieving them.  Adding a candidate value only touches
-    the tuples that contain it, so a legality test costs time proportional
-    to the solutions it brushes against.
+    It holds one of two representations, chosen from the equation and mode:
 
-    Node accounting: a tuple costs one node when it is built and a pairing
+    - sums, when one-side sums alone decide solution-freeness (all mode and
+      dissociated symmetric generators, see _sums_decide): ``sums[j-1]`` is
+      the set of sums a_1*v_1 + ... + a_j*v_j over values^j, for j = 1..k.
+      The held set is always solution-free, so these sums never repeat;
+    - tuples, otherwise (``sums`` is None): for each side of the equation a
+      table mapping one-side sums to the value tuples achieving them.
+
+    Adding a candidate value only touches the sums or tuples that contain
+    it, so a legality test costs time proportional to what x brings.
+
+    Sums accounting: a sum costs one node when it is built.  The new sums
+    are built stage by stage, and a test rejects at the first stage whose
+    new sums repeat or meet the stored ones: equal values appended to both
+    j-tuples extend the repeat to k-tuples.  An accepting ``legal(x)``
+    keeps its stages for the ``add(x)`` that follows, as below.
+
+    Tuple accounting: a tuple costs one node when it is built and a pairing
     of two tuples one node when it is tested.  New tuples are built in
     chunks that differ in one position only, and a chunk's nodes are spent
     together, so a rejected test stops after the chunk holding its witness.
@@ -334,8 +353,13 @@ class IncrementalSolutionIndex:
         self.symmetric = self.pos_coeffs == self.neg_coeffs
         self.pos_table: dict[int, list[tuple[int, ...]]] = {}
         self.neg_table = self.pos_table if self.symmetric else {}
-        self._undo: list[tuple[list, list]] = []
-        self._kept = None   # (x, pos chunks, neg chunks) of an accepting conflict
+        self.sums: list[set[int]] | None = None
+        if _sums_decide(eq, distinct):
+            self.sums = [set() for _ in eq.symmetric_gen]
+        self._undo: list = []
+        # (x, what add(x) stores) of the last accepting legality test: the
+        # new stages for sums, (pos chunks, neg chunks) for tuples
+        self._kept = None
         self.tracker = _Budget(budget)
 
     @property
@@ -378,6 +402,40 @@ class IncrementalSolutionIndex:
                 else:
                     tups = [prefix + (v, x) for v in tail]
                 yield tups, [partial + c * v for v in tail]
+
+    def _new_sums(self, x):
+        """The sets, one per stage j, of sums over the j-tuples of values+[x]
+        that use x; None at the first stage whose new sums repeat or meet
+        the stored ones."""
+        values = self.values + [x]
+        spend = self.tracker.spend
+        old_prev, new_prev = (0,), ()
+        stages = []
+        for c, old in zip(self.eq.symmetric_gen, self.sums):
+            n = len(old_prev) + len(new_prev) * len(values)
+            spend(n)
+            new = {s + cv for cv in [c * v for v in values] for s in new_prev}
+            cx = c * x
+            new.update([s + cx for s in old_prev])
+            if len(new) < n or not old.isdisjoint(new):
+                return None
+            stages.append(new)
+            old_prev, new_prev = old, new
+        return stages
+
+    def _sums_witness(self, x):
+        """(pos, neg) of the first solution exhaustive_check finds in
+        values+[x]; its nodes are spent here."""
+        q = SolutionQuery(self.eq, tuple(sorted(self.values + [x])),
+                          budget=max(1, self.tracker.limit - self.nodes))
+        try:
+            solution, nodes = exhaustive_check(q)
+        except BudgetExhausted as exc:
+            nodes = exc.nodes   # more than remain, so the spend below raises
+        self.tracker.spend(nodes)
+        pairs = list(zip(self.eq.coeffs, solution.assignment))
+        return (tuple(v for c, v in pairs if c > 0),
+                tuple(v for c, v in pairs if c < 0))
 
     def _solution(self, pos_tup, neg_tup) -> bool:
         self.tracker.spend()
@@ -422,6 +480,8 @@ class IncrementalSolutionIndex:
         self._kept = None
         if x in self.values:
             return None
+        if self.sums is not None:
+            return None if self.legal(x) else self._sums_witness(x)
         pos_chunks = []
         found = self._first_solution(self._new_tuples(self.pos_coeffs, x),
                                      (self.neg_table,), True, pos_chunks)
@@ -441,18 +501,37 @@ class IncrementalSolutionIndex:
                                          neg_chunks)
         if found:
             return found
-        self._kept = (x, pos_chunks, neg_chunks)
+        self._kept = (x, (pos_chunks, neg_chunks))
         return None
 
     def legal(self, x: int) -> bool:
-        return x not in self.values and self.conflict(x) is None
+        if x in self.values:
+            return False
+        if self.sums is None:
+            return self.conflict(x) is None
+        stages = self._new_sums(x)
+        self._kept = None if stages is None else (x, stages)
+        return stages is not None
 
     def add(self, x: int) -> None:
+        """Add x.  With sums, the set must stay solution-free: an x that
+        creates a solution raises ValueError and leaves the index as it
+        was."""
         kept, self._kept = self._kept, None
         if x in self.values:
             raise ValueError(f"{x} is already in the index")
-        if kept is not None and kept[0] == x:
-            _, pos_chunks, neg_chunks = kept
+        kept = kept[1] if kept is not None and kept[0] == x else None
+        if self.sums is not None:
+            stages = kept or self._new_sums(x)
+            if stages is None:
+                raise ValueError(f"adding {x} creates a solution")
+            for stored, new in zip(self.sums, stages):
+                stored |= new
+            self.values.append(x)
+            self._undo.append(stages)
+            return
+        if kept is not None:
+            pos_chunks, neg_chunks = kept
         else:
             pos_chunks = list(self._new_tuples(self.pos_coeffs, x))
             neg_chunks = (pos_chunks if self.symmetric
@@ -477,9 +556,13 @@ class IncrementalSolutionIndex:
 
     def pop(self) -> int:
         self._kept = None
-        pos_sums, neg_sums = self._undo.pop()
-        _unstore(self.pos_table, pos_sums)
-        _unstore(self.neg_table, neg_sums)
+        undo = self._undo.pop()
+        if self.sums is not None:
+            for stored, new in zip(self.sums, undo):
+                stored.difference_update(new)
+        else:
+            _unstore(self.pos_table, undo[0])
+            _unstore(self.neg_table, undo[1])
         return self.values.pop()
 
 

@@ -4,8 +4,8 @@ max_digit_set finds large solution-free digit alphabets below a base:
 exact branch-and-bound when the candidate range is small, or an anytime
 pipeline under a node budget.  Every anytime phase is one greedy pass
 (IncrementalSolutionIndex.greedy) over a candidate order: the ascending
-range, two-level seeds built from coefficient-derived bases, and the best
-seeds followed by the rest of the range.  Everything is deterministic:
+range, two-level seeds built from coefficient-derived bases, and the rest
+of the range on top of the best seed sets.  Everything is deterministic:
 rerunning a search reproduces the same sets bit for bit.
 """
 
@@ -180,12 +180,15 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
 
     phases = []
 
-    def run_phase(name, order):
-        """One greedy pass over order in a fresh index; its values, sorted."""
+    def run_phase(name, order, start=()):
+        """One greedy pass over order in a fresh index holding start, a set
+        known to be solution-free; its values, sorted."""
         nonlocal nodes_total
         index = IncrementalSolutionIndex(eq, distinct=distinct,
                                          budget=max(1, cfg.budget - nodes_total))
         try:
+            for x in start:
+                index.add(x)
             index.greedy(order, lambda: tracker.offer(
                 sorted(index.values), index.nodes, name))
         except BudgetExhausted:
@@ -221,15 +224,16 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             filtered = run_phase(f"{label}[{base}]", seeds)
             seed_results.append((len(filtered), -base, filtered))
 
-    # phase 3: greedy extension of the most promising seeds; a seed phase's
-    # set is solution-free, so the pass accepts all of it again first
+    # phase 3: greedy extension of the most promising seeds.  A seed phase's
+    # set is solution-free, so it is added without legality tests; every
+    # prefix of it was already offered by its seed phase.
     seed_results.sort(reverse=True)
     for _, negbase, filtered in seed_results[:SEED_EXTENSION_PHASES]:
         if nodes_total >= cfg.budget:
             break
         kept = set(filtered)
         run_phase(f"extend[{-negbase}]",
-                  filtered + [x for x in candidates if x not in kept])
+                  [x for x in candidates if x not in kept], filtered)
 
     return SearchResult(tracker.best, exhausted, nodes_total,
                         tracker.best_rate_digits, phases=phases)

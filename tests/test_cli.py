@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from nosol import oracle
 from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
 from nosol.constructions import lift, two_var_digits
@@ -61,6 +62,30 @@ def test_verify_certificate_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("budget,code,status", [
+    (10, 2, "budget-exhausted"), (1000, 0, "no-nontrivial-solution")])
+def test_verify_cert_runs_oracle_once_under_budget(tmp_path, capsys,
+                                                   monkeypatch, budget,
+                                                   code, status):
+    # the 10/11/31 alphabet {0,1,4,5}: its sum scan takes 4+16+64 nodes
+    cert_path = tmp_path / "thm3.json"
+    save_certificate(Certificate(make_digit_set(261, [0, 1, 4, 5],
+                                                make_symmetric([10, 11, 31])),
+                                 verified=True), str(cert_path))
+    limits = []
+
+    class RecordingBudget(oracle._Budget):
+        def __init__(self, limit):
+            limits.append(limit)
+            super().__init__(limit)
+
+    monkeypatch.setattr(oracle, "_Budget", RecordingBudget)
+    got, report = run(capsys, "verify", "--cert", str(cert_path),
+                      "--budget", str(budget))
+    assert (got, report["status"]) == (code, status)
+    assert limits == [budget]
+
+
 def test_construct_geometric_with_lift(tmp_path, capsys):
     out = tmp_path / "geom.json"
     setfile = tmp_path / "geom.set"
@@ -101,6 +126,28 @@ def test_construct_precondition_violation(tmp_path, capsys):
     code = main(["construct", "two-var", "--a", "2", "--b", "4",
                  "-o", str(tmp_path / "x.json")])
     assert code == 65
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["geometric", "--k", "3"], "--m"),
+    (["spaced", "--gens", "1,2"], "--s-factor"),
+    (["shift"], "--cert, --i, --j"),
+])
+def test_construct_missing_arguments_are_named(tmp_path, capsys, argv, flags):
+    out = tmp_path / "x.json"
+    assert main(["construct", *argv, "-o", str(out)]) == 64
+    assert f"needs {flags}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_recipe_type_error_surfaces(tmp_path, monkeypatch):
+    def broken(m, k, budget):
+        raise TypeError("bug inside the recipe")
+
+    monkeypatch.setattr("nosol.cli.geometric_digits", broken)
+    with pytest.raises(TypeError, match="bug inside the recipe"):
+        main(["construct", "geometric", "--m", "2", "--k", "3",
+              "-o", str(tmp_path / "x.json")])
 
 
 def test_construct_shift(tmp_path, capsys):

@@ -221,14 +221,17 @@ def test_incremental_index_pop_restores_state():
 def test_incremental_index_random_operations():
     """Random legal/add/conflict/pop sequences against the naive engine.
 
-    Covers an add after an accepting legal, an add with no legal before it,
-    a pop between an accepting legal and the add of the same value (the
-    tuples kept by legal are then stale), and conflict witnesses.  Sets stay
-    small so the naive product scan stays cheap.
+    Covers both representations (sums in all mode for the dissociated
+    symmetric equations, tuples otherwise), an add after an accepting legal,
+    an add with no legal before it, a pop between an accepting legal and
+    the add of the same value (what legal kept is then stale), conflict
+    witnesses and negative values.  Sets stay small so the naive product
+    scan stays cheap.
     """
     rng = random.Random(20261018)
     cases = [(make_symmetric([43, 69, 70]), 4), (make_symmetric([10, 11, 31]), 4),
-             (make_symmetric([1, 2]), 7), (make_equation([2, 2, -3, -1]), 7)]
+             (make_symmetric([1, 2]), 7), (make_equation([2, 2, -3, -1]), 7),
+             (make_symmetric([1, 2, 4, 8]), 3)]
     for eq, cap in cases:
         for distinct in (False, True):
             expected = {}
@@ -242,7 +245,7 @@ def test_incremental_index_random_operations():
 
             idx = IncrementalSolutionIndex(eq, distinct=distinct)
             for _ in range(60):
-                x = rng.randrange(0, 24)
+                x = rng.randrange(-12, 24)
                 op = rng.randrange(4)
                 if x in idx.values:
                     assert not idx.legal(x)
@@ -266,12 +269,42 @@ def test_incremental_index_random_operations():
                     idx.add(x)
                 elif op == 3 and idx.values:
                     idx.pop()
-            # the tables match those of a fresh index fed the same values
+            # the state matches that of a fresh index fed the same values
             fresh = IncrementalSolutionIndex(eq, distinct=distinct)
             for v in idx.values:
                 fresh.add(v)
-            assert fresh.pos_table == idx.pos_table
-            assert fresh.neg_table == idx.neg_table
+            assert ((fresh.sums, fresh.pos_table, fresh.neg_table)
+                    == (idx.sums, idx.pos_table, idx.neg_table))
+
+
+@pytest.mark.parametrize("eq,distinct,sums", [
+    (make_symmetric([43, 69, 70]), False, True),
+    (make_symmetric([1, 2, 4, 8]), False, True),
+    (make_symmetric([43, 69, 70]), True, False),
+    (make_symmetric([1, 1]), False, False),       # not dissociated
+    (make_symmetric([1, 2, 3]), False, False),    # 1 + 2 = 3
+    (make_equation([2, 2, -3, -1]), False, False),
+])
+def test_incremental_index_representation(eq, distinct, sums):
+    idx = IncrementalSolutionIndex(eq, distinct=distinct)
+    assert (idx.sums is not None) == sums
+    for x in (0, 1, 3, 7):
+        if idx.legal(x):
+            idx.add(x)
+    # only tuples are tabled, and only sums are staged
+    assert bool(idx.pos_table) != sums
+    assert (idx.sums is not None and all(idx.sums)) == sums
+
+
+def test_incremental_index_sums_add_refuses_a_solution():
+    # sym(1,2) in all mode: 0 + 2*2 = 2 + 2*1, so {0, 1, 2} has a solution
+    idx = IncrementalSolutionIndex(make_symmetric([1, 2]))
+    idx.add(0)
+    idx.add(1)
+    before = [set(stage) for stage in idx.sums]
+    with pytest.raises(ValueError):
+        idx.add(2)
+    assert idx.values == [0, 1] and idx.sums == before
 
 
 def test_injectivity_two_coefficients_closed_form():

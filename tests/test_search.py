@@ -200,3 +200,28 @@ def test_seed_and_extend_phase_regression(equation, distinct, M, digits,
                         SearchConfig(budget=10 ** 9 // 8), distinct=distinct)
     assert (res.digits, res.best_rate_digits, res.exhausted) == (
         digits, best, exhausted)
+
+
+# (L, digits, best_rate_digits, exhausted) of every base of the all-mode
+# 43/69/70 --extended search, the all-mode twin of acceptance criterion 5;
+# the legality index holds sums here, not tuples
+ROWS_43_69_70_ALL = [
+    (729, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4), True),
+    (1457, tuple(range(8)), tuple(range(8)), True),
+    (2913, tuple(range(8)), tuple(range(8)), True),
+    (5825, tuple(range(8)), tuple(range(8)), False),
+    (11649, tuple(range(8)), tuple(range(8)), False),
+    (23297, tuple(range(8)) + (69,), tuple(range(8)), False),
+    (46593, tuple(range(8)) + (69, 208, 209, 250), tuple(range(8)), False),
+    (93185, tuple(range(8)) + (69, 208, 209, 276, 277, 417, 482, 483, 484),
+     tuple(range(8)), False),
+]
+
+
+def test_43_69_70_all_mode_rows():
+    eq = make_symmetric([43, 69, 70])
+    rows = []
+    for L, *_ in ROWS_43_69_70_ALL:
+        res = max_digit_set(eq, L, SearchConfig(budget=10 ** 9 // 8))
+        rows.append((L, res.digits, res.best_rate_digits, res.exhausted))
+    assert rows == ROWS_43_69_70_ALL
