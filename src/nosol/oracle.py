@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
+from math import perm
 from operator import eq, mul
 
 from .certificates import MODE_DISTINCT, Certificate
@@ -303,37 +304,51 @@ def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:
 class IncrementalSolutionIndex:
     """Incremental legality oracle used by the digit searches.
 
-    It holds one of two representations, chosen from the equation and mode:
+    It holds one of three representations, chosen from the equation and
+    mode; the state of the other two is None:
 
     - sums, when one-side sums alone decide solution-freeness (all mode and
       dissociated symmetric generators, see _sums_decide): ``sums[j-1]`` is
       the set of sums a_1*v_1 + ... + a_j*v_j over values^j, for j = 1..k.
       The held set is always solution-free, so these sums never repeat;
-    - tuples, otherwise (``sums`` is None): for each side of the equation a
-      table mapping one-side sums to the value tuples achieving them.
+    - masks, in distinct mode: for each side, ``pos_subsets[S]`` (and
+      ``neg_subsets[S]``) holds the tuples of distinct held values on the
+      side's positions in the bit set S, as parallel lists (sums, masks).
+      Bit i of a mask is set when the tuple uses ``values[i]``.  For the
+      full position set it is a dict from sums to their masks;
+    - tuples, otherwise: for each side of the equation a table
+      (``pos_table``, ``neg_table``) mapping one-side sums to the value
+      tuples achieving them.
 
-    Adding a candidate value only touches the sums or tuples that contain
-    it, so a legality test costs time proportional to what x brings.
+    When both sides have the same coefficients (a symmetric equation), the
+    sides share their tuples and one table.  Adding a candidate value only
+    touches the sums or tuples that contain it, so a legality test costs
+    time proportional to what x brings.  An accepting ``legal(x)`` keeps
+    what it built, and an ``add(x)`` that follows on the same values stores
+    it without building or spending again; ``pop`` and any other ``legal``
+    or ``add`` drop it.  ``add`` spends its nodes before it changes any
+    table, so a BudgetExhausted leaves the index as it was.
 
     Sums accounting: a sum costs one node when it is built.  The new sums
     are built stage by stage, and a test rejects at the first stage whose
     new sums repeat or meet the stored ones: equal values appended to both
-    j-tuples extend the repeat to k-tuples.  An accepting ``legal(x)``
-    keeps its stages for the ``add(x)`` that follows, as below.
+    j-tuples extend the repeat to k-tuples.
 
-    Tuple accounting: a tuple costs one node when it is built and a pairing
-    of two tuples one node when it is tested.  New tuples are built in
-    chunks that differ in one position only, and a chunk's nodes are spent
-    together, so a rejected test stops after the chunk holding its witness.
-    Each new tuple is built once:
+    Mask accounting: an entry costs one node when it is built and a pairing
+    of two entries one node when it is tested.  A solution that uses x
+    holds it once, on one side, and only old values on the other side.  So
+    ``legal(x)`` builds, for each position p of a side, the full tuples
+    with x at p as one chunk (the tuples on the other positions, shifted by
+    c_p*x), and tests its sums against the other side's full table.  Only a
+    sum met there costs pairings, one per mate, and a pairing is a solution
+    when the two masks share no bit.  A symmetric equation tests one side:
+    the tuples with x on the other side mirror it.
 
-    - when ``conflict(x)`` accepts, the tuples it built are kept, and an
-      ``add(x)`` that follows on the same values stores them and spends no
-      nodes; ``pop`` and any other ``conflict`` or ``add`` drop them;
-    - when both sides have the same coefficients (a symmetric equation),
-      the sides share their tuples and one table;
-    - in distinct mode a one-side tuple that repeats a value can never be
-      part of a countable solution, so it is neither built nor counted.
+    Tuple accounting (all mode): a tuple costs one node when it is built
+    and a pairing of two tuples one node when it is tested.  New tuples are
+    built in chunks that differ in one position only, and a chunk's nodes
+    are spent together, so a rejected test stops after the chunk holding
+    its witness.
 
     The answers do not depend on this accounting, but the node counts, and
     so how far a given budget reaches, do.
@@ -348,17 +363,23 @@ class IncrementalSolutionIndex:
         self.pos_coeffs = [eq.coeffs[i] for i in self.pos_idx]
         self.neg_coeffs = [-eq.coeffs[i] for i in self.neg_idx]
         self.values: list[int] = []
-        # equal coefficient lists give both sides the same tuples: they are
-        # built once and share one table
         self.symmetric = self.pos_coeffs == self.neg_coeffs
-        self.pos_table: dict[int, list[tuple[int, ...]]] = {}
-        self.neg_table = self.pos_table if self.symmetric else {}
         self.sums: list[set[int]] | None = None
+        self.pos_subsets = self.neg_subsets = None
+        self.pos_table = self.neg_table = None
         if _sums_decide(eq, distinct):
             self.sums = [set() for _ in eq.symmetric_gen]
+        elif distinct:
+            self.pos_subsets = _empty_subsets(len(self.pos_coeffs))
+            self.neg_subsets = (self.pos_subsets if self.symmetric
+                                else _empty_subsets(len(self.neg_coeffs)))
+        else:
+            self.pos_table = {}
+            self.neg_table = self.pos_table if self.symmetric else {}
         self._undo: list = []
         # (x, what add(x) stores) of the last accepting legality test: the
-        # new stages for sums, (pos chunks, neg chunks) for tuples
+        # new stages for sums, the full chunks per side for masks, (pos
+        # chunks, neg chunks) for tuples
         self._kept = None
         self.tracker = _Budget(budget)
 
@@ -366,14 +387,91 @@ class IncrementalSolutionIndex:
     def nodes(self) -> int:
         return self.tracker.nodes
 
+    def _mask_sides(self):
+        """(coeffs, subsets, mates) of each side that holds its own tables;
+        mates is the other side's full table."""
+        sides = [(self.pos_coeffs, self.pos_subsets, self.neg_subsets[-1])]
+        if not self.symmetric:
+            sides.append((self.neg_coeffs, self.neg_subsets, self.pos_subsets[-1]))
+        return sides
+
+    def _new_full_sums(self, x):
+        """Per side tested, one list per position p of the sums of the full
+        tuples with x at p; None once one of them meets a mate of equal sum
+        on the other side that shares no value with it."""
+        spend = self.tracker.spend
+        kept = []
+        for coeffs, subsets, mates in self._mask_sides():
+            keys = mates.keys()
+            chunks = []
+            for new, masks in _full_shifts(coeffs, subsets, x):
+                spend(len(new))
+                if not keys.isdisjoint(new):
+                    for s, m in zip(new, masks):
+                        for mate in mates.get(s, ()):
+                            spend()
+                            if not m & mate:
+                                return None
+                chunks.append(new)
+            kept.append(chunks)
+        return kept
+
+    def _add_masks(self, x, kept) -> list:
+        """Extend every position subset's table by the tuples that use x;
+        the full chunks' sums, per side, for pop."""
+        bit = 1 << len(self.values)
+        rows, buckets, nodes, undo = [], [], 0, []
+        for side, (coeffs, subsets, _) in enumerate(self._mask_sides()):
+            full = len(subsets) - 1
+            if kept is not None:
+                chunks = kept[side]
+            else:
+                chunks = [new for new, _ in _full_shifts(coeffs, subsets, x)]
+                nodes += sum(map(len, chunks))
+            for p, new in enumerate(chunks):
+                masks = subsets[full ^ (1 << p)][1]
+                buckets.append((subsets[full], new, [m | bit for m in masks]))
+            undo.append(chunks)
+            for S in range(1, full):
+                for q, c in enumerate(coeffs):
+                    if S >> q & 1:
+                        sums, masks = subsets[S ^ (1 << q)]
+                        cx = c * x
+                        rows.append((subsets[S], [s + cx for s in sums],
+                                     [m | bit for m in masks]))
+                        nodes += len(sums)
+        # every entry is paid for before a table changes, so that a
+        # BudgetExhausted leaves the index as it was
+        self.tracker.spend(nodes)
+        for (sums, masks), new_sums, new_masks in rows:
+            sums.extend(new_sums)
+            masks.extend(new_masks)
+        for table, sums, masks in buckets:
+            for s, m in zip(sums, masks):
+                bucket = table.get(s)
+                if bucket is None:
+                    table[s] = [m]
+                else:
+                    bucket.append(m)
+        return undo
+
+    def _pop_masks(self, undo) -> None:
+        n = len(self.values) - 1
+        for (_, subsets, _), chunks in zip(self._mask_sides(), undo):
+            _unstore(subsets[-1], chunks)
+            # a position set S holds the perm(n, |S|) tuples of n values
+            for S in range(1, len(subsets) - 1):
+                sums, masks = subsets[S]
+                size = perm(n, S.bit_count())
+                del sums[size:], masks[size:]
+
     def _new_tuples(self, coeffs, x):
         """Chunks (tuples, sums) covering, in product order, every tuple over
         values+[x] that uses x.  A chunk's tuples differ only in the last
         position free to vary: the last one, or the one before when that
         holds x."""
         old = self.values
-        distinct = self.distinct
-        later = old if distinct else old + [x]
+        later = old + [x]
         spend = self.tracker.spend
         k = len(coeffs)
         if k == 1:
@@ -383,18 +481,13 @@ class IncrementalSolutionIndex:
         for first in range(k):
             if first < k - 1:
                 pools = [old] * first + [[x]] + [later] * (k - first - 2)
-                tail_pool, c, base = later, coeffs[-1], 0
+                tail, c, base = later, coeffs[-1], 0
             else:
                 pools = [old] * (k - 2)
-                tail_pool, c, base = old, coeffs[-2], coeffs[-1] * x
+                tail, c, base = old, coeffs[-2], coeffs[-1] * x
+            if not tail:
+                continue
             for prefix in product(*pools):
-                if distinct and len(set(prefix)) < len(prefix):
-                    continue
-                tail = tail_pool
-                if distinct and prefix:
-                    tail = [v for v in tail if v not in prefix]
-                if not tail:
-                    continue
                 partial = base + sum(map(mul, coeffs, prefix))
                 spend(len(tail))
                 if first < k - 1:
@@ -423,24 +516,8 @@ class IncrementalSolutionIndex:
             old_prev, new_prev = old, new
         return stages
 
-    def _sums_witness(self, x):
-        """(pos, neg) of the first solution exhaustive_check finds in
-        values+[x]; its nodes are spent here."""
-        q = SolutionQuery(self.eq, tuple(sorted(self.values + [x])),
-                          budget=max(1, self.tracker.limit - self.nodes))
-        try:
-            solution, nodes = exhaustive_check(q)
-        except BudgetExhausted as exc:
-            nodes = exc.nodes   # more than remain, so the spend below raises
-        self.tracker.spend(nodes)
-        pairs = list(zip(self.eq.coeffs, solution.assignment))
-        return (tuple(v for c, v in pairs if c > 0),
-                tuple(v for c, v in pairs if c < 0))
-
     def _solution(self, pos_tup, neg_tup) -> bool:
         self.tracker.spend()
-        if self.distinct:
-            return set(pos_tup).isdisjoint(neg_tup)
         assignment = [0] * self.eq.num_vars
         for i, v in zip(self.pos_idx, pos_tup):
             assignment[i] = v
@@ -448,10 +525,10 @@ class IncrementalSolutionIndex:
             assignment[i] = v
         return _is_countable(self.eq, assignment, False)
 
-    def _first_solution(self, chunks, tables, new_is_pos, built=None):
-        """First countable pairing, in chunk order, of a new tuple with a
-        mate of equal sum from tables; None when there is none.  Each chunk
-        scanned is appended to built, when given."""
+    def _first_solution(self, chunks, tables, new_is_pos, built=None) -> bool:
+        """Whether a new tuple and a mate of equal sum from tables form a
+        countable solution.  Each chunk scanned is appended to built, when
+        given."""
         keys = [table.keys() for table in tables]
         for chunk in chunks:
             if built is not None:
@@ -466,27 +543,19 @@ class IncrementalSolutionIndex:
                 for table in tables:
                     for mate in table.get(s, ()):
                         if mate is tup:
-                            continue    # x = x' itself: trivial in both modes
+                            continue    # x = x' itself: trivial
                         pair = (tup, mate) if new_is_pos else (mate, tup)
                         if self._solution(*pair):
-                            return pair
-        return None
+                            return True
+        return False
 
-    def conflict(self, x: int):
-        """A solution that adding x would create, or None.
-
-        A value already present creates none.
-        """
-        self._kept = None
-        if x in self.values:
-            return None
-        if self.sums is not None:
-            return None if self.legal(x) else self._sums_witness(x)
+    def _new_tuple_chunks(self, x):
+        """(pos chunks, neg chunks) of the new tuples; None when one of them
+        completes a countable solution."""
         pos_chunks = []
-        found = self._first_solution(self._new_tuples(self.pos_coeffs, x),
-                                     (self.neg_table,), True, pos_chunks)
-        if found:
-            return found
+        if self._first_solution(self._new_tuples(self.pos_coeffs, x),
+                                (self.neg_table,), True, pos_chunks):
+            return None
         new_pos: dict[int, list[tuple[int, ...]]] = {}
         _store(new_pos, pos_chunks)
         if self.symmetric:
@@ -499,19 +568,23 @@ class IncrementalSolutionIndex:
             found = self._first_solution(self._new_tuples(self.neg_coeffs, x),
                                          (self.pos_table, new_pos), False,
                                          neg_chunks)
-        if found:
-            return found
-        self._kept = (x, (pos_chunks, neg_chunks))
-        return None
+        return None if found else (pos_chunks, neg_chunks)
 
     def legal(self, x: int) -> bool:
+        """Whether adding x keeps the set solution-free.  A value already
+        present is not legal."""
+        self._kept = None
         if x in self.values:
             return False
-        if self.sums is None:
-            return self.conflict(x) is None
-        stages = self._new_sums(x)
-        self._kept = None if stages is None else (x, stages)
-        return stages is not None
+        if self.sums is not None:
+            kept = self._new_sums(x)
+        elif self.distinct:
+            kept = self._new_full_sums(x)
+        else:
+            kept = self._new_tuple_chunks(x)
+        if kept is not None:
+            self._kept = (x, kept)
+        return kept is not None
 
     def add(self, x: int) -> None:
         """Add x.  With sums, the set must stay solution-free: an x that
@@ -527,22 +600,24 @@ class IncrementalSolutionIndex:
                 raise ValueError(f"adding {x} creates a solution")
             for stored, new in zip(self.sums, stages):
                 stored |= new
-            self.values.append(x)
-            self._undo.append(stages)
-            return
-        if kept is not None:
-            pos_chunks, neg_chunks = kept
+            undo = stages
+        elif self.distinct:
+            undo = self._add_masks(x, kept)
         else:
-            pos_chunks = list(self._new_tuples(self.pos_coeffs, x))
-            neg_chunks = (pos_chunks if self.symmetric
-                          else list(self._new_tuples(self.neg_coeffs, x)))
-        _store(self.pos_table, pos_chunks)
-        neg_sums = []
-        if not self.symmetric:
-            _store(self.neg_table, neg_chunks)
-            neg_sums = [s for _, s in neg_chunks]
+            if kept is not None:
+                pos_chunks, neg_chunks = kept
+            else:
+                pos_chunks = list(self._new_tuples(self.pos_coeffs, x))
+                neg_chunks = (pos_chunks if self.symmetric
+                              else list(self._new_tuples(self.neg_coeffs, x)))
+            _store(self.pos_table, pos_chunks)
+            neg_sums = []
+            if not self.symmetric:
+                _store(self.neg_table, neg_chunks)
+                neg_sums = [s for _, s in neg_chunks]
+            undo = ([s for _, s in pos_chunks], neg_sums)
         self.values.append(x)
-        self._undo.append(([s for _, s in pos_chunks], neg_sums))
+        self._undo.append(undo)
 
     def greedy(self, candidates, on_gain=None) -> None:
         """Add, in order, each candidate that keeps the set solution-free,
@@ -560,10 +635,29 @@ class IncrementalSolutionIndex:
         if self.sums is not None:
             for stored, new in zip(self.sums, undo):
                 stored.difference_update(new)
+        elif self.distinct:
+            self._pop_masks(undo)
         else:
             _unstore(self.pos_table, undo[0])
             _unstore(self.neg_table, undo[1])
         return self.values.pop()
+
+
+def _empty_subsets(k: int) -> list:
+    """Mask tables of a side with k positions and no values: only the empty
+    position set has a tuple, of sum 0 and mask 0."""
+    return [([0], [0])] + [([], []) for _ in range(2 ** k - 2)] + [{}]
+
+
+def _full_shifts(coeffs, subsets, x):
+    """For each position p, the sums of the full tuples with x at p (the
+    tuples on the other positions, shifted by c_p*x) and their masks
+    without x's bit."""
+    full = len(subsets) - 1
+    for p, c in enumerate(coeffs):
+        sums, masks = subsets[full ^ (1 << p)]
+        cx = c * x
+        yield [s + cx for s in sums], masks
 
 
 def _store(table, chunks) -> None:

@@ -218,19 +218,34 @@ def test_incremental_index_pop_restores_state():
     assert idx.legal(3)
 
 
-def test_incremental_index_random_operations():
-    """Random legal/add/conflict/pop sequences against the naive engine.
+def index_state(idx):
+    """Every table of the index, whichever representation it holds."""
+    return (idx.sums, idx.pos_subsets, idx.neg_subsets,
+            idx.pos_table, idx.neg_table)
 
-    Covers both representations (sums in all mode for the dissociated
-    symmetric equations, tuples otherwise), an add after an accepting legal,
-    an add with no legal before it, a pop between an accepting legal and
-    the add of the same value (what legal kept is then stale), conflict
-    witnesses and negative values.  Sets stay small so the naive product
-    scan stays cheap.
+
+def fresh_index_state(idx):
+    """The state of a fresh index on the same equation fed idx.values."""
+    fresh = IncrementalSolutionIndex(idx.eq, distinct=idx.distinct)
+    for v in idx.values:
+        fresh.add(v)
+    return index_state(fresh)
+
+
+def test_incremental_index_random_operations():
+    """Random legal/add/pop sequences against the naive engine.
+
+    Covers the three representations (sums in all mode for the dissociated
+    symmetric equations, masks in distinct mode, tuples otherwise), sides
+    of unequal length, an add after an accepting legal, an add with no
+    legal before it, a pop between an accepting legal and the add of the
+    same value (what legal kept is then stale) and negative values.  Sets
+    stay small so the naive product scan stays cheap.
     """
     rng = random.Random(20261018)
     cases = [(make_symmetric([43, 69, 70]), 4), (make_symmetric([10, 11, 31]), 4),
              (make_symmetric([1, 2]), 7), (make_equation([2, 2, -3, -1]), 7),
+             (make_equation([3, -1, -1, -1]), 7),
              (make_symmetric([1, 2, 4, 8]), 3)]
     for eq, cap in cases:
         for distinct in (False, True):
@@ -246,35 +261,20 @@ def test_incremental_index_random_operations():
             idx = IncrementalSolutionIndex(eq, distinct=distinct)
             for _ in range(60):
                 x = rng.randrange(-12, 24)
-                op = rng.randrange(4)
+                op = rng.randrange(3)
                 if x in idx.values:
                     assert not idx.legal(x)
-                    assert idx.conflict(x) is None
                 elif op == 0:
                     assert idx.legal(x) == free_with(idx, x)
                     if free_with(idx, x) and len(idx.values) < cap:
                         if idx.values and rng.random() < 0.3:
                             idx.pop()
                         idx.add(x)
-                elif op == 1:
-                    witness = idx.conflict(x)
-                    assert (witness is None) == free_with(idx, x)
-                    if witness is not None:
-                        pos, neg = iter(witness[0]), iter(witness[1])
-                        sol = [next(pos) if c > 0 else next(neg) for c in eq.coeffs]
-                        assert x in sol
-                        assert set(sol) <= set(idx.values) | {x}
-                        assert countable_solution(eq, sol, distinct)
-                elif op == 2 and free_with(idx, x) and len(idx.values) < cap:
+                elif op == 1 and free_with(idx, x) and len(idx.values) < cap:
                     idx.add(x)
-                elif op == 3 and idx.values:
+                elif op == 2 and idx.values:
                     idx.pop()
-            # the state matches that of a fresh index fed the same values
-            fresh = IncrementalSolutionIndex(eq, distinct=distinct)
-            for v in idx.values:
-                fresh.add(v)
-            assert ((fresh.sums, fresh.pos_table, fresh.neg_table)
-                    == (idx.sums, idx.pos_table, idx.neg_table))
+            assert index_state(idx) == fresh_index_state(idx)
 
 
 @pytest.mark.parametrize("eq,distinct,sums", [
@@ -284,16 +284,58 @@ def test_incremental_index_random_operations():
     (make_symmetric([1, 1]), False, False),       # not dissociated
     (make_symmetric([1, 2, 3]), False, False),    # 1 + 2 = 3
     (make_equation([2, 2, -3, -1]), False, False),
+    (make_symmetric([1, 1]), True, False),
+    (make_equation([3, -1, -1, -1]), True, False),
 ])
 def test_incremental_index_representation(eq, distinct, sums):
+    """Sums when they decide, masks in distinct mode, tuples otherwise."""
+    representation = "sums" if sums else "masks" if distinct else "tuples"
     idx = IncrementalSolutionIndex(eq, distinct=distinct)
-    assert (idx.sums is not None) == sums
     for x in (0, 1, 3, 7):
         if idx.legal(x):
             idx.add(x)
-    # only tuples are tabled, and only sums are staged
-    assert bool(idx.pos_table) != sums
-    assert (idx.sums is not None and all(idx.sums)) == sums
+    held = {"sums": idx.sums, "masks": idx.pos_subsets, "tuples": idx.pos_table}
+    assert [name for name, state in held.items() if state is not None] == [representation]
+    # every stage, the full position set's table or the tuple table is filled
+    assert all(idx.sums) if sums else idx.pos_subsets[-1] if distinct else idx.pos_table
+
+
+@pytest.mark.parametrize("eq,distinct,after_legal", [
+    (make_symmetric([43, 69, 70]), False, False),
+    (make_symmetric([43, 69, 70]), True, False),
+    (make_symmetric([43, 69, 70]), True, True),
+    (make_equation([3, -1, -1, -1]), True, True),
+    (make_equation([2, 2, -3, -1]), False, False),
+])
+def test_incremental_index_add_is_budget_atomic(eq, distinct, after_legal):
+    """A budget that runs out at the last node an add needs leaves the
+    index unchanged."""
+    def build():
+        idx = IncrementalSolutionIndex(eq, distinct=distinct)
+        idx.greedy(range(8))
+        return idx
+
+    finder = build()
+    x = next(v for v in range(8, 100) if finder.legal(v))
+
+    def ready():
+        idx = build()
+        if after_legal:
+            assert idx.legal(x)     # add then builds all but what legal kept
+        return idx
+
+    probe = ready()
+    before = probe.nodes
+    probe.add(x)
+    need = probe.nodes - before
+    assert need > 1
+    idx = ready()
+    held = list(idx.values)
+    idx.tracker.limit = idx.nodes + need - 1
+    with pytest.raises(BudgetExhausted):
+        idx.add(x)
+    assert idx.values == held
+    assert index_state(idx) == fresh_index_state(idx)
 
 
 def test_incremental_index_sums_add_refuses_a_solution():
