@@ -1,9 +1,10 @@
 """Explicit constructions of certified digit sets and their lifts.
 
 Each construction assembles a digit alphabet for a target equation, runs the
-oracle over it (sizes permitting), and returns a Certificate.  The lift then
-expands any certified alphabet to a solution-free subset of an arbitrary
-initial segment of the integers.
+oracle over it, and returns a Certificate.  An alphabet the oracle cannot
+finish within the budget raises BudgetExhausted, never a certificate.  The
+lift then expands any certified alphabet to a solution-free subset of an
+arbitrary initial segment of the integers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .oracle import (
 from .rates import alpha_optimal
 from .search import Dependency, small_dependency_search
 
-ORACLE_SIZE_LIMIT = 400          # max digit-count certified exhaustively
 MATERIALIZE_LIMIT = 2_000_000
 
 
@@ -41,12 +41,8 @@ class ConstructionError(ValueError):
     """A construction's digit set failed its own certification."""
 
 
-def _certify(digits, base, eq, mode, meta, budget=DEFAULT_BUDGET,
-             skip_oracle=False) -> Certificate:
+def _certify(digits, base, eq, mode, meta, budget=DEFAULT_BUDGET) -> Certificate:
     ds = make_digit_set(base, digits, eq, mode)
-    if skip_oracle:
-        return Certificate(ds, verified=True, oracle_nodes=0,
-                           meta={**meta, "proof": meta.get("proof", "analytic")})
     q = SolutionQuery(eq, ds.digits, mode == MODE_DISTINCT, budget)
     solution, nodes = exhaustive_check(q)
     if solution is not None:
@@ -148,8 +144,8 @@ class LiftedSet:
         return self.source.rate
 
 
-def lift(cert: Certificate | DigitSet, N: int, budget: int = DEFAULT_BUDGET,
-         recheck_distinct: bool = True) -> LiftedSet:
+def lift(cert: Certificate | DigitSet, N: int,
+         budget: int = DEFAULT_BUDGET) -> LiftedSet:
     """Expand a certified digit alphabet to a solution-free subset of [0, N).
 
     Requires a primitive equation (the digit-restriction argument needs it)
@@ -157,29 +153,23 @@ def lift(cert: Certificate | DigitSet, N: int, budget: int = DEFAULT_BUDGET,
     Digit alphabets must contain 0 so shorter numbers stay admissible.
 
     For distinct-variables certificates the digit argument alone does not
-    transfer, so the materialized lift is re-verified by the oracle unless
-    recheck_distinct is disabled.
+    transfer, so the materialized lift is re-verified by the oracle.
     """
     if isinstance(cert, DigitSet):
-        ds = cert
-        q = SolutionQuery(ds.equation, ds.digits,
-                          ds.mode == MODE_DISTINCT, budget)
-        solution, _ = exhaustive_check(q)
-        if solution is not None:
-            raise ConstructionError("digit set is not solution-free")
-    else:
-        if not cert.verified:
-            raise ValueError("refusing to lift an unverified certificate")
-        ds = cert.digit_set
+        cert = _certify(cert.digits, cert.base, cert.equation, cert.mode, {},
+                        budget)
+    if not cert.verified:
+        raise ValueError("refusing to lift an unverified certificate")
+    ds = cert.digit_set
     if 0 not in ds.digits:
         raise ValueError("digit alphabet must contain 0 to lift")
     if not is_primitive(ds.equation):
         raise ValueError("lift requires a primitive equation")
     lifted = LiftedSet(N, ds)
-    if ds.mode == MODE_DISTINCT and recheck_distinct and lifted.size >= 2:
+    if ds.mode == MODE_DISTINCT and lifted.size >= 2:
         if lifted.size > 5000:
-            raise ValueError("distinct-mode lift too large to re-verify; "
-                             "pass recheck_distinct=False to skip")
+            raise ValueError(f"distinct-mode lift of {lifted.size} elements "
+                             "is too large to re-verify (limit 5000)")
         q = SolutionQuery(ds.equation, lifted.elements, True, budget)
         solution, _ = exhaustive_check(q)
         if solution is not None:
@@ -193,12 +183,11 @@ def lift(cert: Certificate | DigitSet, N: int, budget: int = DEFAULT_BUDGET,
 # digit alphabet constructions
 
 
-def two_var_digits(a: int, b: int, budget: int = DEFAULT_BUDGET,
-                   oracle_limit: int = 200) -> Certificate:
+def two_var_digits(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Alphabet {0..b-1} in base (a+b)(b-1)+1 for a*x1 + b*x2 symmetric.
 
-    Certified analytically by the divisibility argument (b | x1 - x1') and
-    re-checked by the oracle for b <= oracle_limit.
+    Solution-free by the divisibility argument (b | x1 - x1'), and certified
+    by the oracle.
     """
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
@@ -206,14 +195,13 @@ def two_var_digits(a: int, b: int, budget: int = DEFAULT_BUDGET,
         raise ValueError("a and b must be coprime")
     eq = make_symmetric([a, b])
     L = (a + b) * (b - 1) + 1
-    skip = b > oracle_limit
     meta = {
         "kind": "two-var", "a": a, "b": b,
         "analytic_bound": 0.5 - 1.0 / math.log(b) if b > 2 else None,
         "analytic_formula": "1/2 - 1/log(b)",
-        "proof": "divisibility" if skip else "oracle+divisibility",
+        "proof": "oracle+divisibility",
     }
-    return _certify(range(b), L, eq, MODE_ALL, meta, budget, skip_oracle=skip)
+    return _certify(range(b), L, eq, MODE_ALL, meta, budget)
 
 
 def two_var_rate(a: int, b: int) -> Rate:
@@ -233,8 +221,7 @@ def geometric_digits(m: int, k: int, budget: int = DEFAULT_BUDGET) -> Certificat
     eq = make_symmetric([m ** i for i in range(k)])
     meta = {"kind": "geometric", "m": m, "k": k,
             "analytic_bound": 1.0 / k, "analytic_formula": "1/k"}
-    skip = m ** ((k + 1) // 2) > 200_000 or m > ORACLE_SIZE_LIMIT
-    return _certify(range(m), L, eq, MODE_ALL, meta, budget, skip_oracle=skip)
+    return _certify(range(m), L, eq, MODE_ALL, meta, budget)
 
 
 def coprime_power_digits(a: int, b: int, k: int,
@@ -252,8 +239,7 @@ def coprime_power_digits(a: int, b: int, k: int,
     meta = {"kind": "coprime-power", "a": a, "b": b, "k": k,
             "analytic_bound": 1.0 / k - 1.0 / math.log(b) if b > 2 else None,
             "analytic_formula": "1/k - 1/log(b)"}
-    skip = b ** ((k + 1) // 2) > 200_000 or b > ORACLE_SIZE_LIMIT
-    return _certify(range(b), L, eq, MODE_ALL, meta, budget, skip_oracle=skip)
+    return _certify(range(b), L, eq, MODE_ALL, meta, budget)
 
 
 def spaced_digits(gens, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -272,8 +258,7 @@ def spaced_digits(gens, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     meta = {"kind": "spaced", "gens": gens, "s": s,
             "analytic_bound": math.log(s) / (math.log(s) + math.log(total)),
             "analytic_formula": "log(s) / (log(s) + log(sum))"}
-    skip = s ** ((len(gens) + 1) // 2 + 1) > 400_000 or s > ORACLE_SIZE_LIMIT
-    return _certify(range(s), L, eq, MODE_ALL, meta, budget, skip_oracle=skip)
+    return _certify(range(s), L, eq, MODE_ALL, meta, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ for "verified absent".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, product
 from math import perm
@@ -28,9 +29,10 @@ from .equations import (
 
 DEFAULT_BUDGET = 10 ** 8
 MITM_TABLE_CAP = 2_000_000
-# a scanned sum costs about 40 bytes (its int, a list slot and the sort's
-# buffer) against about 220 for a mitm table entry, so a scan within this
-# cap peaks well below mitm at MITM_TABLE_CAP
+# the sum scan holds its stage k-1 and one bucket of its last stage, each
+# within this cap.  A scanned sum costs about 40 bytes (its int, a list
+# slot and the sort's buffer) against about 220 for a mitm table entry, so
+# the scan peaks below mitm at MITM_TABLE_CAP
 SCAN_SUMS_CAP = 4_000_000
 
 
@@ -194,15 +196,54 @@ def _sums_repeat(coeffs, values, budget) -> bool:
     appended to both j-tuples extend the repeat to k-tuples.  Each stage is
     sorted so that repeats are adjacent: it is built as one ascending run
     per value, which the sort merges, and a list takes less memory than a
-    set.
+    set.  A last stage of more than SCAN_SUMS_CAP sums is built in buckets
+    (_last_stage_repeats).
     """
+    # the stages before the last are repeat-free, so the last holds
+    # len(values) ** k sums
+    split = len(values) ** len(coeffs) > SCAN_SUMS_CAP
     sums = [0]
-    for c in coeffs:
+    for c in coeffs[:-1] if split else coeffs:
         budget.spend(len(sums) * len(values))
         sums = [s + cv for cv in [c * v for v in values] for s in sums]
         sums.sort()
         if any(map(eq, sums, islice(sums, 1, None))):
             return True
+    return split and _last_stage_repeats(sums, coeffs[-1], values, budget)
+
+
+def _last_stage_repeats(prev, c, values, budget) -> bool:
+    """Whether the sums s + c*v, s in prev (sorted, repeat-free), v in
+    values, repeat; one node per sum.
+
+    Equal sums fall in the same range, so the stage is built one sum range
+    [lo, hi) at a time, in ascending order, and a range is halved until it
+    holds at most SCAN_SUMS_CAP sums or a single value, which at most
+    len(prev) sums reach.  For each shift c*v, the sums of a range come
+    from a slice of prev, whose ends bisect finds.
+    """
+    shifts = sorted(c * v for v in values)
+    lo = prev[0] + shifts[0]
+    start = [0] * len(shifts)
+    # upper ends of the ranges still to build, each with its cuts: for
+    # each shift t, the number of sums in prev below the end minus t
+    ends = [(prev[-1] + shifts[-1] + 1, [len(prev)] * len(shifts))]
+    while ends:
+        hi, end = ends[-1]
+        size = sum(end) - sum(start)
+        if size > SCAN_SUMS_CAP and hi - lo > 1:
+            mid = (lo + hi) // 2
+            ends.append((mid, [bisect_left(prev, mid - t) for t in shifts]))
+            continue
+        ends.pop()
+        budget.spend(size)
+        bucket = [s + t for t, a, b in zip(shifts, start, end)
+                  for s in prev[a:b]]
+        bucket.sort()
+        if any(map(eq, bucket, islice(bucket, 1, None))):
+            return True
+        del bucket      # freed before the next bucket is built
+        lo, start = hi, end
     return False
 
 
@@ -221,12 +262,15 @@ def _sums_decide(eq: Equation, distinct: bool) -> bool:
 
 def _scan_applies(q: SolutionQuery) -> bool:
     """Whether the automatic choice may answer q by the one-side sum scan:
-    sums decide it (_sums_decide) and the scan fits the query's budget and
+    sums decide it (_sums_decide), all its sums fit the query's budget, and
+    its stage k-1, which the last stage's buckets are built from, fits
     SCAN_SUMS_CAP."""
-    k = len(q.equation.symmetric_gen or ())
-    nodes = sum(len(q.ground_set) ** j for j in range(1, k + 1))
-    return (nodes <= min(q.budget, SCAN_SUMS_CAP)
-            and _sums_decide(q.equation, q.distinct_variables))
+    if not _sums_decide(q.equation, q.distinct_variables):
+        return False
+    k = len(q.equation.symmetric_gen)
+    size = len(q.ground_set)
+    return (size ** (k - 1) <= SCAN_SUMS_CAP
+            and sum(size ** j for j in range(1, k + 1)) <= q.budget)
 
 
 def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
@@ -234,8 +278,8 @@ def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
 
     A None result certifies the whole space was enumerated.  With
     engine="auto", a primitive symmetric equation in all mode whose sum scan
-    fits the budget and SCAN_SUMS_CAP is certified clean by that scan, whose
-    nodes are its sums.  When the scan finds a repeat, the engine
+    applies (_scan_applies) is certified clean by that scan, whose nodes are
+    its sums.  When the scan finds a repeat, the engine
     _pick_engine chooses runs under a fresh budget, so witnesses and their
     node counts do not depend on the scan.
     """
@@ -268,7 +312,7 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether (i_1..i_k) -> sum(i_j * a_j) is injective on [1, B]^k.
 
     Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
-    injective; memory grows with the largest stage.
+    injective; memory grows with stage k-1 and one bucket of the last.
     """
     a = [int(v) for v in a]
     if len(a) < 2:

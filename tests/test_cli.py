@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nosol import oracle
+from nosol import cli, oracle
 from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
 from nosol.constructions import lift, two_var_digits
@@ -159,6 +159,42 @@ def test_construct_shift(tmp_path, capsys):
     assert code == 0
     cert = load_certificate(str(out))
     assert cert.digit_set.base == 8
+
+
+# one argv per construct recipe; the first four alphabets were once
+# certified without an oracle run
+RECIPE_SAMPLES = {
+    "geometric": ["--m", "500", "--k", "2"],
+    "two-var": ["--a", "1", "--b", "211"],
+    "coprime-power": ["--a", "3", "--b", "401", "--k", "2"],
+    "spaced": ["--gens", "1,1000", "--s-factor", "401"],
+    "thm3": ["--a", "10", "--b", "11", "--c", "31", "--alpha", "0.3",
+             "--alpha2", "0.03"],
+    "section5": ["--d", "5"],
+    "distinct-var": ["--m", "5"],
+    "shift": ["--cert", "SOURCE", "--i", "1,0", "--j", "0,1"],
+}
+
+
+@pytest.mark.parametrize("recipe", list(cli.RECIPE_ARGS))
+def test_every_recipe_certifies_by_oracle(tmp_path, capsys, recipe):
+    source = tmp_path / "source.json"
+    save_certificate(two_var_digits(1, 2), str(source))
+    argv = [str(source) if a == "SOURCE" else a for a in RECIPE_SAMPLES[recipe]]
+    out = tmp_path / "out.json"
+    code, _ = run(capsys, "construct", recipe, *argv, "-o", str(out))
+    assert code == 0
+    cert = json.loads(out.read_text())
+    assert cert["verified"] and cert["oracle_nodes"] > 0
+
+
+def test_construct_past_the_budget_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "geom.json"
+    code, report = run(capsys, "construct", "geometric", "--m", "60",
+                       "--k", "4", "--budget", "1000", "-o", str(out))
+    assert (code, report["status"]) == (2, "budget-exhausted")
+    assert not out.exists()
+    assert not (tmp_path / "geom.json.manifest.json").exists()
 
 
 def test_search_tiny_grid(tmp_path, capsys):

@@ -24,6 +24,7 @@ from nosol.constructions import (
     window_extract,
 )
 from nosol.equations import make_equation, make_symmetric
+from nosol import oracle
 from nosol.oracle import SolutionQuery, find_nontrivial_solution, verify_certificate
 from nosol.search import Dependency
 
@@ -66,14 +67,27 @@ def test_two_var_rate_lower_bound():
         assert r.decimal >= 0.5 - 1.0 / math.log(b)
 
 
-def test_two_var_large_b_is_analytic_but_reverifies():
-    # beyond the oracle limit the divisibility argument alone certifies;
-    # an explicit re-verification still passes
-    cert = two_var_digits(1, 211)
+@pytest.mark.parametrize("build,nodes,proof,cap", [
+    pytest.param(lambda: two_var_digits(1, 211), 211 + 211 ** 2,
+                 "oracle+divisibility", None, id="two_var_1_211"),
+    pytest.param(lambda: geometric_digits(500, 2), 500 + 500 ** 2, "oracle",
+                 None, id="geometric_500_2"),
+    pytest.param(lambda: coprime_power_digits(3, 401, 2), 401 + 401 ** 2,
+                 "oracle", None, id="coprime_power_3_401_2"),
+    pytest.param(lambda: spaced_digits([1, 1000], 401), 401 + 401 ** 2,
+                 "oracle", None, id="spaced_1_1000_401"),
+    # 211**2 last-stage sums in buckets of at most 5,000
+    pytest.param(lambda: two_var_digits(1, 211), 211 + 211 ** 2,
+                 "oracle+divisibility", 5_000, id="two_var_1_211_bucketed"),
+])
+def test_large_alphabets_are_oracle_certified(monkeypatch, build, nodes,
+                                              proof, cap):
+    # inputs that used to be certified by argument alone, with no oracle run
+    if cap is not None:
+        monkeypatch.setattr(oracle, "SCAN_SUMS_CAP", cap)
+    cert = build()
     assert cert.verified
-    assert cert.oracle_nodes == 0
-    assert cert.meta["proof"] == "divisibility"
-    assert verify_certificate(cert)
+    assert (cert.oracle_nodes, cert.meta["proof"]) == (nodes, proof)
 
 
 def test_geometric():
@@ -441,3 +455,15 @@ def test_distinct_lift_recheck_passes():
     assert lifted.size == 4
     q = SolutionQuery(cert.equation, lifted.elements, distinct_variables=True)
     assert find_nontrivial_solution(q) is None
+
+
+def test_distinct_lift_too_large_to_recheck_is_refused():
+    # 2**13 elements: the lift is never returned without its oracle check
+    with pytest.raises(ValueError, match="too large to re-verify"):
+        lift(distinct_var_digits(3), 14 ** 13)
+
+
+def test_alphabet_past_the_scan_cap_is_certified_in_buckets():
+    # its 2500**2 last-stage sums exceed SCAN_SUMS_CAP
+    cert = two_var_digits(1, 2500)
+    assert cert.oracle_nodes == 2500 + 2500 ** 2

@@ -1,9 +1,11 @@
 import math
+import operator
 import random
 from itertools import product
 
 import pytest
 
+from nosol import oracle
 from nosol.certificates import Certificate, make_digit_set
 from nosol.constructions import geometric_digits, lift
 from nosol.equations import is_dissociated, make_equation, make_symmetric
@@ -13,6 +15,7 @@ from nosol.oracle import (
     SolutionQuery,
     _Budget,
     _pick_engine,
+    _sums_repeat,
     count_nontrivial_solutions,
     exhaustive_check,
     find_nontrivial_solution,
@@ -358,6 +361,41 @@ def test_injectivity_two_coefficients_closed_form():
         B = rng.randint(1, 12)
         fails = max(a1, a2) // math.gcd(a1, a2) <= B - 1
         assert is_injective_map([a1, a2], B) == (not fails)
+
+
+def test_bucketed_last_stage_matches_one_bucket(monkeypatch):
+    """A last stage over SCAN_SUMS_CAP sums is built in sum-range buckets.
+    With a cap of a few sums, small inputs split; the answer must be that
+    of the whole-stage scan and of a plain set of all k-tuple sums, and a
+    clean scan must spend the same nodes."""
+    rng = random.Random(20261019)
+    max_size = {1: 30, 2: 14, 3: 6, 4: 4}
+    outcomes = set()
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        coeffs = [rng.randint(1, 25) for _ in range(k)]
+        size = rng.randint(1, max_size[k])
+        lo = rng.randint(-60, 10)
+        spread = rng.choice((size, 2 * size, 12 * size))
+        values = sorted(rng.sample(range(lo, lo + spread), size))
+        repeats = len({sum(map(operator.mul, coeffs, x))
+                       for x in product(values, repeat=k)}) < size ** k
+        answers = []
+        for cap in (10 ** 9, rng.randint(1, 7)):
+            monkeypatch.setattr(oracle, "SCAN_SUMS_CAP", cap)
+            budget = _Budget(10 ** 9)
+            answers.append((_sums_repeat(coeffs, values, budget), budget.nodes))
+        (whole, whole_nodes), (split, split_nodes) = answers
+        assert whole == split == repeats, (coeffs, values)
+        if not repeats:
+            assert split_nodes == whole_nodes, (coeffs, values)
+        split_up = size ** k > cap
+        # whether the first repeat is in the last stage, where buckets are
+        last_only = repeats and len({sum(map(operator.mul, coeffs, x))
+                                     for x in product(values, repeat=k - 1)
+                                     }) == size ** (k - 1)
+        outcomes.add((split_up, repeats, last_only))
+    assert {(True, False, False), (True, True, True)} <= outcomes
 
 
 def _picked_engine_result(q):
