@@ -282,9 +282,17 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 def read_certificate(path: str) -> Certificate:
     """Read a certificate file without checking it: the result is
-    unverified, whatever the file's verified field says."""
+    unverified, whatever the file's verified field says.  A file that is
+    not a certificate object raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return replace(Certificate.from_json(json.load(fh)), verified=False)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed certificate {path}: not a JSON object")
+    try:
+        cert = Certificate.from_json(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed certificate {path}: {exc!r}") from None
+    return replace(cert, verified=False)
 
 
 def load_certificate(path: str) -> Certificate:

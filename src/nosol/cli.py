@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified clean, 1 witness found, 2 budget exhausted,
 3 best-effort only (nothing exhausted), 64 malformed input, 65 recipe
-precondition violation.  NOSOL_BUDGET overrides the default node budget.
+precondition violation.  The subcommands raise; main() alone maps an
+exception to its exit code.  NOSOL_BUDGET overrides the default node budget.
 Every emitted certificate file gets a sibling .manifest.json recording the
 command, config, wall time, and budget that produced it.
 """
@@ -28,7 +29,6 @@ from .certificates import (
     tight_base,
 )
 from .constructions import (
-    ConstructionError,
     PipelineConfig,
     coprime_power_digits,
     distinct_var_digits,
@@ -47,7 +47,7 @@ from .oracle import (
     SolutionQuery,
     exhaustive_check,
 )
-from .rates import alpha_optimal, rate_report, random_tuple_sweep
+from .rates import DEFAULT_Q, alpha_optimal, rate_report, random_tuple_sweep
 from .search import SearchConfig, max_digit_set
 
 EXIT_OK = 0
@@ -77,20 +77,32 @@ class _UsageError(Exception):
     """Malformed input found after argument parsing; main() exits 64."""
 
 
-def _default_budget() -> int:
+def _positive_int(text: str) -> int:
+    """argparse type of --budget and --N."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _budget(args) -> int:
+    """--budget, else NOSOL_BUDGET, else the oracle's default."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get("NOSOL_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise _UsageError(
-                f"NOSOL_BUDGET must be an integer, got {raw!r}") from None
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return _positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise _UsageError(
+            f"NOSOL_BUDGET must be an integer of at least 1, got {raw!r}") from None
 
 
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _write_manifest(cert_path: str, argv, budget: int, started: float,
@@ -120,6 +132,8 @@ def _equation_from_args(args):
 def _read_set(args) -> tuple[int, ...]:
     if args.set is not None:
         return tuple(sorted({int(x) for x in args.set.split(",")}))
+    if args.set_file is None:
+        raise _UsageError("specify a set with --set or --set-file")
     with open(args.set_file, encoding="utf-8") as fh:
         return tuple(sorted({int(line) for line in fh if line.strip()}))
 
@@ -128,27 +142,18 @@ def _read_set(args) -> tuple[int, ...]:
 
 
 def cmd_verify(args, argv) -> int:
-    budget = args.budget or _default_budget()
-    try:
-        if args.cert:
-            # the one oracle run is the check below, under the user's budget
-            cert = read_certificate(args.cert)
-            eq = cert.equation
-            values = cert.digit_set.digits
-            distinct = cert.digit_set.mode == MODE_DISTINCT or args.distinct
-        else:
-            eq = _equation_from_args(args)
-            values = _read_set(args)
-            distinct = args.distinct
-        query = SolutionQuery(eq, values, distinct, budget)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        solution, nodes = exhaustive_check(query)
-    except BudgetExhausted as exc:
-        _emit({"status": "budget-exhausted", "nodes": exc.nodes})
-        return EXIT_BUDGET
+    budget = _budget(args)
+    if args.cert:
+        # the one oracle run is the check below, under the user's budget
+        cert = read_certificate(args.cert)
+        eq = cert.equation
+        values = cert.digit_set.digits
+        distinct = cert.digit_set.mode == MODE_DISTINCT or args.distinct
+    else:
+        eq = _equation_from_args(args)
+        values = _read_set(args)
+        distinct = args.distinct
+    solution, nodes = exhaustive_check(SolutionQuery(eq, values, distinct, budget))
     if solution is None:
         _emit({"status": "no-nontrivial-solution", "nodes": nodes,
                "set_size": len(values), "mode": "distinct" if distinct else "all"})
@@ -160,49 +165,41 @@ def cmd_verify(args, argv) -> int:
 
 def cmd_construct(args, argv) -> int:
     started = time.monotonic()
-    budget = args.budget or _default_budget()
+    budget = _budget(args)
     missing = [name for name in RECIPE_ARGS[args.recipe]
                if getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        print(f"error: recipe {args.recipe} needs {flags}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.recipe == "geometric":
-            cert = geometric_digits(args.m, args.k, budget)
-        elif args.recipe == "two-var":
-            cert = two_var_digits(args.a, args.b, budget)
-        elif args.recipe == "coprime-power":
-            cert = coprime_power_digits(args.a, args.b, args.k, budget)
-        elif args.recipe == "spaced":
-            gens = [int(x) for x in args.gens.split(",")]
-            cert = spaced_digits(gens, args.s_factor, budget)
-        elif args.recipe == "thm3":
-            cfg = PipelineConfig(alpha=args.alpha, budget=budget,
-                                 literal_constants=args.literal_constants)
-            if args.alpha2 is not None:
-                cfg.alpha2_small = args.alpha2
-            result = three_coefficient_pipeline(args.a, args.b, args.c, cfg)
-            if result.status != "certified":
-                _emit({"status": result.status, "case": result.case,
-                       "plan": result.plan})
-                return EXIT_BUDGET
-            cert = result.certificate
-        elif args.recipe == "section5":
-            cert = double_progression_digits(args.d, budget)
-        elif args.recipe == "distinct-var":
-            cert = distinct_var_digits(args.m, budget)
-        elif args.recipe == "shift":
-            source = load_certificate(args.cert)
-            i_shifts = [int(x) for x in args.i.split(",")]
-            j_shifts = [int(x) for x in args.j.split(",")]
-            cert = shift_transfer(source, i_shifts, j_shifts, budget)
-    except BudgetExhausted as exc:
-        _emit({"status": "budget-exhausted", "nodes": exc.nodes})
-        return EXIT_BUDGET
-    except (ValueError, ConstructionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _UsageError(f"recipe {args.recipe} needs {flags}")
+    if args.recipe == "geometric":
+        cert = geometric_digits(args.m, args.k, budget)
+    elif args.recipe == "two-var":
+        cert = two_var_digits(args.a, args.b, budget)
+    elif args.recipe == "coprime-power":
+        cert = coprime_power_digits(args.a, args.b, args.k, budget)
+    elif args.recipe == "spaced":
+        gens = [int(x) for x in args.gens.split(",")]
+        cert = spaced_digits(gens, args.s_factor, budget)
+    elif args.recipe == "thm3":
+        cfg = PipelineConfig(alpha=args.alpha, budget=budget,
+                             literal_constants=args.literal_constants)
+        if args.alpha2 is not None:
+            cfg.alpha2_small = args.alpha2
+        result = three_coefficient_pipeline(args.a, args.b, args.c, cfg)
+        if result.status != "certified":
+            _emit({"status": result.status, "case": result.case,
+                   "plan": result.plan})
+            return EXIT_BUDGET
+        cert = result.certificate
+    elif args.recipe == "section5":
+        cert = double_progression_digits(args.d, budget)
+    elif args.recipe == "distinct-var":
+        cert = distinct_var_digits(args.m, budget)
+    elif args.recipe == "shift":
+        source = load_certificate(args.cert)
+        i_shifts = [int(x) for x in args.i.split(",")]
+        j_shifts = [int(x) for x in args.j.split(",")]
+        cert = shift_transfer(source, i_shifts, j_shifts, budget)
 
     out = args.out or f"{args.recipe}.cert.json"
     save_certificate(cert, out)
@@ -210,50 +207,31 @@ def cmd_construct(args, argv) -> int:
               if k not in ("func", "out") and v is not None}
     _write_manifest(out, argv, budget, started, config)
 
-    if args.N:
-        try:
-            lifted = lift(cert, args.N, budget)
-        except (ValueError, ConstructionError) as exc:
-            print(f"error: lift failed: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        set_path = args.set_out or out + ".set"
-        atomic_write_text(set_path,
-                          "\n".join(str(x) for x in lifted.elements) + "\n")
-        _emit({"certificate": out, "rate": cert.rate.to_json(),
-               "lifted_size": lifted.size, "lifted_file": set_path})
-    else:
+    if args.N is None:
         _emit({"certificate": out, "rate": cert.rate.to_json()})
+        return EXIT_OK
+    lifted = lift(cert, args.N, budget)
+    set_path = args.set_out or out + ".set"
+    atomic_write_text(set_path,
+                      "\n".join(str(x) for x in lifted.elements) + "\n")
+    _emit({"certificate": out, "rate": cert.rate.to_json(),
+           "lifted_size": lifted.size, "lifted_file": set_path})
     return EXIT_OK
 
 
 def cmd_search(args, argv) -> int:
     started = time.monotonic()
-    budget = args.budget or _default_budget()
-    try:
-        eq = _equation_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    s = eq.side_sum
-    if args.L:
+    budget = _budget(args)
+    eq = _equation_from_args(args)
+    if args.L is not None:
         grid = [args.L]
-    elif args.L_grid and args.L_grid != "auto":
-        try:
-            grid = [int(x) for x in args.L_grid.split(",")]
-        except ValueError as exc:
-            print(f"error: bad --L-grid: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    elif args.L_grid != "auto":
+        grid = [int(x) for x in args.L_grid.split(",")]
     else:
         factors = EXTENDED_GRID if args.extended else AUTO_GRID
-        grid = [s * m + 1 for m in factors]
+        grid = [eq.side_sum * m + 1 for m in factors]
 
-    report = None
-    if args.progress:
-        def report(event):
-            json.dump(event, sys.stdout, sort_keys=True)
-            sys.stdout.write("\n")
-            sys.stdout.flush()
-
+    report = _emit if args.progress else None
     mode = "exact" if args.exact else "anytime"
     rows = []
     best_cert = None
@@ -284,7 +262,6 @@ def cmd_search(args, argv) -> int:
                      "nodes": result.nodes})
 
     out = {"schema": 1, "table": rows}
-    exit_code = EXIT_OK
     if best_cert is not None:
         cert_path = args.out or "search.cert.json"
         save_certificate(best_cert, cert_path)
@@ -294,34 +271,19 @@ def cmd_search(args, argv) -> int:
                        "rate": best_cert.rate.to_json(),
                        "base": best_cert.digit_set.base,
                        "digits": list(best_cert.digit_set.digits)}
-    if not any(row["exhausted"] for row in rows):
-        exit_code = EXIT_BEST_EFFORT
     _emit(out)
-    return exit_code
+    return EXIT_OK if any(row["exhausted"] for row in rows) else EXIT_BEST_EFFORT
 
 
 def cmd_sweep(args, argv) -> int:
-    budget = args.budget or _default_budget()
-    try:
-        rep = random_tuple_sweep(args.k, args.C, args.eps,
-                                 samples=args.samples, seed=args.seed,
-                                 budget=budget)
-    except BudgetExhausted as exc:
-        _emit({"status": "budget-exhausted", "nodes": exc.nodes})
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rep = random_tuple_sweep(args.k, args.C, args.eps, samples=args.samples,
+                             seed=args.seed, budget=_budget(args))
     _emit(rep.to_json())
     return EXIT_OK if rep.bound_ok else EXIT_WITNESS
 
 
 def cmd_alpha(args, argv) -> int:
-    try:
-        params = alpha_optimal(args.beta, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = alpha_optimal(args.beta, args.q)
     _emit({"schema": 1, "alpha": params.alpha, "beta": params.beta,
            "q": params.q, "rate": params.rate,
            "one_over_rate": 1.0 / params.rate, "residual": params.residual})
@@ -329,13 +291,7 @@ def cmd_alpha(args, argv) -> int:
 
 
 def cmd_rate(args, argv) -> int:
-    try:
-        cert = load_certificate(args.cert)
-        report = rate_report(cert)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(report)
+    _emit(rate_report(load_certificate(args.cert)))
     return EXIT_OK
 
 
@@ -361,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="certificate JSON to re-verify")
     p.add_argument("--distinct", action="store_true",
                    help="require all variables pairwise distinct")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="run a named construction")
@@ -381,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="source certificate for shift")
     p.add_argument("--i", help="comma-separated left shifts for shift")
     p.add_argument("--j", help="comma-separated right shifts for shift")
-    p.add_argument("--N", type=int, help="also materialize the lift below N")
+    p.add_argument("--N", type=_positive_int, help="also materialize the lift below N")
     p.add_argument("--set-out", help="path for the lifted set file")
     p.add_argument("-o", "--out", help="certificate output path")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="search digit alphabets over a base grid")
@@ -399,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true",
                    help="stream line-delimited JSON progress events")
     p.add_argument("-o", "--out", help="best certificate output path")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="random-tuple injectivity sweep")
@@ -408,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("alpha", help="three-coefficient rate optimization")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--q", type=float, default=0.499)
+    p.add_argument("--q", type=float, default=DEFAULT_Q)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("rate", help="rate report for a certificate")
@@ -425,19 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
-        if exc.code not in (0, None):
-            return EXIT_USAGE
-        return 0
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args, argv)
-    except _UsageError as exc:
+    except BudgetExhausted as exc:
+        _emit({"status": "budget-exhausted", "nodes": exc.nodes})
+        return EXIT_BUDGET
+    except (_UsageError, ValueError, OSError) as exc:
+        # a recipe's rejected input is a precondition violation
+        precondition = (args.command == "construct"
+                        and not isinstance(exc, _UsageError))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_PRECONDITION if precondition else EXIT_USAGE
 
 
 if __name__ == "__main__":

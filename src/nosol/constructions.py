@@ -31,7 +31,7 @@ from .oracle import (
     SolutionQuery,
     exhaustive_check,
 )
-from .rates import alpha_optimal
+from .rates import DEFAULT_Q, alpha_optimal
 from .search import Dependency, small_dependency_search
 
 MATERIALIZE_LIMIT = 2_000_000
@@ -326,29 +326,25 @@ def dependency_gap_check(a: int, b: int, c: int, dep: Dependency,
     return True
 
 
+# the case split's thresholds on log(reduced ratio) and log(coordinate
+# size): the asymptotic analysis uses e**1000 and e**10**6, and the
+# desk-scale pair 1000 and 10**6 keeps the same split reachable
+LITERAL_LOG_THRESHOLDS = (1000.0, 10.0 ** 6)
+DESK_LOG_THRESHOLDS = (math.log(1000.0), math.log(10 ** 6))
+
+
 @dataclass
 class PipelineConfig:
     """Knobs for the three-coefficient pipeline.
 
-    The asymptotic analysis behind the case split uses astronomically large
-    thresholds (e**1000 for the coordinate ratio, e**10**6 for the
-    coordinate size); desk-scale defaults keep the same split reachable.
-    literal_constants=True restores the literal values (stored as logs so
-    they never overflow).
+    literal_constants=True uses the literal asymptotic thresholds of the
+    case split instead of the desk-scale ones.
     """
 
     alpha: float | None = None
-    q: float = 0.499
     alpha2_small: float = 0.1
-    log_ratio_threshold: float = math.log(1000.0)
-    log_coord_threshold: float = math.log(10 ** 6)
     literal_constants: bool = False
     budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.literal_constants:
-            self.log_ratio_threshold = 1000.0
-            self.log_coord_threshold = 10.0 ** 6
 
 
 @dataclass
@@ -385,23 +381,30 @@ def three_coefficient_pipeline(
         raise ValueError("equation is not primitive")
     s = a + b + c
     beta = math.log(c) / math.log(b) if b > 1 else 1.0
-    alpha = cfg.alpha if cfg.alpha is not None else alpha_optimal(beta, cfg.q).alpha
+    alpha = cfg.alpha if cfg.alpha is not None else alpha_optimal(beta, DEFAULT_Q).alpha
 
-    def emit(digits, case, dep, alpha2, extra):
-        digits = tuple(sorted(digits))
-        base = tight_base(eq, digits)
+    def emit(digits, case, dep, alpha2, extra, greedy=False):
+        # greedy: certify the solution-free subset that one greedy pass
+        # keeps of digits; a budget blowup in either step leaves a plan
         meta = {"kind": "thm3", "a": a, "b": b, "c": c, "case": case,
                 "alpha": alpha, **extra}
         if dep is not None:
             meta["dependency"] = list(dep.as_tuple())
         if alpha2 is not None:
             meta["alpha2"] = alpha2
+        plan = {"digits": list(digits)}
         try:
+            if greedy:
+                index = IncrementalSolutionIndex(eq, budget=cfg.budget)
+                index.greedy(digits)
+                digits = index.values
+            digits = tuple(sorted(digits))
+            base = tight_base(eq, digits)
+            plan = {"digits": list(digits), "base": base}
             cert = _certify(digits, base, eq, MODE_ALL, meta, cfg.budget)
         except BudgetExhausted:
-            return ThreePipelineResult(
-                "unverified-plan", None, case, dep, alpha, alpha2,
-                plan={"digits": list(digits), "base": base})
+            return ThreePipelineResult("unverified-plan", None, case, dep,
+                                       alpha, alpha2, plan=plan)
         return ThreePipelineResult("certified", cert, case, dep, alpha, alpha2)
 
     if c > b ** 3:
@@ -409,15 +412,8 @@ def three_coefficient_pipeline(
         # the emitted base is tightened so the no-carry condition holds
         cap = max(integer_root(c * c, 3) // 2, 1)
         base0 = (a + b) * (b - 1) + 1
-        digits = _lift_below(range(b), base0, cap)
-        index = IncrementalSolutionIndex(eq, budget=cfg.budget)
-        try:
-            index.greedy(digits)
-        except BudgetExhausted:
-            return ThreePipelineResult(
-                "unverified-plan", None, "easy-c-gt-b3", None, alpha, None,
-                plan={"digits": list(digits)})
-        return emit(index.values, "easy-c-gt-b3", None, None, {"cap": cap})
+        return emit(_lift_below(range(b), base0, cap), "easy-c-gt-b3", None,
+                    None, {"cap": cap}, greedy=True)
 
     M = int(b ** alpha)
     dep = small_dependency_search(a, b, c, M) if M >= 1 else None
@@ -425,8 +421,10 @@ def three_coefficient_pipeline(
         return emit(range(M + 1), "no-small-dependency", None, None, {"m": M})
 
     _, reduced_hi = _dependency_pair(dep)
-    if (math.log(reduced_hi) > cfg.log_ratio_threshold
-            or math.log(dep.magnitude) > cfg.log_coord_threshold):
+    log_ratio_threshold, log_coord_threshold = (
+        LITERAL_LOG_THRESHOLDS if cfg.literal_constants else DESK_LOG_THRESHOLDS)
+    if (math.log(reduced_hi) > log_ratio_threshold
+            or math.log(dep.magnitude) > log_coord_threshold):
         alpha2 = alpha
         case = "large-dependency"
         exponent = 0.499
@@ -435,16 +433,8 @@ def three_coefficient_pipeline(
         case = "small-dependency"
         exponent = 0.44
     cap = max(int(b ** (1 - alpha2) / 2), 1)
-    digits = avoid_one_dependency_digits(dep, cap)
-    index = IncrementalSolutionIndex(eq, budget=cfg.budget)
-    try:
-        index.greedy(digits)
-    except BudgetExhausted:
-        return ThreePipelineResult(
-            "unverified-plan", None, case, dep, alpha, alpha2,
-            plan={"digits": list(digits)})
-    return emit(index.values, case, dep, alpha2,
-                {"exponent_claim": exponent, "cap": cap})
+    return emit(avoid_one_dependency_digits(dep, cap), case, dep, alpha2,
+                {"exponent_claim": exponent, "cap": cap}, greedy=True)
 
 
 def _lift_below(digits, base, cap) -> list[int]:
@@ -482,27 +472,12 @@ def behrend_set(m: int) -> tuple[int, ...]:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return (0,)
-    ternary = _ternary_baseline(m)
+    ternary = tuple(_lift_below(range(2), 3, m))
     shell = _behrend_shell(m) if m > 1 else (0,)
     best = max((ternary, shell), key=len)
     if m <= 10 ** 5:
         _assert_3ap_free(best)
     return best
-
-
-def _ternary_baseline(m: int) -> tuple[int, ...]:
-    out = []
-
-    def grow(value):
-        if value > m:
-            return
-        out.append(value)
-        if value:
-            grow(3 * value)
-        grow(3 * value + 1)
-
-    grow(0)
-    return tuple(sorted(out))
 
 
 def _behrend_shell(m: int) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ from .certificates import Certificate
 from .oracle import DEFAULT_BUDGET, BudgetExhausted, is_injective_map
 
 RESIDUAL_TOL = 1e-12
+# exponent q of the three-coefficient rate optimization
+DEFAULT_Q = 0.499
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ def random_tuple_sweep(k: int, C: int, epsilon: float,
     """
     if k < 2 or C < 1:
         raise ValueError("need k >= 2 and C >= 1")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     B = _tuple_range_bound(k, C, epsilon)
     bound = 2 ** k * C ** (k - epsilon * k)
 
@@ -165,7 +169,7 @@ def random_tuple_sweep(k: int, C: int, epsilon: float,
         tup = [rng.randint(1, C) for _ in range(k)]
         if not is_injective_map(tup, B, budget=budget):
             bad += 1
-    estimate = bad / samples * C ** k if samples else 0.0
+    estimate = bad / samples * C ** k
     ok = estimate <= bound
     return SweepReport(k, C, epsilon, B, samples, bad, bound, ok,
                        "monte_carlo", samples=samples, seed=seed)

@@ -279,3 +279,45 @@ def test_env_budget_malformed_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NOSOL_BUDGET", "abc")
     assert main(["verify", "--sym", "1,2", "--set", "0,1"]) == 64
     assert "NOSOL_BUDGET" in capsys.readouterr().err
+
+
+# bad input, each case of which once escaped main() as a traceback, ran
+# anyway, or wrote files before failing; ARRAY and NO_BASE name files
+# holding a JSON array and a certificate without its base
+BAD_INPUT = [
+    (["search", "--sym", "1,2", "--L", "1"], {}, 64),
+    (["search", "--sym", "1,2", "--L-grid", "1,0"], {}, 64),
+    (["verify", "--sym", "1,1"], {}, 64),
+    (["construct", "shift", "--cert", "NO_BASE", "--i", "1,0", "--j", "0,1"],
+     {}, 65),
+    (["verify", "--cert", "ARRAY"], {}, 64),
+    (["rate", "--cert", "ARRAY"], {}, 64),
+    (["construct", "shift", "--cert", "ARRAY", "--i", "1,0", "--j", "0,1"],
+     {}, 65),
+    (["verify", "--sym", "1,2", "--set", "0,1", "--budget", "0"], {}, 64),
+    (["search", "--sym", "1,2", "--L", "4", "--budget", "-4"], {}, 64),
+    (["sweep", "--k", "2", "--C", "10", "--eps", "0.3", "--samples", "-3"],
+     {}, 64),
+    (["construct", "geometric", "--m", "2", "--k", "3", "--N", "0"], {}, 64),
+    (["construct", "geometric", "--m", "2", "--k", "3", "--N", "-5"], {}, 64),
+    (["search", "--sym", "1,2", "--L", "4"], {"NOSOL_BUDGET": "0"}, 64),
+]
+
+
+@pytest.mark.parametrize("argv,env,code", BAD_INPUT,
+                         ids=[" ".join([*argv, *(f"{k}={v}" for k, v in env.items())])
+                              for argv, env, _ in BAD_INPUT])
+def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
+                                      argv, env, code):
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    (tmp_path / "ARRAY").write_text("[]\n")
+    no_base = two_var_digits(1, 2).to_json()
+    del no_base["base"]
+    (tmp_path / "NO_BASE").write_text(json.dumps(no_base))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["ARRAY", "NO_BASE"]

@@ -94,6 +94,12 @@ def test_sweep_monte_carlo_deterministic_and_close():
     assert abs(estimate - 100) <= 3 * sigma
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sweep_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        random_tuple_sweep(2, 10, 0.3, samples=samples)
+
+
 def test_sweep_budget_guard():
     with pytest.raises(BudgetExhausted):
         random_tuple_sweep(3, 200, 0.05, budget=10 ** 4)
