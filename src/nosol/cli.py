@@ -201,16 +201,17 @@ def cmd_construct(args, argv) -> int:
         j_shifts = [int(x) for x in args.j.split(",")]
         cert = shift_transfer(source, i_shifts, j_shifts, budget)
 
+    # a lift that fails must leave no certificate behind, so it runs first
+    lifted = None if args.N is None else lift(cert, args.N, budget)
     out = args.out or f"{args.recipe}.cert.json"
     save_certificate(cert, out)
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
     _write_manifest(out, argv, budget, started, config)
 
-    if args.N is None:
+    if lifted is None:
         _emit({"certificate": out, "rate": cert.rate.to_json()})
         return EXIT_OK
-    lifted = lift(cert, args.N, budget)
     set_path = args.set_out or out + ".set"
     atomic_write_text(set_path,
                       "\n".join(str(x) for x in lifted.elements) + "\n")
@@ -230,6 +231,10 @@ def cmd_search(args, argv) -> int:
     else:
         factors = EXTENDED_GRID if args.extended else AUTO_GRID
         grid = [eq.side_sum * m + 1 for m in factors]
+    # a bad base must fail before any base is searched
+    for L in grid:
+        if L < 2:
+            raise _UsageError(f"base must be at least 2, got {L}")
 
     report = _emit if args.progress else None
     mode = "exact" if args.exact else "anytime"

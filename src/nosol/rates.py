@@ -3,11 +3,14 @@ injectivity sweeps, and certificate rate reports."""
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, product
 
-from .certificates import Certificate
+from .certificates import Certificate, Rate
 from .oracle import DEFAULT_BUDGET, BudgetExhausted, is_injective_map
 
 RESIDUAL_TOL = 1e-12
@@ -114,25 +117,84 @@ class SweepReport:
         }
 
 
+def _power_at_most(b: int, c: int, t: Fraction) -> bool:
+    """Whether b**t.denominator <= c**t.numerator, for b >= 1, c >= 2 and
+    t > 0, without forming the powers (a long decimal epsilon makes both
+    exponents huge).
+
+    log b / log c is rational exactly when b and c are powers of a common
+    root, and then Rate gives it as a Fraction.  Otherwise the two sides
+    differ, and decimal logs decide once their gap passes the rounding
+    error, at doubling precision.
+    """
+    exact = Rate(b, c).as_fraction()
+    if exact is not None:
+        return exact <= t
+    prec = 30
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            lhs = t.denominator * decimal.Decimal(b).ln()
+            rhs = t.numerator * decimal.Decimal(c).ln()
+            if abs(lhs - rhs) > (lhs + rhs).scaleb(2 - prec):
+                return lhs < rhs
+        prec *= 2
+
+
 def _tuple_range_bound(k: int, C: int, epsilon: float) -> int:
-    t = 1.0 / k - epsilon
-    if t <= 0:
+    """Largest B >= 1 with B <= C**(1/k - epsilon), exactly.
+
+    epsilon is read as the decimal its repr prints (0.3 is 3/10), so
+    t = 1/k - epsilon is rational and B is the largest integer with
+    B**den(t) <= C**num(t).
+    """
+    t = Fraction(1, k) - Fraction(str(epsilon))
+    if t <= 0 or C < 2:
         return 1
-    B = int(C ** t)
-    while (B + 1) ** (1.0 / t) <= C:
-        B += 1
-    while B > 1 and B ** (1.0 / t) > C * (1 + 1e-9):
-        B -= 1
-    return max(B, 1)
+    # B lies in [lo, hi): double hi past it, then bisect
+    lo, hi = 1, 2
+    while _power_at_most(hi, C, t):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _power_at_most(mid, C, t):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _bad_last_coefficients(prefix, B: int, C: int) -> int:
+    """How many a_k in [1, C] make x -> (prefix + (a_k,)).x non-injective
+    on [1, B]^k.
+
+    If the sums of the prefix over [1, B]^(k-1) repeat, every a_k does.
+    Otherwise two points collide exactly when their prefix sums differ by
+    d > 0 and a_k * t == d, with t in 1..B-1 the difference of their last
+    coordinates; so the bad a_k are the quotients d / t up to C.
+    """
+    sums = [0]
+    for c in prefix:
+        sums = [s + c * v for v in range(1, B + 1) for s in sums]
+    sums.sort()
+    diffs = {y - x for x, y in combinations(sums, 2)}
+    if 0 in diffs:
+        return C
+    return len({d // t for d in diffs for t in range(1, B)
+                if d % t == 0 and d <= C * t})
 
 
 def random_tuple_sweep(k: int, C: int, epsilon: float,
                        samples: int | None = None, seed: int = 0,
                        budget: int = DEFAULT_BUDGET) -> SweepReport:
     """Count coefficient tuples in [1,C]^k whose linear map fails injectivity
-    on [1,B]^k with B = floor(C^(1/k - epsilon)).
+    on [1,B]^k with B = floor(C^(1/k - epsilon)) (see _tuple_range_bound).
 
-    Exhaustive when samples is None, else a seeded Monte-Carlo estimate.
+    Exhaustive when samples is None, else a seeded Monte-Carlo estimate
+    that runs is_injective_map on each sampled tuple.  The exhaustive count
+    decides all C last coefficients per prefix (a_1..a_{k-1}) at once
+    (_bad_last_coefficients); it costs C^(k-1) * (sum_{j<k} B^j +
+    n(n-1)/2 * (B-1)) nodes with n = B^(k-1), which must fit the budget.
     The counting bound checked is 2^k * C^(k - epsilon*k).
     """
     if k < 2 or C < 1:
@@ -143,25 +205,16 @@ def random_tuple_sweep(k: int, C: int, epsilon: float,
     bound = 2 ** k * C ** (k - epsilon * k)
 
     if samples is None:
-        # is_injective_map spends at most sum_j B**j nodes per tuple
-        work = C ** k * sum(B ** j for j in range(1, k + 1))
+        n = B ** (k - 1)
+        work = C ** (k - 1) * (sum(B ** j for j in range(1, k))
+                               + n * (n - 1) // 2 * (B - 1))
         if work > budget:
             raise BudgetExhausted(work)
-        total = C ** k
-        bad = 0
-        idx = [1] * k
-        while True:
-            if not is_injective_map(idx, B, budget=budget):
-                bad += 1
-            pos = k - 1
-            while pos >= 0 and idx[pos] == C:
-                idx[pos] = 1
-                pos -= 1
-            if pos < 0:
-                break
-            idx[pos] += 1
+        bad = sum(_bad_last_coefficients(prefix, B, C)
+                  for prefix in product(range(1, C + 1), repeat=k - 1))
         ok = bad <= bound
-        return SweepReport(k, C, epsilon, B, total, bad, bound, ok, "exhaustive")
+        return SweepReport(k, C, epsilon, B, C ** k, bad, bound, ok,
+                           "exhaustive")
 
     rng = random.Random(seed)
     bad = 0

@@ -321,3 +321,37 @@ def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["ARRAY", "NO_BASE"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    # the lift is too large to re-verify in distinct mode
+    (["--m", "3", "--N", "793714773254144"], 65),
+    # the certificate fits the budget, the lift's re-verification does not
+    (["--m", "3", "--N", "4000", "--budget", "3000"], 2),
+])
+def test_construct_failing_lift_writes_nothing(tmp_path, capsys, argv, code):
+    out = tmp_path / "d.json"
+    assert main(["construct", "distinct-var", *argv, "-o", str(out)]) == code
+    assert os.listdir(tmp_path) == []
+
+
+def test_search_checks_every_base_before_searching(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a base was searched")
+
+    monkeypatch.setattr(cli, "max_digit_set", never)
+    assert main(["search", "--sym", "43,69,70", "--L-grid", "93185,1"]) == 64
+    assert "got 1" in capsys.readouterr().err
+
+
+def test_sweep_cli_exact_power(capsys):
+    # 8**10 == 1024**3, so B = 8, where floats gave 7
+    code, report = run(capsys, "sweep", "--k", "2", "--C", "1024", "--eps", "0.2")
+    assert (code, report["b"]) == (0, 8)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_sweep_nonfinite_eps_is_usage_error(capsys, eps):
+    # -inf once escaped main() as an OverflowError
+    assert main(["sweep", "--k", "2", "--C", "10", f"--eps={eps}"]) == 64
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,7 @@
 import math
+import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from nosol.certificates import Certificate, make_digit_set
 from nosol.constructions import geometric_digits, spaced_digits, two_var_digits
 from nosol.equations import make_symmetric
-from nosol.oracle import BudgetExhausted
+from nosol.oracle import BudgetExhausted, is_injective_map
 from nosol.rates import alpha_optimal, injectivity_threshold, random_tuple_sweep, rate_report
 
 
@@ -143,3 +146,60 @@ def test_rate_report_rejects_unverified():
     cert = Certificate(make_digit_set(4, [0, 1], eq), verified=False)
     with pytest.raises(ValueError):
         rate_report(cert)
+
+
+# (k, C, epsilon) -> (B, bad) as the per-tuple scan counted them
+SWEEP_PINNED = [
+    ((2, 30, 0.3), (1, 0)), ((2, 100, 0.3), (2, 100)),
+    ((2, 200, 0.3), (2, 200)), ((2, 400, 0.3), (3, 800)),
+    ((2, 60, 0.05), (6, 356)), ((3, 20, 0.05), (2, 1700)),
+    ((3, 40, 0.02), (3, 19168)), ((4, 12, 0.01), (1, 0)),
+    ((2, 500, 0.1), (12, 6604)),
+]
+
+
+@pytest.mark.parametrize("args,expected", SWEEP_PINNED,
+                         ids=[str(args) for args, _ in SWEEP_PINNED])
+def test_sweep_pinned_counts(args, expected):
+    k, C, _ = args
+    rep = random_tuple_sweep(*args)
+    assert (rep.B, rep.bad) == expected
+    assert rep.total == C ** k
+
+
+def _sweep_cases():
+    """Seeded small (k, C, epsilon) with B <= 6 and at most 6000 tuples;
+    the first two pin B = 1 and a k = 3 case whose prefix sums repeat."""
+    cases = [(2, 9, 0.3), (3, 12, 0.0)]
+    rng = random.Random(9)
+    while len(cases) < 14:
+        k = rng.randint(2, 4)
+        C = rng.randint(2, int(6000 ** (1 / k)))
+        eps = round(rng.uniform(-0.4, 0.4), 2)
+        if 2 <= random_tuple_sweep(k, C, eps, samples=1).B <= 6:
+            cases.append((k, C, eps))
+    return cases
+
+
+@pytest.mark.parametrize("k,C,eps", _sweep_cases())
+def test_sweep_matches_per_tuple_scan(k, C, eps):
+    rep = random_tuple_sweep(k, C, eps)
+    t = Fraction(1, k) - Fraction(str(eps))
+    B = 1
+    while t > 0 and (B + 1) ** t.denominator <= C ** t.numerator:
+        B += 1
+    assert rep.B == B
+    assert rep.bad == sum(not is_injective_map(a, B)
+                          for a in product(range(1, C + 1), repeat=k))
+
+
+@pytest.mark.parametrize("k,C,eps,B", [
+    (2, 1024, 0.2, 8), (2, 59049, 0.2, 27), (3, 32768, 0.2, 4),
+    (3, 4096, 0.25, 2), (4, 1048576, 0.1, 8),
+    # 1/2 - 0.16666666666666666 lies just above 1/3, the next float just below
+    (2, 1000, 0.16666666666666666, 10), (2, 1000, 0.16666666666666669, 9),
+])
+def test_sweep_range_bound_exact_at_powers(k, C, eps, B):
+    # in the first five B**den == C**num, where C ** (1/k - eps) in floats
+    # fell short of B
+    assert random_tuple_sweep(k, C, eps, samples=1).B == B
