@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .certificates import (
@@ -46,6 +47,7 @@ from .oracle import (
     BudgetExhausted,
     SolutionQuery,
     exhaustive_check,
+    verify_certificate,
 )
 from .rates import DEFAULT_Q, alpha_optimal, rate_report, random_tuple_sweep
 from .search import SearchConfig, max_digit_set
@@ -196,7 +198,10 @@ def cmd_construct(args, argv) -> int:
     elif args.recipe == "distinct-var":
         cert = distinct_var_digits(args.m, budget)
     elif args.recipe == "shift":
-        source = load_certificate(args.cert)
+        # the source's check runs under the command's budget, and a check
+        # that runs out exits 2
+        source = read_certificate(args.cert)
+        source = replace(source, verified=verify_certificate(source, budget))
         i_shifts = [int(x) for x in args.i.split(",")]
         j_shifts = [int(x) for x in args.j.split(",")]
         cert = shift_transfer(source, i_shifts, j_shifts, budget)

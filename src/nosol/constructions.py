@@ -52,6 +52,11 @@ def _certify(digits, base, eq, mode, meta, budget=DEFAULT_BUDGET) -> Certificate
                        meta={**meta, "proof": meta.get("proof", "oracle")})
 
 
+def _certify_interval(n, eq, mode, meta, budget) -> Certificate:
+    """Certify the alphabet {0..n-1} at its tight base."""
+    return _certify(range(n), tight_base(eq, range(n)), eq, mode, meta, budget)
+
+
 # ---------------------------------------------------------------------------
 # base-L lift
 
@@ -194,14 +199,13 @@ def two_var_digits(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     if math.gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
     eq = make_symmetric([a, b])
-    L = (a + b) * (b - 1) + 1
     meta = {
         "kind": "two-var", "a": a, "b": b,
         "analytic_bound": 0.5 - 1.0 / math.log(b) if b > 2 else None,
         "analytic_formula": "1/2 - 1/log(b)",
         "proof": "oracle+divisibility",
     }
-    return _certify(range(b), L, eq, MODE_ALL, meta, budget)
+    return _certify_interval(b, eq, MODE_ALL, meta, budget)
 
 
 def two_var_rate(a: int, b: int) -> Rate:
@@ -215,13 +219,12 @@ def geometric_digits(m: int, k: int, budget: int = DEFAULT_BUDGET) -> Certificat
     """Alphabet {0..m-1} in base m**k for generators 1, m, ..., m**(k-1)."""
     if m < 2 or k < 2:
         raise ValueError("need m, k >= 2")
-    L = m ** k
-    if L > 10 ** 12:
+    if m ** k > 10 ** 12:
         raise ValueError("base m**k too large")
     eq = make_symmetric([m ** i for i in range(k)])
     meta = {"kind": "geometric", "m": m, "k": k,
             "analytic_bound": 1.0 / k, "analytic_formula": "1/k"}
-    return _certify(range(m), L, eq, MODE_ALL, meta, budget)
+    return _certify_interval(m, eq, MODE_ALL, meta, budget)
 
 
 def coprime_power_digits(a: int, b: int, k: int,
@@ -235,11 +238,10 @@ def coprime_power_digits(a: int, b: int, k: int,
         raise ValueError("need a <= b**(k-1)")
     gens = [a] + [b ** i for i in range(1, k)]
     eq = make_symmetric(gens)
-    L = sum(gens) * (b - 1) + 1
     meta = {"kind": "coprime-power", "a": a, "b": b, "k": k,
             "analytic_bound": 1.0 / k - 1.0 / math.log(b) if b > 2 else None,
             "analytic_formula": "1/k - 1/log(b)"}
-    return _certify(range(b), L, eq, MODE_ALL, meta, budget)
+    return _certify_interval(b, eq, MODE_ALL, meta, budget)
 
 
 def spaced_digits(gens, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -253,12 +255,11 @@ def spaced_digits(gens, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
         if s * u > v:
             raise ValueError(f"spacing violation: {s}*{u} > {v}")
     eq = make_symmetric(gens)
-    L = sum(gens) * (s - 1) + 1
     total = sum(gens)
     meta = {"kind": "spaced", "gens": gens, "s": s,
             "analytic_bound": math.log(s) / (math.log(s) + math.log(total)),
             "analytic_formula": "log(s) / (log(s) + log(sum))"}
-    return _certify(range(s), L, eq, MODE_ALL, meta, budget)
+    return _certify_interval(s, eq, MODE_ALL, meta, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +541,9 @@ def distinct_var_digits(m: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     if m < 3:
         raise ValueError("m must be at least 3")
     eq = make_symmetric([m, 2 * m - 2, 3 * m - 3])
-    L = eq.side_sum * (m - 2) + 1
     meta = {"kind": "distinct-var", "m": m,
             "analytic_formula": "1/2 - eps(m)"}
-    return _certify(range(m - 1), L, eq, MODE_DISTINCT, meta, budget)
+    return _certify_interval(m - 1, eq, MODE_DISTINCT, meta, budget)
 
 
 # ---------------------------------------------------------------------------

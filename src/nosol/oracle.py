@@ -139,17 +139,18 @@ def _naive_solutions(eq, values, distinct, budget):
             yield assignment
 
 
+def _sides(eq: Equation) -> tuple[list[int], list[int]]:
+    """The positions of eq's positive and of its negative coefficients."""
+    return ([i for i, c in enumerate(eq.coeffs) if c > 0],
+            [i for i, c in enumerate(eq.coeffs) if c < 0])
+
+
 def _mitm_solutions(eq, values, distinct, budget):
     """Meet in the middle over the equation's positive/negative sides."""
     coeffs = eq.coeffs
-    m = len(coeffs)
-    pos = [i for i in range(m) if coeffs[i] > 0]
-    neg = [i for i in range(m) if coeffs[i] < 0]
-    # table the smaller side, scan the larger
-    if len(pos) <= len(neg):
-        table_idx, scan_idx = pos, neg
-    else:
-        table_idx, scan_idx = neg, pos
+    pos, neg = _sides(eq)
+    # table the shorter side, the positive one on a tie; scan the other
+    table_idx, scan_idx = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
     table_coeffs = [coeffs[i] for i in table_idx]
     scan_coeffs = [coeffs[i] for i in scan_idx]
 
@@ -159,7 +160,7 @@ def _mitm_solutions(eq, values, distinct, budget):
         s = sum(c * v for c, v in zip(table_coeffs, tup))
         table.setdefault(s, []).append(tup)
 
-    assignment = [0] * m
+    assignment = [0] * len(coeffs)
     for tup in product(values, repeat=len(scan_idx)):
         budget.spend()
         s = sum(c * v for c, v in zip(scan_coeffs, tup))
@@ -177,12 +178,12 @@ def _pick_engine(q: SolutionQuery, engine: str):
     if engine != "auto":
         return {"dfs": _dfs_solutions, "naive": _naive_solutions,
                 "mitm": _mitm_solutions}[engine]
-    # meet in the middle whenever its table fits and clearly beats the
-    # worst-case depth-first cost (selection is per-query deterministic)
+    # meet in the middle whenever its table, the shorter side's tuples,
+    # fits and the set is not tiny (the choice is per-query deterministic)
     m = q.equation.num_vars
     size = len(q.ground_set)
-    table = size ** ((m + 1) // 2)
-    if table <= min(q.budget, MITM_TABLE_CAP) and size ** m > 10 * table:
+    table = size ** min(map(len, _sides(q.equation)))
+    if table <= min(q.budget, MITM_TABLE_CAP) and size ** (m // 2) > 10:
         return _mitm_solutions
     return _dfs_solutions
 
@@ -321,6 +322,9 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
         raise ValueError("coefficients must be positive")
     if B < 1:
         raise ValueError("B must be positive")
+    if B > budget:
+        # the scan's first stage alone spends B nodes
+        raise BudgetExhausted(B)
     return not _sums_repeat(a, range(1, B + 1), _Budget(budget))
 
 
@@ -338,8 +342,6 @@ def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:
         except (ValueError, KeyError, TypeError):
             return False
     ds = cert.digit_set
-    if ds.equation.side_sum * ds.digits[-1] >= ds.base:
-        return False
     q = SolutionQuery(ds.equation, ds.digits,
                       ds.mode == MODE_DISTINCT, budget)
     return find_nontrivial_solution(q) is None
@@ -402,8 +404,7 @@ class IncrementalSolutionIndex:
                  budget: int = DEFAULT_BUDGET):
         self.eq = eq
         self.distinct = distinct
-        self.pos_idx = [i for i in range(eq.num_vars) if eq.coeffs[i] > 0]
-        self.neg_idx = [i for i in range(eq.num_vars) if eq.coeffs[i] < 0]
+        self.pos_idx, self.neg_idx = _sides(eq)
         self.pos_coeffs = [eq.coeffs[i] for i in self.pos_idx]
         self.neg_coeffs = [-eq.coeffs[i] for i in self.neg_idx]
         self.values: list[int] = []

@@ -195,14 +195,25 @@ def random_tuple_sweep(k: int, C: int, epsilon: float,
     decides all C last coefficients per prefix (a_1..a_{k-1}) at once
     (_bad_last_coefficients); it costs C^(k-1) * (sum_{j<k} B^j +
     n(n-1)/2 * (B-1)) nodes with n = B^(k-1), which must fit the budget.
-    The counting bound checked is 2^k * C^(k - epsilon*k).
+    The counting bound checked is 2^k * C^(k - epsilon*k); a C for which
+    it or C^k overflows a float raises ValueError.
     """
     if k < 2 or C < 1:
         raise ValueError("need k >= 2 and C >= 1")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    # checked before B, whose decimal logs are slow for a huge C
+    try:
+        bound = 2.0 ** k * C ** (k - epsilon * k)
+        float(C ** k)
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise ValueError(f"C is too large: the counting bound or C**{k} "
+                         "overflows a float")
     B = _tuple_range_bound(k, C, epsilon)
-    bound = 2 ** k * C ** (k - epsilon * k)
 
     if samples is None:
         n = B ** (k - 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .certificates import Rate
+from .certificates import Rate, tight_base
 from .equations import Equation
 from .oracle import DEFAULT_BUDGET, BudgetExhausted, IncrementalSolutionIndex
 
@@ -73,7 +73,7 @@ class SearchResult:
 def _tight_rate(eq: Equation, digits) -> Rate | None:
     if len(digits) < 2 or max(digits) < 1:
         return None
-    return Rate(len(digits), eq.side_sum * max(digits) + 1)
+    return Rate(len(digits), tight_base(eq, digits))
 
 
 class _Tracker:
@@ -190,7 +190,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             for x in start:
                 index.add(x)
             index.greedy(order, lambda: tracker.offer(
-                sorted(index.values), index.nodes, name))
+                sorted(index.values), nodes_total + index.nodes, name))
         except BudgetExhausted:
             pass
         nodes_total += index.nodes

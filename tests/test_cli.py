@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nosol import cli, oracle
+from nosol import cli, constructions, oracle
 from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
 from nosol.constructions import lift, two_var_digits
@@ -159,6 +159,32 @@ def test_construct_shift(tmp_path, capsys):
     assert code == 0
     cert = load_certificate(str(out))
     assert cert.digit_set.base == 8
+
+
+def test_construct_shift_checks_its_source_under_the_budget(tmp_path, capsys,
+                                                          monkeypatch):
+    src = tmp_path / "src.json"
+    save_certificate(two_var_digits(1, 2), str(src))
+    budgets = []
+
+    def spy(q, *args, **kwargs):
+        budgets.append(q.budget)
+        return check(q, *args, **kwargs)
+
+    check = oracle.exhaustive_check
+    monkeypatch.setattr(oracle, "exhaustive_check", spy)
+    monkeypatch.setattr(constructions, "exhaustive_check", spy)
+    argv = ["construct", "shift", "--cert", str(src), "--i", "1,0",
+            "--j", "0,1", "-o", str(tmp_path / "out.json")]
+    code, _ = run(capsys, *argv, "--budget", "500")
+    assert code == 0
+    assert budgets and max(budgets) <= 500
+    # a budget the source's check cannot finish
+    os.remove(tmp_path / "out.json")
+    os.remove(tmp_path / "out.json.manifest.json")
+    code, report = run(capsys, *argv, "--budget", "2")
+    assert (code, report["status"]) == (2, "budget-exhausted")
+    assert sorted(os.listdir(tmp_path)) == ["src.json"]
 
 
 # one argv per construct recipe; the first four alphabets were once
@@ -355,3 +381,20 @@ def test_sweep_nonfinite_eps_is_usage_error(capsys, eps):
     # -inf once escaped main() as an OverflowError
     assert main(["sweep", "--k", "2", "--C", "10", f"--eps={eps}"]) == 64
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("C,code", [
+    # the counting bound overflows a float
+    pytest.param(10 ** 400, 64, id="C=10**400"),
+    # B = 10**20 is over the budget before the first sample's scan starts
+    pytest.param(10 ** 100, 2, id="C=10**100"),
+])
+def test_sweep_huge_c_gets_its_exit_code(capsys, C, code):
+    assert main(["sweep", "--k", "2", "--C", str(C), "--eps", "0.3",
+                 "--samples", "1"]) == code
+    out, err = capsys.readouterr()
+    if code == 64:
+        assert (out, err.count("error:")) == ("", 1)
+    else:
+        assert json.loads(out) == {"status": "budget-exhausted",
+                                   "nodes": 10 ** 20}

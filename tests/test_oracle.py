@@ -7,13 +7,19 @@ import pytest
 
 from nosol import oracle
 from nosol.certificates import Certificate, make_digit_set
-from nosol.constructions import geometric_digits, lift
-from nosol.equations import is_dissociated, make_equation, make_symmetric
+from nosol.constructions import _lift_below, geometric_digits, lift
+from nosol.equations import (
+    classify_solution,
+    is_dissociated,
+    make_equation,
+    make_symmetric,
+)
 from nosol.oracle import (
     BudgetExhausted,
     IncrementalSolutionIndex,
     SolutionQuery,
     _Budget,
+    _mitm_solutions,
     _pick_engine,
     _sums_repeat,
     count_nontrivial_solutions,
@@ -470,3 +476,84 @@ def test_auto_certifies_geometric_lift_at_8_pow_7():
     values = lift(cert, 8 ** 7).elements
     q = SolutionQuery(cert.equation, values, budget=10 ** 7)
     assert exhaustive_check(q) == (None, 128 + 128 ** 2 + 128 ** 3)
+
+
+# the 3AP-free set of x <= 3**11 whose base-3 digits are all 0 or 1
+TERNARY_3AP_FREE = tuple(_lift_below(range(2), 3, 3 ** 11))
+THREE_AP = make_equation([1, 1, -2])
+
+
+def test_pick_engine_tables_the_shorter_side():
+    # 2,049 elements: x + y = 2z has one negative position, so the mitm
+    # table holds 2,049 tuples, not 2,049**2 (over MITM_TABLE_CAP)
+    assert len(TERNARY_3AP_FREE) == 2049
+    q = SolutionQuery(THREE_AP, TERNARY_3AP_FREE, budget=10 ** 8)
+    assert _pick_engine(q, "auto") is _mitm_solutions
+
+
+def test_auto_mitm_under_a_small_table_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "MITM_TABLE_CAP", 100)
+    values = TERNARY_3AP_FREE[:40]
+    q = SolutionQuery(THREE_AP, values)
+    # 40 tabled tuples fit the cap; 40**2, the larger half, would not
+    assert _pick_engine(q, "auto") is _mitm_solutions
+    assert exhaustive_check(q) == exhaustive_check(q, "mitm")
+    assert exhaustive_check(q)[0] is None
+    assert find_nontrivial_solution(q, engine="naive") is None
+    # 2 completes the 3AP 0, 1, 2
+    planted = SolutionQuery(THREE_AP, tuple(sorted(values + (2,))))
+    assert _pick_engine(planted, "auto") is _mitm_solutions
+    witness = find_nontrivial_solution(planted)
+    assert witness is not None
+    assert not classify_solution(THREE_AP, witness.assignment).is_trivial
+    assert find_nontrivial_solution(planted, engine="naive") is not None
+
+
+def _random_equation(rng):
+    """An equation with 1..3 positive and 1..3 negative coefficients."""
+    pos = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+    total = sum(pos)
+    cuts = sorted(rng.sample(range(1, total), min(rng.randint(0, 2),
+                                                   total - 1)))
+    neg = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return make_equation(pos + [-c for c in neg])
+
+
+def test_pick_engine_changes_only_where_the_shorter_side_fits():
+    """The choice against the formula that sized the table as
+    |S|**ceil(m/2): they differ exactly when the shorter side's table fits
+    min(budget, cap), the ceil(m/2) estimate does not, and the set is not
+    tiny (|S|**(m//2) > 10)."""
+    rng = random.Random(20261018)
+    cap = oracle.MITM_TABLE_CAP
+    outcomes = set()
+    for _ in range(2000):
+        eq = _random_equation(rng)
+        m = eq.num_vars
+        short = min(sum(c > 0 for c in eq.coeffs),
+                    sum(c < 0 for c in eq.coeffs))
+        size = rng.randint(1, 3000 if short == 1 else 60)
+        budget = rng.choice((10 ** 8, 10 ** 4, size ** short,
+                             size ** short - 1, size ** ((m + 1) // 2),
+                             rng.randint(1, 10 ** 6)))
+        q = SolutionQuery(eq, tuple(range(size)), rng.random() < 0.5,
+                          max(budget, 1))
+        old_table = size ** ((m + 1) // 2)
+        old = old_table <= min(q.budget, cap) and size ** m > 10 * old_table
+        new = _pick_engine(q, "auto") is _mitm_solutions
+        band = size ** short <= min(q.budget, cap) < old_table
+        assert (new != old) == (band and size ** (m // 2) > 10), (
+            eq, size, q.budget)
+        outcomes.add((m % 2 == 0 and 2 * short == m, old, new))
+    # balanced and unbalanced equations, each with both choices, and the
+    # band reached
+    assert {(True, False, False), (True, True, True), (False, False, False),
+            (False, True, True), (False, False, True)} <= outcomes
+
+
+@pytest.mark.parametrize("B", [10 ** 9, 10 ** 40])
+def test_is_injective_map_over_budget_raises_at_once(B):
+    # the first stage's B nodes; 10**40 is past the length a range() can hold
+    with pytest.raises(BudgetExhausted) as exc:
+        is_injective_map([1, 2], B, budget=10 ** 8)
+    assert exc.value.nodes == B

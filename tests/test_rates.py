@@ -114,6 +114,22 @@ def test_sweep_budget_guard_counts_scan_nodes():
     assert (rep.B, rep.total, rep.bad) == (3, 160_000, 800)
 
 
+@pytest.mark.parametrize("samples", [None, 1])
+@pytest.mark.parametrize("C", [10 ** 200, 10 ** 400],
+                         ids=["C=10**200", "C=10**400"])
+def test_sweep_rejects_a_c_past_float_range(C, samples):
+    # 10**400 overflows the bound, and 10**200 squared overflows C**2
+    with pytest.raises(ValueError, match="too large"):
+        random_tuple_sweep(2, C, 0.3, samples=samples)
+
+
+def test_sweep_sample_over_budget_raises_at_once():
+    # B = 10**20 is past the length a range() can hold
+    with pytest.raises(BudgetExhausted) as exc:
+        random_tuple_sweep(2, 10 ** 100, 0.3, samples=1)
+    assert exc.value.nodes == 10 ** 20
+
+
 def test_sweep_report_json():
     rep = random_tuple_sweep(2, 50, 0.3)
     obj = rep.to_json()

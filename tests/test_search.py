@@ -94,6 +94,18 @@ def test_progress_events_stream():
     assert all({"best_size", "nodes", "depth", "phase"} <= set(e) for e in events)
 
 
+def test_progress_nodes_are_the_running_total():
+    # every phase starts a fresh index at 0 nodes; events carry the total
+    events = []
+    cfg = SearchConfig(budget=10 ** 9 // 8, report=events.append)
+    result = max_digit_set(make_symmetric([43, 69, 70]), 182 * 64 + 1, cfg,
+                           distinct=True)
+    nodes = [e["nodes"] for e in events]
+    assert len(nodes) > 1
+    assert nodes == sorted(nodes)
+    assert nodes[-1] <= result.nodes
+
+
 def test_greedy_set_mian_chowla():
     # greedy on the Sidon equation reproduces the Mian-Chowla sequence
     eq = make_equation([1, 1, -1, -1])
