@@ -23,7 +23,6 @@ from .certificates import (
     MODE_DISTINCT,
     Certificate,
     atomic_write_text,
-    load_certificate,
     make_digit_set,
     read_certificate,
     save_certificate,
@@ -140,6 +139,14 @@ def _read_set(args) -> tuple[int, ...]:
         return tuple(sorted({int(line) for line in fh if line.strip()}))
 
 
+def _read_checked(path: str, budget: int) -> Certificate:
+    """The certificate at path, its verified field set by an oracle run
+    under the command's budget; a run that runs out raises BudgetExhausted,
+    so the command exits 2."""
+    cert = read_certificate(path)
+    return replace(cert, verified=verify_certificate(cert, budget))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -198,10 +205,7 @@ def cmd_construct(args, argv) -> int:
     elif args.recipe == "distinct-var":
         cert = distinct_var_digits(args.m, budget)
     elif args.recipe == "shift":
-        # the source's check runs under the command's budget, and a check
-        # that runs out exits 2
-        source = read_certificate(args.cert)
-        source = replace(source, verified=verify_certificate(source, budget))
+        source = _read_checked(args.cert, budget)
         i_shifts = [int(x) for x in args.i.split(",")]
         j_shifts = [int(x) for x in args.j.split(",")]
         cert = shift_transfer(source, i_shifts, j_shifts, budget)
@@ -301,7 +305,7 @@ def cmd_alpha(args, argv) -> int:
 
 
 def cmd_rate(args, argv) -> int:
-    _emit(rate_report(load_certificate(args.cert)))
+    _emit(rate_report(_read_checked(args.cert, _budget(args))))
     return EXIT_OK
 
 
@@ -384,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="rate report for a certificate")
     p.add_argument("--cert", required=True)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=cmd_rate)
 
     return parser

@@ -12,7 +12,8 @@ for "verified absent".
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice, product
 from math import perm
@@ -30,9 +31,12 @@ from .equations import (
 DEFAULT_BUDGET = 10 ** 8
 MITM_TABLE_CAP = 2_000_000
 # the sum scan holds its stage k-1 and one bucket of its last stage, each
-# within this cap.  A scanned sum costs about 40 bytes (its int, a list
-# slot and the sort's buffer) against about 220 for a mitm table entry, so
-# the scan peaks below mitm at MITM_TABLE_CAP
+# within this cap.  Under tracemalloc a scanned sum costs about 41 bytes
+# (its int, a list slot and the sort's buffer) and a mitm table entry about
+# 90 (its sum, its product index, two list slots and the sort's buffers).
+# So a scan whose last stage is one bucket peaks below mitm at
+# MITM_TABLE_CAP (about 165 against 180 MB), but a bucketed scan, which
+# also holds stage k-1, can peak above it (up to about 310 MB)
 SCAN_SUMS_CAP = 4_000_000
 
 
@@ -145,40 +149,68 @@ def _sides(eq: Equation) -> tuple[list[int], list[int]]:
             [i for i, c in enumerate(eq.coeffs) if c < 0])
 
 
+def _spend_capped(budget, n: int) -> None:
+    """Spend n nodes, or, when they do not fit, one past the limit: the
+    BudgetExhausted then reports limit + 1, as n single spends would."""
+    budget.spend(min(n, budget.limit - budget.nodes + 1))
+
+
 def _mitm_solutions(eq, values, distinct, budget):
-    """Meet in the middle over the equation's positive/negative sides."""
+    """Meet in the middle over the equation's positive/negative sides.
+
+    The shorter side (the positive one on a tie) is tabled as the sorted
+    list of its sums over values^p; the tuple behind a sum is decoded from
+    its index in product order, so no tuple is stored.  A table entry costs
+    one node, paid before the table is built, and so do each tuple of the
+    other side, scanned in product order, and each of its mates, tried in
+    product order.
+    """
     coeffs = eq.coeffs
     pos, neg = _sides(eq)
-    # table the shorter side, the positive one on a tie; scan the other
     table_idx, scan_idx = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
-    table_coeffs = [coeffs[i] for i in table_idx]
+    n = len(values)
+    size = n ** len(table_idx)
+    _spend_capped(budget, size)
+    sums = [0]
+    for i in table_idx:
+        cvs = [coeffs[i] * v for v in values]
+        sums = [s + cv for s in sums for cv in cvs]
+    # the sort is stable, so equal sums keep product order
+    order = sorted(range(size), key=sums.__getitem__)
+    keys = [sums[j] for j in order]
+    del sums
+
     scan_coeffs = [coeffs[i] for i in scan_idx]
-
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for tup in product(values, repeat=len(table_idx)):
-        budget.spend()
-        s = sum(c * v for c, v in zip(table_coeffs, tup))
-        table.setdefault(s, []).append(tup)
-
+    table_back = table_idx[::-1]
     assignment = [0] * len(coeffs)
     for tup in product(values, repeat=len(scan_idx)):
         budget.spend()
-        s = sum(c * v for c, v in zip(scan_coeffs, tup))
-        for mate in table.get(-s, ()):
+        target = -sum(map(mul, scan_coeffs, tup))
+        j = bisect_left(keys, target)
+        if j == size or keys[j] != target:
+            continue
+        if distinct and len(set(tup)) < len(tup):
+            # a repeated value makes every mate uncountable
+            _spend_capped(budget, bisect_right(keys, target, j) - j)
+            continue
+        for i, v in zip(scan_idx, tup):
+            assignment[i] = v
+        while j < size and keys[j] == target:
             budget.spend()
-            for i, v in zip(scan_idx, tup):
-                assignment[i] = v
-            for i, v in zip(table_idx, mate):
-                assignment[i] = v
+            r = order[j]
+            for i in table_back:
+                r, d = divmod(r, n)
+                assignment[i] = values[d]
             if _is_countable(eq, assignment, distinct):
                 yield tuple(assignment)
+            j += 1
 
 
 def _pick_engine(q: SolutionQuery, engine: str):
     if engine != "auto":
         return {"dfs": _dfs_solutions, "naive": _naive_solutions,
                 "mitm": _mitm_solutions}[engine]
-    # meet in the middle whenever its table, the shorter side's tuples,
+    # meet in the middle whenever its table, the shorter side's sums,
     # fits and the set is not tiny (the choice is per-query deterministic)
     m = q.equation.num_vars
     size = len(q.ground_set)
@@ -313,7 +345,9 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether (i_1..i_k) -> sum(i_j * a_j) is injective on [1, B]^k.
 
     Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
-    injective; memory grows with stage k-1 and one bucket of the last.
+    injective; memory grows with stage k-1 and one bucket of the last.  A B
+    past the budget raises BudgetExhausted(B), and a B past sys.maxsize
+    ValueError, before the scan runs.
     """
     a = [int(v) for v in a]
     if len(a) < 2:
@@ -325,6 +359,10 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     if B > budget:
         # the scan's first stage alone spends B nodes
         raise BudgetExhausted(B)
+    if B > sys.maxsize:
+        # no list, and so no stage of the scan, holds B sums
+        raise ValueError(f"B = {B} is past {sys.maxsize}, the longest "
+                         "stage the injectivity scan can hold")
     return not _sums_repeat(a, range(1, B + 1), _Budget(budget))
 
 

@@ -398,3 +398,33 @@ def test_sweep_huge_c_gets_its_exit_code(capsys, C, code):
     else:
         assert json.loads(out) == {"status": "budget-exhausted",
                                    "nodes": 10 ** 20}
+
+
+def test_sweep_b_past_maxsize_is_usage_error(capsys):
+    # B = 10**20 fits the budget but no list can hold its scan's stage; it
+    # once ended in an OverflowError traceback
+    assert main(["sweep", "--k", "2", "--C", str(10 ** 100), "--eps", "0.3",
+                 "--samples", "1", "--budget", str(10 ** 30)]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: B = 100000000000000000000 ")
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    ([], {}, 0),
+    (["--budget", "1"], {}, 2),
+    ([], {"NOSOL_BUDGET": "1"}, 2),
+])
+def test_rate_checks_its_certificate_under_the_budget(
+        tmp_path, capsys, monkeypatch, argv, env, code):
+    # rate once checked under the default budget whatever it was given
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = tmp_path / "c.json"
+    save_certificate(two_var_digits(5, 6), str(path))
+    assert main(["rate", "--cert", str(path), *argv]) == code
+    report = json.loads(capsys.readouterr().out)
+    if code == 2:
+        assert report == {"status": "budget-exhausted", "nodes": 2}
+    else:
+        assert 0.445 < report["rate_decimal"] < 0.446

@@ -1,13 +1,14 @@
 import math
 import operator
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from nosol import oracle
 from nosol.certificates import Certificate, make_digit_set
-from nosol.constructions import _lift_below, geometric_digits, lift
+from nosol.constructions import _lift_below, geometric_digits, lift, two_var_digits
 from nosol.equations import (
     classify_solution,
     is_dissociated,
@@ -21,6 +22,7 @@ from nosol.oracle import (
     _Budget,
     _mitm_solutions,
     _pick_engine,
+    _sides,
     _sums_repeat,
     count_nontrivial_solutions,
     exhaustive_check,
@@ -557,3 +559,89 @@ def test_is_injective_map_over_budget_raises_at_once(B):
     with pytest.raises(BudgetExhausted) as exc:
         is_injective_map([1, 2], B, budget=10 ** 8)
     assert exc.value.nodes == B
+
+
+def test_is_injective_map_past_maxsize_is_a_value_error():
+    # within the budget, but no list holds a stage of 10**20 sums
+    with pytest.raises(ValueError, match="B = 100000000000000000000 "):
+        is_injective_map([1, 2], 10 ** 20, budget=10 ** 30)
+
+
+# forced mitm: (coefficients, set, distinct, first witness, nodes spent,
+# countable solutions), recorded on the per-tuple table the sorted sums
+# replaced.  Balanced and unbalanced equations, tables on the positive and
+# the negative side, and one-position sides
+MITM_PINNED = [
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), False, (2, 2, 1, 3), 33, 12),
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, None, 107, 0),
+    ((1, 1, -1, -1), (1, 2, 5, 11), False, None, 60, 0),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, (1, 0, 1, 3), 56, 38),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), True, (4, 0, 1, 9), 62, 24),
+    ((1, 1, 1, -3), (0, 1, 2, 4, 7), False, (1, 0, 1, 2), 15, 21),
+    ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, None, 156, 0),
+    ((1, -2, 1), (0, 1, 3, 4, 9, 10), False, None, 48, 0),
+    ((1, -2, 1), (-4, -1, 0, 2, 5, 6), True, (-1, -4, 2), 12, 4),
+    ((3, -1, -1, -1), (0, 2, 3, 7, 11), False, (3, 0, 2, 7), 16, 15),
+    ((2, 3, -1, -1, -3), (0, 1, 4, 6), False, (1, 0, 1, 1, 4), 26, 12),
+    ((2, 3, -1, -1, -3), (0, 1, 4, 6, 9), True, None, 211, 0),
+    ((5, -5), (1, 2, 3, 9), False, None, 12, 0),
+]
+
+
+@pytest.mark.parametrize("coeffs,values,distinct,witness,nodes,count",
+                         MITM_PINNED)
+def test_mitm_pinned_witnesses_and_nodes(coeffs, values, distinct, witness,
+                                         nodes, count):
+    eq = make_equation(coeffs)
+    q = SolutionQuery(eq, values, distinct)
+    solution, spent = exhaustive_check(q, "mitm")
+    assert (solution and solution.assignment, spent) == (witness, nodes)
+    assert count_nontrivial_solutions(q, "mitm") == \
+        count_nontrivial_solutions(q, "naive") == count
+
+
+# (coefficients, set, distinct, budget, solutions found before the raise);
+# the budget's next node falls where the last field says
+MITM_LIMITS = [
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 24, 0, "table"),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 51, 0, "mate run"),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 66, 4, "scan"),
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 12, 0, "table"),
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 32, 0, "mate run"),
+    # the scan tuple repeats a value, so its mates are paid in one spend
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 46, 0, "skipped mate run"),
+    ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, 2, 0, "table"),
+    ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, 9, 0, "scan"),
+]
+
+
+@pytest.mark.parametrize("coeffs,values,distinct,budget,found,where",
+                         MITM_LIMITS, ids=[f"{c}-{d}-{b}-{w}" for c, _, d, b, _, w
+                                           in MITM_LIMITS])
+def test_mitm_budget_exhausted_nodes(coeffs, values, distinct, budget, found,
+                                     where):
+    eq = make_equation(coeffs)
+    table = len(values) ** min(map(len, _sides(eq)))
+    assert (budget < table) == (where == "table")
+    solutions = _mitm_solutions(eq, values, distinct, _Budget(budget))
+    got = []
+    with pytest.raises(BudgetExhausted) as exc:
+        for solution in solutions:
+            got.append(solution)
+    assert (len(got), exc.value.nodes) == (found, budget + 1)
+
+
+def test_mitm_table_memory_per_entry():
+    # 128 elements whose sums x + 2y are distinct; the per-tuple table
+    # peaked at about 210 bytes per entry, the sorted sums at about 90
+    cert = two_var_digits(1, 2)
+    values = lift(cert, 4 ** 7).elements
+    q = SolutionQuery(cert.digit_set.equation, values)
+    tracemalloc.start()
+    try:
+        solution, nodes = exhaustive_check(q, "mitm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(values), solution, nodes) == (128, None, 3 * 128 ** 2)
+    assert peak < 130 * 128 ** 2
