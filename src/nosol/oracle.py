@@ -12,8 +12,7 @@ for "verified absent".
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, product
 from math import perm
@@ -149,12 +148,6 @@ def _sides(eq: Equation) -> tuple[list[int], list[int]]:
             [i for i, c in enumerate(eq.coeffs) if c < 0])
 
 
-def _spend_capped(budget, n: int) -> None:
-    """Spend n nodes, or, when they do not fit, one past the limit: the
-    BudgetExhausted then reports limit + 1, as n single spends would."""
-    budget.spend(min(n, budget.limit - budget.nodes + 1))
-
-
 def _mitm_solutions(eq, values, distinct, budget):
     """Meet in the middle over the equation's positive/negative sides.
 
@@ -170,7 +163,9 @@ def _mitm_solutions(eq, values, distinct, budget):
     table_idx, scan_idx = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
     n = len(values)
     size = n ** len(table_idx)
-    _spend_capped(budget, size)
+    # a table that does not fit spends one node past the limit, so the
+    # BudgetExhausted reports limit + 1, as one spend per entry would
+    budget.spend(min(size, budget.limit - budget.nodes + 1))
     sums = [0]
     for i in table_idx:
         cvs = [coeffs[i] * v for v in values]
@@ -188,10 +183,6 @@ def _mitm_solutions(eq, values, distinct, budget):
         target = -sum(map(mul, scan_coeffs, tup))
         j = bisect_left(keys, target)
         if j == size or keys[j] != target:
-            continue
-        if distinct and len(set(tup)) < len(tup):
-            # a repeated value makes every mate uncountable
-            _spend_capped(budget, bisect_right(keys, target, j) - j)
             continue
         for i, v in zip(scan_idx, tup):
             assignment[i] = v
@@ -346,8 +337,9 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
 
     Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
     injective; memory grows with stage k-1 and one bucket of the last.  A B
-    past the budget raises BudgetExhausted(B), and a B past sys.maxsize
-    ValueError, before the scan runs.
+    past the budget raises BudgetExhausted(B), and a B whose stage k-1,
+    B**(k-1) sums, exceeds SCAN_SUMS_CAP raises ValueError, before the scan
+    runs.
     """
     a = [int(v) for v in a]
     if len(a) < 2:
@@ -359,10 +351,11 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     if B > budget:
         # the scan's first stage alone spends B nodes
         raise BudgetExhausted(B)
-    if B > sys.maxsize:
-        # no list, and so no stage of the scan, holds B sums
-        raise ValueError(f"B = {B} is past {sys.maxsize}, the longest "
-                         "stage the injectivity scan can hold")
+    if B ** (len(a) - 1) > SCAN_SUMS_CAP:
+        # the scan holds stage k-1 whole, as _scan_applies bounds it
+        raise ValueError(f"B = {B} is too large: the injectivity scan "
+                         f"would hold B**{len(a) - 1} sums, past its cap "
+                         f"of {SCAN_SUMS_CAP}")
     return not _sums_repeat(a, range(1, B + 1), _Budget(budget))
 
 

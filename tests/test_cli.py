@@ -400,14 +400,16 @@ def test_sweep_huge_c_gets_its_exit_code(capsys, C, code):
                                    "nodes": 10 ** 20}
 
 
-def test_sweep_b_past_maxsize_is_usage_error(capsys):
-    # B = 10**20 fits the budget but no list can hold its scan's stage; it
-    # once ended in an OverflowError traceback
-    assert main(["sweep", "--k", "2", "--C", str(10 ** 100), "--eps", "0.3",
+@pytest.mark.parametrize("C,B", [(10 ** 40, 10 ** 8), (10 ** 100, 10 ** 20)])
+def test_sweep_b_past_the_scan_cap_is_usage_error(capsys, C, B):
+    # B fits the budget but its scan's first stage, B sums, does not fit
+    # SCAN_SUMS_CAP; 10**8 once ran out of memory and 10**20, past
+    # sys.maxsize, ended in an OverflowError traceback
+    assert main(["sweep", "--k", "2", "--C", str(C), "--eps", "0.3",
                  "--samples", "1", "--budget", str(10 ** 30)]) == 64
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: B = 100000000000000000000 ")
+    assert err.startswith(f"error: B = {B} ")
 
 
 @pytest.mark.parametrize("argv,env,code", [

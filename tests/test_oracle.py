@@ -17,6 +17,7 @@ from nosol.equations import (
 )
 from nosol.oracle import (
     BudgetExhausted,
+    SCAN_SUMS_CAP,
     IncrementalSolutionIndex,
     SolutionQuery,
     _Budget,
@@ -561,10 +562,21 @@ def test_is_injective_map_over_budget_raises_at_once(B):
     assert exc.value.nodes == B
 
 
-def test_is_injective_map_past_maxsize_is_a_value_error():
-    # within the budget, but no list holds a stage of 10**20 sums
-    with pytest.raises(ValueError, match="B = 100000000000000000000 "):
-        is_injective_map([1, 2], 10 ** 20, budget=10 ** 30)
+@pytest.mark.parametrize("B", [SCAN_SUMS_CAP + 1, 10 ** 8, 10 ** 20])
+def test_is_injective_map_past_the_scan_cap_is_a_value_error(B):
+    # within the budget, but the scan would hold a first stage of B sums;
+    # 10**8 of them once ran out of memory, 10**20 raised OverflowError
+    with pytest.raises(ValueError, match=f"B = {B} "):
+        is_injective_map([1, 2], B, budget=10 ** 30)
+
+
+def test_is_injective_map_scan_cap_bounds_stage_k_minus_1(monkeypatch):
+    monkeypatch.setattr(oracle, "SCAN_SUMS_CAP", 100)
+    # stage 2 holds 10**2 sums, within the cap; the last stage is bucketed
+    assert is_injective_map([1, 11, 121], 10)
+    assert not is_injective_map([1, 9, 121], 10)   # 9*1 = 1*9
+    with pytest.raises(ValueError, match="B = 11 "):
+        is_injective_map([1, 12, 144], 11)
 
 
 # forced mitm: (coefficients, set, distinct, first witness, nodes spent,
@@ -608,8 +620,8 @@ MITM_LIMITS = [
     ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 66, 4, "scan"),
     ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 12, 0, "table"),
     ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 32, 0, "mate run"),
-    # the scan tuple repeats a value, so its mates are paid in one spend
-    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 46, 0, "skipped mate run"),
+    # the scan tuple repeats a value, so none of its mates counts
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 46, 0, "uncountable mate run"),
     ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, 2, 0, "table"),
     ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, 9, 0, "scan"),
 ]
