@@ -3,7 +3,9 @@
 A certificate bundles an equation with a digit alphabet that was checked to
 be solution-free, the base of the digit system, and the rate
 log|A_L| / log L.  Rates are kept as exact (size, base) pairs and rendered
-to decimals only at reporting boundaries, so comparisons never drift.
+to decimals only at reporting boundaries.  A float screen orders two rates
+whose log products differ by more than a relative 1e-9; ties and near-ties
+go to exact canonical forms, so comparisons never drift.
 """
 
 from __future__ import annotations
@@ -100,11 +102,23 @@ class Rate:
         g = math.gcd(e, f)
         return (u, v, e // g, f // g)
 
+    def _screen(self, other: "Rate") -> int:
+        """Float order of log(self) and log(other): -1 or 1 when the log
+        products log(size)*log(other base) and log(other size)*log(base)
+        differ by more than a relative 1e-9, far above their rounding error;
+        0 on a tie or near-tie, which only the exact forms can decide."""
+        lhs = math.log(self.size) * math.log(other.base)
+        rhs = math.log(other.size) * math.log(self.base)
+        if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
+            return -1 if lhs < rhs else 1
+        return 0
+
     def __eq__(self, other):
         if not isinstance(other, Rate):
             return NotImplemented
         # a Fraction never equals a key tuple: rational never equals irrational
-        return self._canonical() == other._canonical()
+        return (self._screen(other) == 0
+                and self._canonical() == other._canonical())
 
     def __hash__(self):
         return hash(("rate", self._canonical()))
@@ -112,6 +126,9 @@ class Rate:
     def __lt__(self, other):
         if not isinstance(other, Rate):
             return NotImplemented
+        order = self._screen(other)
+        if order:
+            return order < 0
         a, b = self._canonical(), other._canonical()
         if a == b:
             return False
@@ -146,15 +163,9 @@ def _log_ratio_below(s: int, b: int, frac: Fraction) -> bool:
 
 
 def _log_products_below(s1: int, b1: int, s2: int, b2: int) -> bool:
-    """log s1 * log b2 < log s2 * log b1.
-
-    Floats decide when the products differ by more than a relative 1e-9,
-    far above their rounding error; closer pairs go to 60-digit decimals.
+    """log s1 * log b2 < log s2 * log b1, in 60-digit decimals: the exact
+    path for irrational rates the float screen (Rate._screen) left undecided.
     """
-    lhs = math.log(s1) * math.log(b2)
-    rhs = math.log(s2) * math.log(b1)
-    if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
-        return lhs < rhs
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         lhs = decimal.Decimal(s1).ln() * decimal.Decimal(b2).ln()

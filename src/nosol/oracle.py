@@ -156,7 +156,7 @@ def _mitm_solutions(eq, values, distinct, budget):
     its index in product order, so no tuple is stored.  A table entry costs
     one node, paid before the table is built, and so do each tuple of the
     other side, scanned in product order, and each of its mates, tried in
-    product order.
+    product order (a mirror mate too, though it is not tested).
     """
     coeffs = eq.coeffs
     pos, neg = _sides(eq)
@@ -176,9 +176,13 @@ def _mitm_solutions(eq, values, distinct, budget):
     del sums
 
     scan_coeffs = [coeffs[i] for i in scan_idx]
+    # when the scan side's coefficients are the table side's negated, in
+    # order (every make_symmetric equation), the mate whose product index is
+    # the scan tuple's own is its mirror x = x', countable in neither mode
+    mirrored = [-c for c in scan_coeffs] == [coeffs[i] for i in table_idx]
     table_back = table_idx[::-1]
     assignment = [0] * len(coeffs)
-    for tup in product(values, repeat=len(scan_idx)):
+    for own, tup in enumerate(product(values, repeat=len(scan_idx))):
         budget.spend()
         target = -sum(map(mul, scan_coeffs, tup))
         j = bisect_left(keys, target)
@@ -189,12 +193,14 @@ def _mitm_solutions(eq, values, distinct, budget):
         while j < size and keys[j] == target:
             budget.spend()
             r = order[j]
+            j += 1
+            if mirrored and r == own:
+                continue
             for i in table_back:
                 r, d = divmod(r, n)
                 assignment[i] = values[d]
             if _is_countable(eq, assignment, distinct):
                 yield tuple(assignment)
-            j += 1
 
 
 def _pick_engine(q: SolutionQuery, engine: str):

@@ -198,7 +198,9 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
         return sorted(index.values)
 
     # phase 1: plain ascending greedy
+    before = nodes_total
     greedy = run_phase("greedy", candidates)
+    greedy_nodes = nodes_total - before
 
     # phase 2: structured two-level seeds.  The greedy scan is ascending, so
     # its values below a base are the greedy inner alphabet for that base;
@@ -221,7 +223,12 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             seeds = sorted({a + base * b
                             for b in range(cap // base + 1)
                             for a in alphabet if a + base * b <= cap})
-            filtered = run_phase(f"{label}[{base}]", seeds)
+            if seeds == candidates and greedy_nodes <= cfg.budget - nodes_total:
+                # the phase would replay the greedy phase bit for bit
+                filtered = greedy
+                phases.append((f"{label}[{base}]", len(greedy)))
+            else:
+                filtered = run_phase(f"{label}[{base}]", seeds)
             seed_results.append((len(filtered), -base, filtered))
 
     # phase 3: greedy extension of the most promising seeds.  A seed phase's

@@ -1,5 +1,9 @@
+import decimal
 import json
+import math
+import random
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 
 import pytest
 
@@ -14,6 +18,7 @@ from nosol.certificates import (
     save_certificate,
     tight_base,
 )
+from nosol.constructions import two_var_rate
 from nosol.equations import make_symmetric
 
 
@@ -162,3 +167,115 @@ def test_certificate_json_rejects_tampering():
     obj["digits"] = [0, 1, 2]             # violates no-carry
     with pytest.raises(ValueError):
         Certificate.from_json(obj)
+
+
+# The exact comparison Rate used before its float screen, kept as the
+# reference the screen is differential-tested against: canonical keys,
+# integer powers for a rational side, 60-digit decimals for two irrationals.
+
+_primitive_power_of = lru_cache(maxsize=None)(_primitive_power)
+
+
+@lru_cache(maxsize=None)
+def _ln60(n):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return decimal.Decimal(n).ln()
+
+
+@lru_cache(maxsize=None)
+def _reference_key_of(size, base):
+    if size < 2:
+        return Fraction(0)
+    u, e = _primitive_power_of(size)
+    v, f = _primitive_power_of(base)
+    if u == v:
+        return Fraction(e, f)
+    g = math.gcd(e, f)
+    return (u, v, e // g, f // g)
+
+
+def _reference_key(r):
+    return _reference_key_of(r.size, r.base)
+
+
+def _reference_lt(r1, r2):
+    a, b = _reference_key(r1), _reference_key(r2)
+    if a == b:
+        return False
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a < b
+    if isinstance(a, Fraction):     # a < log(s)/log(b) iff not s**q < b**p
+        return not r2.size ** a.denominator < r2.base ** a.numerator
+    if isinstance(b, Fraction):
+        return r1.size ** b.denominator < r1.base ** b.numerator
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60              # the products round to the context
+        return _ln60(r1.size) * _ln60(r2.base) < _ln60(r2.size) * _ln60(r1.base)
+
+
+def _reference_ops(r1, r2):
+    """(<, >, <=, ==, !=) as the reference derives them: == on canonical
+    keys, the rest from < and == as functools.total_ordering does."""
+    lt, eq = _reference_lt(r1, r2), _reference_key(r1) == _reference_key(r2)
+    return lt, not lt and not eq, lt or eq, eq, not eq
+
+
+def _reference_cmp(r1, r2):
+    return -1 if _reference_lt(r1, r2) else int(_reference_lt(r2, r1))
+
+
+def _rate_pairs(rng):
+    """Seeded pairs of every shape the exact path must still decide."""
+    small = [2, 3, 4, 5, 6, 7, 10, 12]
+    huge = [10 ** 310, 10 ** 310 + 1, 10 ** 465, 2 ** 1030, 2 ** 1545,
+            3 ** 650, 6 ** 400]
+    for _ in range(6000):         # plain pairs, size-1 rates included
+        yield (Rate(rng.randint(1, 400), rng.randint(2, 5000)),
+               Rate(rng.randint(1, 400), rng.randint(2, 5000)))
+    for _ in range(2000):         # near-ties and equal rates in other forms
+        u, v = rng.sample(small, 2)
+        a, b, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 20)
+        base = max(2, v ** (b * k) + rng.choice((-1, 0, 1)))
+        yield Rate(u ** (a * k), base), Rate(u ** a, v ** b)
+    for _ in range(1500):         # rational rates, equal in different roots
+        w1, w2 = rng.sample(small, 2)
+        e, f = rng.randint(1, 6), rng.randint(1, 6)
+        j, k = rng.randint(1, 20), rng.randint(1, 20)
+        yield Rate(w1 ** (e * j), w1 ** (f * j)), Rate(w2 ** (e * k), w2 ** (f * k))
+    for _ in range(500):          # sizes and bases past float range
+        yield (Rate(rng.choice(huge + [1, 2]), rng.choice(huge)),
+               Rate(rng.choice(huge + [1, 3, 100]), rng.choice(huge + [7, 1000])))
+
+
+def test_rate_screen_matches_exact_reference():
+    rng = random.Random(2024)
+    pairs = list(_rate_pairs(rng))
+    assert len(pairs) >= 10_000
+    ties = 0
+    for r1, r2 in pairs:
+        want = _reference_ops(r1, r2)
+        assert (r1 < r2, r1 > r2, r1 <= r2, r1 == r2, r1 != r2) == want, (r1, r2)
+        if want[3]:
+            ties += 1
+            assert hash(r1) == hash(r2), (r1, r2)
+    assert ties > 1000
+
+
+def test_rate_sorted_matches_exact_reference():
+    rng = random.Random(7)
+    pairs = list(_rate_pairs(rng))
+    for _ in range(10):
+        rates = [r for pair in rng.sample(pairs, 100) for r in pair]
+        rng.shuffle(rates)
+        want = sorted(rates, key=cmp_to_key(_reference_cmp))
+        got = sorted(rates)
+        # stable sorts under the same order keep equal rates' input order
+        assert [(r.size, r.base) for r in got] == [(r.size, r.base) for r in want]
+
+
+def test_two_var_floor_matches_exact_reference():
+    rates = {(a, b): two_var_rate(a, b) for b in range(2, 61)
+             for a in range(1, b) if math.gcd(a, b) == 1}
+    want = min(rates, key=lambda ab: cmp_to_key(_reference_cmp)(rates[ab]))
+    assert min(rates, key=rates.__getitem__) == want == (5, 6)

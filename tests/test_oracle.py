@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -657,3 +658,45 @@ def test_mitm_table_memory_per_entry():
         tracemalloc.stop()
     assert (len(values), solution, nodes) == (128, None, 3 * 128 ** 2)
     assert peak < 130 * 128 ** 2
+
+
+@pytest.mark.parametrize("lifted,distinct", [(True, False), (False, False),
+                                             (False, True)])
+def test_mitm_skips_mirror_mates(monkeypatch, lifted, distinct):
+    # under x + 2y = z + 2w every scan tuple meets its mirror x = x', which
+    # is never countable, so _is_countable sees every mate but that one
+    cert = two_var_digits(1, 2)
+    values = lift(cert, 4 ** 7).elements if lifted else tuple(range(20))
+    eq = cert.digit_set.equation
+    mult = Counter(2 * x + y for x, y in product(values, repeat=2))
+    mates = sum(m * m for m in mult.values())
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return countable(*args)
+
+    countable = oracle._is_countable
+    monkeypatch.setattr(oracle, "_is_countable", counting)
+    q = SolutionQuery(eq, values, distinct)
+    count = count_nontrivial_solutions(q, "mitm")
+    n = len(values)
+    assert calls == mates - n ** 2
+    if lifted:       # a clean lift: the mirrors are its only mates
+        assert (n, count, calls) == (128, 0, 0)
+        assert exhaustive_check(q, "mitm") == (None, 3 * n ** 2)
+    else:
+        monkeypatch.undo()
+        assert count == count_nontrivial_solutions(q, "naive") > 0
+
+
+def test_mitm_own_index_mate_counts_without_mirror():
+    # sides (5, 2, 1) and (-3, -3, -2) are not mirrors: the mate with the
+    # scan tuple's own index, x = x' = (1, 0, 2), is a countable solution
+    eq = make_equation([5, 2, 1, -3, -3, -2])
+    assert eq.coeffs == (5, -3, -3, 2, -2, 1)
+    q = SolutionQuery(eq, (0, 1, 2))
+    solutions = set(oracle._mitm_solutions(eq, q.ground_set, False, _Budget(10 ** 6)))
+    assert (1, 1, 0, 0, 2, 2) in solutions
+    assert len(solutions) == count_nontrivial_solutions(q, "naive")

@@ -4,7 +4,11 @@ from itertools import combinations, product
 import pytest
 
 from nosol.equations import make_equation, make_symmetric
-from nosol.oracle import SolutionQuery, find_nontrivial_solution
+from nosol.oracle import (
+    IncrementalSolutionIndex,
+    SolutionQuery,
+    find_nontrivial_solution,
+)
 from nosol.search import (
     Dependency,
     SearchConfig,
@@ -172,6 +176,29 @@ def test_search_result_has_best_rate_prefix():
     res = max_digit_set(eq, 100, SearchConfig(budget=100_000))
     assert res.best_rate_digits
     assert set(res.best_rate_digits) <= set(range(34))
+
+
+def test_seed_phase_that_repeats_greedy_reuses_it_within_budget():
+    # at M=32 the first seed phase, seed[8] over inner alphabet {0..7},
+    # orders the whole range as greedy does
+    eq = make_symmetric([43, 69, 70])
+    L = eq.side_sum * 32 + 1
+    index = IncrementalSolutionIndex(eq, distinct=True)
+    index.greedy(range(33))
+    g = index.nodes
+
+    def run(budget):
+        return max_digit_set(eq, L, SearchConfig(budget=budget), distinct=True)
+
+    full = run(10 ** 9 // 8)
+    assert full.phases[:2] == [("greedy", 9), ("seed[8]", 9)]
+    # the budget left covers greedy's nodes: reused, at no cost
+    reused = run(2 * g)
+    assert reused.phases[:2] == full.phases[:2] and len(reused.phases) > 2
+    # one node short: the phase runs as a replay would, and spends the budget
+    short = run(2 * g - 1)
+    assert (short.phases, short.nodes) == (full.phases[:2], 2 * g)
+    assert run(g + g // 2).phases == [("greedy", 9), ("seed[8]", 8)]
 
 
 # (equation, distinct, M) -> (digits, best_rate_digits, exhausted) at base
