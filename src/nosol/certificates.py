@@ -103,10 +103,10 @@ class Rate:
         return (u, v, e // g, f // g)
 
     def _screen(self, other: "Rate") -> int:
-        """Float order of log(self) and log(other): -1 or 1 when the log
-        products log(size)*log(other base) and log(other size)*log(base)
-        differ by more than a relative 1e-9, far above their rounding error;
-        0 on a tie or near-tie, which only the exact forms can decide."""
+        """Float order of self and other: -1 or 1 when the log products
+        log(size)*log(other.base) and log(other.size)*log(base) differ by
+        more than a relative 1e-9, far above their rounding error; 0 on a
+        tie or near-tie, which only the exact forms can decide."""
         lhs = math.log(self.size) * math.log(other.base)
         rhs = math.log(other.size) * math.log(self.base)
         if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
