@@ -163,14 +163,24 @@ def _log_ratio_below(s: int, b: int, frac: Fraction) -> bool:
 
 
 def _log_products_below(s1: int, b1: int, s2: int, b2: int) -> bool:
-    """log s1 * log b2 < log s2 * log b1, in 60-digit decimals: the exact
-    path for irrational rates the float screen (Rate._screen) left undecided.
+    """log s1 * log b2 < log s2 * log b1 for two unequal irrational rates,
+    the pairs the float screen (Rate._screen) left undecided.
+
+    The products are taken in decimals of 60 digits, then of twice as many
+    until they differ by more than their rounding error: each logarithm is
+    correctly rounded, so each product lies within a relative 10**(2-prec)
+    of its true value.  Unequal canonical forms are taken to have unequal
+    products (the four exponentials conjecture), so this ends.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        lhs = decimal.Decimal(s1).ln() * decimal.Decimal(b2).ln()
-        rhs = decimal.Decimal(s2).ln() * decimal.Decimal(b1).ln()
-        return lhs < rhs
+    prec = 60
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            lhs = decimal.Decimal(s1).ln() * decimal.Decimal(b2).ln()
+            rhs = decimal.Decimal(s2).ln() * decimal.Decimal(b1).ln()
+            if abs(lhs - rhs) > max(lhs, rhs).scaleb(2 - prec):
+                return lhs < rhs
+        prec *= 2
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import perm
 from operator import eq, mul
 
@@ -384,6 +384,41 @@ def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:
     return find_nontrivial_solution(q) is None
 
 
+class ConflictMemory:
+    """Conflicts that legality tests found, kept for later tests (nogood
+    recording: Schiex and Verfaillie, IJAIT 1994).
+
+    When an index rejects x, it records a witness: the set of the other
+    values of one non-trivial solution that uses x.  While every value of
+    a witness is held, x stays illegal.  Witnesses are int bitmasks over
+    bits that the memory assigns per value on first use.  A memory serves
+    every index of one equation and mode (its scope), so one search can
+    share what its phases learn.
+    """
+
+    __slots__ = ("bits", "conflicts", "scope")
+
+    def __init__(self):
+        self.bits: dict[int, int] = {}
+        self.conflicts: dict[int, list[int]] = {}
+        self.scope = None
+
+    def bit(self, v: int) -> int:
+        b = self.bits.get(v)
+        if b is None:
+            b = self.bits[v] = 1 << len(self.bits)
+        return b
+
+    def record(self, x: int, solution) -> None:
+        """Remember the values of solution, a non-trivial solution that
+        uses x, other than x."""
+        bit = self.bit
+        w = 0
+        for v in solution:
+            w |= bit(v)
+        self.conflicts.setdefault(x, []).append(w & ~bit(x))
+
+
 class IncrementalSolutionIndex:
     """Incremental legality oracle used by the digit searches.
 
@@ -433,18 +468,35 @@ class IncrementalSolutionIndex:
     are spent together, so a rejected test stops after the chunk holding
     its witness.
 
+    Conflict accounting: every rejection records its witness in the
+    index's ConflictMemory (its own unless one is passed in), and decoding
+    the witness costs nothing.  Before it builds anything, ``legal(x)``
+    tests the witnesses remembered for x against the held values, one node
+    each, and rejects at the first one that is held entirely.  Sums decode
+    a rejection through the stage sets: a meet pairs the stored tuple with
+    the new one, and a repeat within a stage rebuilds that stage with the
+    (prefix sum, value) provenance of each sum.  Masks give the values of
+    both masks, and tuples those of both tuples.
+
     The answers do not depend on this accounting, but the node counts, and
     so how far a given budget reaches, do.
     """
 
     def __init__(self, eq: Equation, distinct: bool = False,
-                 budget: int = DEFAULT_BUDGET):
+                 budget: int = DEFAULT_BUDGET,
+                 memory: ConflictMemory | None = None):
         self.eq = eq
         self.distinct = distinct
+        self.memory = ConflictMemory() if memory is None else memory
+        if self.memory.scope is None:
+            self.memory.scope = (eq, distinct)
+        elif self.memory.scope != (eq, distinct):
+            raise ValueError("a conflict memory serves one equation and mode")
         self.pos_idx, self.neg_idx = _sides(eq)
         self.pos_coeffs = [eq.coeffs[i] for i in self.pos_idx]
         self.neg_coeffs = [-eq.coeffs[i] for i in self.neg_idx]
         self.values: list[int] = []
+        self.held = 0       # the memory's bits of the values
         self.symmetric = self.pos_coeffs == self.neg_coeffs
         self.sums: list[set[int]] | None = None
         self.pos_subsets = self.neg_subsets = None
@@ -478,9 +530,10 @@ class IncrementalSolutionIndex:
         return sides
 
     def _new_full_sums(self, x):
-        """Per side tested, one list per position p of the sums of the full
-        tuples with x at p; None once one of them meets a mate of equal sum
-        on the other side that shares no value with it."""
+        """(kept, None), kept holding per side tested one list per position
+        p of the sums of the full tuples with x at p; (None, witness) once
+        one of them meets a mate of equal sum on the other side that shares
+        no value with it, the witness being the values of both."""
         spend = self.tracker.spend
         kept = []
         for coeffs, subsets, mates in self._mask_sides():
@@ -493,10 +546,12 @@ class IncrementalSolutionIndex:
                         for mate in mates.get(s, ()):
                             spend()
                             if not m & mate:
-                                return None
+                                m |= mate
+                                return None, [v for i, v in enumerate(self.values)
+                                              if m >> i & 1]
                 chunks.append(new)
             kept.append(chunks)
-        return kept
+        return kept, None
 
     def _add_masks(self, x, kept) -> list:
         """Extend every position subset's table by the tuples that use x;
@@ -579,9 +634,11 @@ class IncrementalSolutionIndex:
                 yield tups, [partial + c * v for v in tail]
 
     def _new_sums(self, x):
-        """The sets, one per stage j, of sums over the j-tuples of values+[x]
-        that use x; None at the first stage whose new sums repeat or meet
-        the stored ones."""
+        """(stages, None), stages being the sets, one per stage j, of sums
+        over the j-tuples of values+[x] that use x; (None, witness) at the
+        first stage whose new sums repeat or meet the stored ones, the
+        witness being the values of two j-tuples of equal sum, one of them
+        using x.  Equal values appended to both extend them to a solution."""
         values = self.values + [x]
         spend = self.tracker.spend
         old_prev, new_prev = (0,), ()
@@ -592,11 +649,62 @@ class IncrementalSolutionIndex:
             new = {s + cv for cv in [c * v for v in values] for s in new_prev}
             cx = c * x
             new.update([s + cx for s in old_prev])
-            if len(new) < n or not old.isdisjoint(new):
-                return None
+            if len(new) < n:
+                return None, self._repeat(x, stages, c, old_prev, new_prev)
+            if not old.isdisjoint(new):
+                t = min(old.intersection(new))
+                stages.append(new)
+                return None, (self._old_tuple(t, len(stages))
+                              + self._new_tuple(t, len(stages), x, stages))
             stages.append(new)
             old_prev, new_prev = old, new
-        return stages
+        return stages, None
+
+    def _old_tuple(self, t, j) -> list:
+        """The values of a j-tuple of held values of sum t."""
+        gen, sums = self.eq.symmetric_gen, self.sums
+        tup = []
+        for i in range(j - 1, -1, -1):
+            below = sums[i - 1] if i else (0,)
+            c = gen[i]
+            v = next(v for v in self.values if t - c * v in below)
+            tup.append(v)
+            t -= c * v
+        return tup
+
+    def _new_tuple(self, t, j, x, stages) -> list:
+        """The values of a j-tuple over values+[x] that uses x, of sum t in
+        stages[j-1], the new sums of _new_sums."""
+        gen = self.eq.symmetric_gen
+        tup = []
+        for i in range(j - 1, -1, -1):
+            c = gen[i]
+            if t - c * x in (self.sums[i - 1] if i else (0,)):
+                return tup + [x] + self._old_tuple(t - c * x, i)
+            v = next(v for v in self.values + [x] if t - c * v in stages[i - 1])
+            tup.append(v)
+            t -= c * v
+        raise AssertionError("t is not a new sum")
+
+    def _repeat(self, x, stages, c, old_prev, new_prev) -> list:
+        """The values of two j-tuples that use x with equal sums, for a
+        repeat within the new stage j = len(stages) + 1: the stage is
+        rebuilt with the (prefix sum, last value) provenance of each sum."""
+        values = self.values + [x]
+        seen = {}
+        for p, v in chain(product(new_prev, values), product(old_prev, (x,))):
+            first = seen.setdefault(p + c * v, (p, v))
+            if first != (p, v):
+                break
+        else:
+            raise AssertionError("the stage does not repeat")
+        j = len(stages) + 1
+        tuples = []
+        for p, v in (first, (p, v)):
+            prefix = (self._new_tuple(p, j - 1, x, stages) if p in new_prev
+                      else self._old_tuple(p, j - 1))
+            tuples += prefix + [v]
+        return tuples
 
     def _solution(self, pos_tup, neg_tup) -> bool:
         self.tracker.spend()
@@ -607,10 +715,10 @@ class IncrementalSolutionIndex:
             assignment[i] = v
         return _is_countable(self.eq, assignment, False)
 
-    def _first_solution(self, chunks, tables, new_is_pos, built=None) -> bool:
-        """Whether a new tuple and a mate of equal sum from tables form a
-        countable solution.  Each chunk scanned is appended to built, when
-        given."""
+    def _first_solution(self, chunks, tables, new_is_pos, built=None):
+        """The first pair of a new tuple and a mate of equal sum from tables
+        that forms a countable solution, as (pos tuple, neg tuple), or None.
+        Each chunk scanned is appended to built, when given."""
         keys = [table.keys() for table in tables]
         for chunk in chunks:
             if built is not None:
@@ -628,16 +736,18 @@ class IncrementalSolutionIndex:
                             continue    # x = x' itself: trivial
                         pair = (tup, mate) if new_is_pos else (mate, tup)
                         if self._solution(*pair):
-                            return True
-        return False
+                            return pair
+        return None
 
     def _new_tuple_chunks(self, x):
-        """(pos chunks, neg chunks) of the new tuples; None when one of them
-        completes a countable solution."""
+        """((pos chunks, neg chunks) of the new tuples, None); (None,
+        witness) when one of them completes a countable solution, the
+        witness being the values of its two tuples."""
         pos_chunks = []
-        if self._first_solution(self._new_tuples(self.pos_coeffs, x),
-                                (self.neg_table,), True, pos_chunks):
-            return None
+        found = self._first_solution(self._new_tuples(self.pos_coeffs, x),
+                                     (self.neg_table,), True, pos_chunks)
+        if found is not None:
+            return None, found[0] + found[1]
         new_pos: dict[int, list[tuple[int, ...]]] = {}
         _store(new_pos, pos_chunks)
         if self.symmetric:
@@ -650,34 +760,47 @@ class IncrementalSolutionIndex:
             found = self._first_solution(self._new_tuples(self.neg_coeffs, x),
                                          (self.pos_table, new_pos), False,
                                          neg_chunks)
-        return None if found else (pos_chunks, neg_chunks)
+        if found is not None:
+            return None, found[0] + found[1]
+        return (pos_chunks, neg_chunks), None
 
     def legal(self, x: int) -> bool:
         """Whether adding x keeps the set solution-free.  A value already
         present is not legal."""
         self._kept = None
-        if x in self.values:
+        memory = self.memory
+        if self.held & memory.bits.get(x, 0):
             return False
+        conflicts = memory.conflicts.get(x)
+        if conflicts:
+            free = ~self.held
+            for i, w in enumerate(conflicts, 1):
+                if not w & free:
+                    self.tracker.spend(i)
+                    return False
+            self.tracker.spend(len(conflicts))
         if self.sums is not None:
-            kept = self._new_sums(x)
+            kept, witness = self._new_sums(x)
         elif self.distinct:
-            kept = self._new_full_sums(x)
+            kept, witness = self._new_full_sums(x)
         else:
-            kept = self._new_tuple_chunks(x)
-        if kept is not None:
-            self._kept = (x, kept)
-        return kept is not None
+            kept, witness = self._new_tuple_chunks(x)
+        if kept is None:
+            memory.record(x, witness)
+            return False
+        self._kept = (x, kept)
+        return True
 
     def add(self, x: int) -> None:
         """Add x.  With sums, the set must stay solution-free: an x that
         creates a solution raises ValueError and leaves the index as it
         was."""
         kept, self._kept = self._kept, None
-        if x in self.values:
+        if self.held & self.memory.bits.get(x, 0):
             raise ValueError(f"{x} is already in the index")
         kept = kept[1] if kept is not None and kept[0] == x else None
         if self.sums is not None:
-            stages = kept or self._new_sums(x)
+            stages = kept or self._new_sums(x)[0]
             if stages is None:
                 raise ValueError(f"adding {x} creates a solution")
             for stored, new in zip(self.sums, stages):
@@ -699,6 +822,7 @@ class IncrementalSolutionIndex:
                 neg_sums = [s for _, s in neg_chunks]
             undo = ([s for _, s in pos_chunks], neg_sums)
         self.values.append(x)
+        self.held |= self.memory.bit(x)
         self._undo.append(undo)
 
     def greedy(self, candidates, on_gain=None) -> None:
@@ -722,7 +846,9 @@ class IncrementalSolutionIndex:
         else:
             _unstore(self.pos_table, undo[0])
             _unstore(self.neg_table, undo[1])
-        return self.values.pop()
+        x = self.values.pop()
+        self.held ^= self.memory.bits[x]
+        return x
 
 
 def _empty_subsets(k: int) -> list:

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 from .certificates import Rate, tight_base
 from .equations import Equation
-from .oracle import DEFAULT_BUDGET, BudgetExhausted, IncrementalSolutionIndex
+from .oracle import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    ConflictMemory,
+    IncrementalSolutionIndex,
+)
 
 MODE_EXACT = "exact"
 MODE_ANYTIME = "anytime"
@@ -120,12 +125,13 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
     return sorted(b for b in combos if 4 <= b <= cap)
 
 
-def _exact_branch_and_bound(eq, candidates, cfg, tracker, distinct):
+def _exact_branch_and_bound(eq, candidates, cfg, tracker, distinct, memory):
     """Full include-first DFS over candidates in increasing order.
 
     Returns True when the whole tree was enumerated within budget.
     """
-    index = IncrementalSolutionIndex(eq, distinct=distinct, budget=cfg.budget)
+    index = IncrementalSolutionIndex(eq, distinct=distinct, budget=cfg.budget,
+                                     memory=memory)
     n = len(candidates)
     best_here = 0
 
@@ -157,7 +163,9 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     """Largest (or best-found) solution-free digit subset of {0..(L-1)//s}.
 
     Candidates stop at (L-1)//s so the no-carry condition holds by
-    construction for base L.
+    construction for base L.  Every index the search builds shares one
+    ConflictMemory, so a phase rejects at once a value whose solution an
+    earlier test found among the values it holds.
     """
     cfg = cfg or SearchConfig()
     s = eq.side_sum
@@ -166,13 +174,14 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     cap = (L - 1) // s
     candidates = list(range(cap + 1))
     tracker = _Tracker(eq, cfg)
+    memory = ConflictMemory()
     nodes_total = 0
     exhausted = False
 
     if cfg.mode == MODE_EXACT or (cfg.mode == MODE_ANYTIME
                                   and len(candidates) <= EXACT_AUTO_LIMIT):
         exhausted, nodes_total = _exact_branch_and_bound(
-            eq, candidates, cfg, tracker, distinct)
+            eq, candidates, cfg, tracker, distinct, memory)
         if cfg.mode == MODE_EXACT or exhausted:
             return SearchResult(tracker.best, exhausted, nodes_total,
                                 tracker.best_rate_digits,
@@ -185,7 +194,8 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
         known to be solution-free; its values, sorted."""
         nonlocal nodes_total
         index = IncrementalSolutionIndex(eq, distinct=distinct,
-                                         budget=max(1, cfg.budget - nodes_total))
+                                         budget=max(1, cfg.budget - nodes_total),
+                                         memory=memory)
         try:
             for x in start:
                 index.add(x)

@@ -119,6 +119,15 @@ def test_rate_ordering_near_ties():
         == [Rate(2 ** 30, 3 ** 30 + 1), Rate(2, 3), Rate(2 ** 30, 3 ** 30 - 1)]
 
 
+def test_rate_ordering_past_60_digits():
+    # the log products differ by about 1e-94: 60-digit decimals call the
+    # rates equal, yet the larger base makes the first rate the smaller
+    low, high = Rate(2 ** 112, 7 ** 112 + 1), Rate(16, 2401)
+    assert low < high and high > low
+    assert not high < low and not low > high and low != high
+    assert sorted([high, low]) == [low, high]
+
+
 def test_digit_set_invariants():
     eq = make_symmetric([1, 2])
     ds = make_digit_set(4, [0, 1], eq)
@@ -177,10 +186,26 @@ _primitive_power_of = lru_cache(maxsize=None)(_primitive_power)
 
 
 @lru_cache(maxsize=None)
-def _ln60(n):
+@lru_cache(maxsize=None)
+def _ln(n, prec):
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = prec
         return decimal.Decimal(n).ln()
+
+
+def _log_products_lt(s1, b1, s2, b2):
+    """log s1 * log b2 < log s2 * log b1, in decimals of 60 digits and then
+    of 60 more at a time, until the products differ by more than a relative
+    10**(10 - prec), far above the error of correctly rounded logs."""
+    prec = 60
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            lhs = _ln(s1, prec) * _ln(b2, prec)
+            rhs = _ln(s2, prec) * _ln(b1, prec)
+            if abs(lhs - rhs) > max(lhs, rhs) * decimal.Decimal(10) ** (10 - prec):
+                return lhs < rhs
+        prec += 60
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +234,7 @@ def _reference_lt(r1, r2):
         return not r2.size ** a.denominator < r2.base ** a.numerator
     if isinstance(b, Fraction):
         return r1.size ** b.denominator < r1.base ** b.numerator
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60              # the products round to the context
-        return _ln60(r1.size) * _ln60(r2.base) < _ln60(r2.size) * _ln60(r1.base)
+    return _log_products_lt(r1.size, r1.base, r2.size, r2.base)
 
 
 def _reference_ops(r1, r2):

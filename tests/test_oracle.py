@@ -19,6 +19,7 @@ from nosol.equations import (
 from nosol.oracle import (
     BudgetExhausted,
     SCAN_SUMS_CAP,
+    ConflictMemory,
     IncrementalSolutionIndex,
     SolutionQuery,
     _Budget,
@@ -360,6 +361,59 @@ def test_incremental_index_sums_add_refuses_a_solution():
     with pytest.raises(ValueError):
         idx.add(2)
     assert idx.values == [0, 1] and idx.sums == before
+
+
+@pytest.mark.parametrize("eq,distinct,representation", [
+    (make_symmetric([43, 69, 70]), False, "sums"),
+    (make_symmetric([43, 69, 70]), True, "masks"),
+    (make_equation([2, 2, -3, -1]), False, "tuples"),
+])
+def test_conflict_memory_differential(eq, distinct, representation):
+    """Random legal/add/pop sequences on two indexes that share one memory
+    answer as a fresh index fed the same values does, and every remembered
+    conflict plus its key holds a non-trivial solution that uses the key."""
+    rng = random.Random(20261019)
+    memory = ConflictMemory()
+    indexes = [IncrementalSolutionIndex(eq, distinct, memory=memory)
+               for _ in range(2)]
+    state = {"sums": indexes[0].sums, "masks": indexes[0].pos_subsets,
+             "tuples": indexes[0].pos_table}
+    assert [name for name, s in state.items() if s is not None] == [representation]
+    answered = 0
+    for _ in range(600):
+        idx = rng.choice(indexes)
+        x = rng.randrange(16)
+        if rng.random() < 0.2 and idx.values:
+            idx.pop()
+            continue
+        fresh = IncrementalSolutionIndex(eq, distinct)
+        for v in idx.values:
+            fresh.add(v)
+        held = any(w & idx.held == w for w in memory.conflicts.get(x, ()))
+        answer = idx.legal(x)
+        assert answer == fresh.legal(x)
+        answered += held and x not in idx.values
+        if answer and len(idx.values) < 8:
+            idx.add(x)
+    # enough of the rejections came from the memory to test it
+    assert answered >= 20
+    value_of = {b: v for v, b in memory.bits.items()}
+    for x, witnesses in memory.conflicts.items():
+        for w in witnesses:
+            values = sorted([v for b, v in value_of.items() if w & b] + [x])
+            q = SolutionQuery(eq, values, distinct_variables=distinct)
+            solution, _ = exhaustive_check(q, engine="naive")
+            assert solution is not None and x in solution.assignment, (x, values)
+
+
+def test_conflict_memory_serves_one_equation_and_mode():
+    memory = ConflictMemory()
+    IncrementalSolutionIndex(make_symmetric([43, 69, 70]), memory=memory)
+    IncrementalSolutionIndex(make_symmetric([43, 69, 70]), memory=memory)
+    for eq, distinct in ((make_symmetric([43, 69, 70]), True),
+                         (make_symmetric([10, 11, 31]), False)):
+        with pytest.raises(ValueError):
+            IncrementalSolutionIndex(eq, distinct, memory=memory)
 
 
 def test_injectivity_two_coefficients_closed_form():

@@ -3,8 +3,10 @@ from itertools import combinations, product
 
 import pytest
 
+from nosol import search
 from nosol.equations import make_equation, make_symmetric
 from nosol.oracle import (
+    ConflictMemory,
     IncrementalSolutionIndex,
     SolutionQuery,
     find_nontrivial_solution,
@@ -183,9 +185,16 @@ def test_seed_phase_that_repeats_greedy_reuses_it_within_budget():
     # orders the whole range as greedy does
     eq = make_symmetric([43, 69, 70])
     L = eq.side_sum * 32 + 1
-    index = IncrementalSolutionIndex(eq, distinct=True)
-    index.greedy(range(33))
-    g = index.nodes
+    # g: greedy's nodes; r: a replay's, which shares greedy's conflict
+    # memory and so rejects each value greedy rejected with one node
+    memory = ConflictMemory()
+    costs = []
+    for _ in range(2):
+        index = IncrementalSolutionIndex(eq, distinct=True, memory=memory)
+        index.greedy(range(33))
+        costs.append(index.nodes)
+    g, r = costs
+    assert r < g
 
     def run(budget):
         return max_digit_set(eq, L, SearchConfig(budget=budget), distinct=True)
@@ -195,10 +204,48 @@ def test_seed_phase_that_repeats_greedy_reuses_it_within_budget():
     # the budget left covers greedy's nodes: reused, at no cost
     reused = run(2 * g)
     assert reused.phases[:2] == full.phases[:2] and len(reused.phases) > 2
-    # one node short: the phase runs as a replay would, and spends the budget
+    # one node short: the phase runs, and its r nodes leave later phases less
     short = run(2 * g - 1)
-    assert (short.phases, short.nodes) == (full.phases[:2], 2 * g)
-    assert run(g + g // 2).phases == [("greedy", 9), ("seed[8]", 8)]
+    assert short.phases[:2] == full.phases[:2]
+    assert len(short.phases) < len(reused.phases)
+    # a budget of g + r covers greedy and the replay, and nothing after
+    exact = run(g + r)
+    assert (exact.phases, exact.nodes) == (full.phases[:2], g + r)
+    assert run(g + r // 2).phases == [("greedy", 9), ("seed[8]", 7)]
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_search_shares_one_conflict_memory(monkeypatch, distinct):
+    """The indexes of one max_digit_set call share one memory, two calls
+    share none, and each remembered conflict holds, with its key, a
+    solution that uses the key."""
+    indexes = []
+
+    class Recorded(IncrementalSolutionIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            indexes.append(self)
+
+    monkeypatch.setattr(search, "IncrementalSolutionIndex", Recorded)
+    eq = make_symmetric([43, 69, 70])
+    memories = []
+    for M in (16, 32):    # the exact search, then the anytime phases
+        max_digit_set(eq, eq.side_sum * M + 1,
+                      SearchConfig(budget=10 ** 9 // 8), distinct=distinct)
+        memories.append(indexes[0].memory)
+        assert len(indexes) >= (1 if M == 16 else 5)
+        assert all(index.memory is memories[-1] for index in indexes)
+        indexes.clear()
+    assert memories[0] is not memories[1]
+    for memory in memories:
+        assert memory.conflicts
+        value_of = {b: v for v, b in memory.bits.items()}
+        for x, witnesses in memory.conflicts.items():
+            for w in witnesses:
+                values = sorted([v for b, v in value_of.items() if w & b] + [x])
+                q = SolutionQuery(eq, values, distinct_variables=distinct)
+                solution = find_nontrivial_solution(q)
+                assert solution is not None and x in solution.assignment
 
 
 # (equation, distinct, M) -> (digits, best_rate_digits, exhausted) at base
