@@ -5,7 +5,8 @@ be solution-free, the base of the digit system, and the rate
 log|A_L| / log L.  Rates are kept as exact (size, base) pairs and rendered
 to decimals only at reporting boundaries.  A float screen orders two rates
 whose log products differ by more than a relative 1e-9; ties and near-ties
-go to exact canonical forms, so comparisons never drift.
+go to exact canonical forms, and unequal ones to decimal logs of rising
+precision, so comparisons never drift.
 """
 
 from __future__ import annotations
@@ -129,18 +130,11 @@ class Rate:
         order = self._screen(other)
         if order:
             return order < 0
-        a, b = self._canonical(), other._canonical()
-        if a == b:
+        if self._canonical() == other._canonical():
             return False
-        a_rational, b_rational = isinstance(a, Fraction), isinstance(b, Fraction)
-        if a_rational and b_rational:
-            return a < b
-        if a_rational:
-            return not _log_ratio_below(other.size, other.base, a)
-        if b_rational:
-            return _log_ratio_below(self.size, self.base, b)
-        # both irrational and unequal, so the log products differ
-        return _log_products_below(self.size, self.base, other.size, other.base)
+        # unequal rates have unequal log products
+        return decimal_below((1, self.size, other.base),
+                             (1, other.size, self.base))
 
     def to_json(self) -> dict:
         return {
@@ -154,32 +148,25 @@ class Rate:
         return Rate(int(obj["num_log"]), int(obj["den_log"]))
 
 
-def _log_ratio_below(s: int, b: int, frac: Fraction) -> bool:
-    """Exact test log(s)/log(b) < p/q via s**q < b**p."""
-    p, q = frac.numerator, frac.denominator
-    if p < 0:
-        return False
-    return s ** q < b ** p
+def decimal_below(lhs, rhs) -> bool:
+    """Whether lhs < rhs for two unequal, nonnegative products, each given
+    as (w, n_1, ..., n_j) for w * log(n_1) * ... * log(n_j), with integers
+    w >= 0, n_i >= 1 and j <= 2.
 
-
-def _log_products_below(s1: int, b1: int, s2: int, b2: int) -> bool:
-    """log s1 * log b2 < log s2 * log b1 for two unequal irrational rates,
-    the pairs the float screen (Rate._screen) left undecided.
-
-    The products are taken in decimals of 60 digits, then of twice as many
-    until they differ by more than their rounding error: each logarithm is
-    correctly rounded, so each product lies within a relative 10**(2-prec)
-    of its true value.  Unequal canonical forms are taken to have unequal
-    products (the four exponentials conjecture), so this ends.
+    The products are taken in decimals of 30 digits, doubled until they
+    differ by more than a relative 10**(2 - prec) of their sum, well above
+    the error of correctly rounded logs and products.  Two rates with
+    unequal canonical forms are taken to have unequal log products (the
+    four exponentials conjecture), so this ends.
     """
-    prec = 60
+    prec = 30
     while True:
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            lhs = decimal.Decimal(s1).ln() * decimal.Decimal(b2).ln()
-            rhs = decimal.Decimal(s2).ln() * decimal.Decimal(b1).ln()
-            if abs(lhs - rhs) > max(lhs, rhs).scaleb(2 - prec):
-                return lhs < rhs
+            a, b = (math.prod((decimal.Decimal(n).ln() for n in logs), start=w)
+                    for w, *logs in (lhs, rhs))
+            if abs(a - b) > (a + b).scaleb(2 - prec):
+                return a < b
         prec *= 2
 
 
@@ -316,14 +303,12 @@ def read_certificate(path: str) -> Certificate:
     return replace(cert, verified=False)
 
 
-def load_certificate(path: str) -> Certificate:
+def load_certificate(path: str, budget: int | None = None) -> Certificate:
     """Read a certificate file.  Its verified field is not trusted: it is
-    set by a fresh oracle run on the alphabet, and a run that exhausts the
-    default budget leaves the certificate unverified."""
-    from .oracle import BudgetExhausted, verify_certificate  # oracle imports this module
+    set by a fresh oracle run on the alphabet under budget (the oracle's
+    default when None).  BudgetExhausted propagates, because an
+    interrupted check proves nothing."""
+    from .oracle import DEFAULT_BUDGET, verify_certificate  # oracle imports this module
     cert = read_certificate(path)
-    try:
-        verified = verify_certificate(cert)
-    except BudgetExhausted:
-        verified = False
-    return replace(cert, verified=verified)
+    return replace(cert, verified=verify_certificate(
+        cert, DEFAULT_BUDGET if budget is None else budget))

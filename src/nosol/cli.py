@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from .certificates import (
@@ -23,6 +22,7 @@ from .certificates import (
     MODE_DISTINCT,
     Certificate,
     atomic_write_text,
+    load_certificate,
     make_digit_set,
     read_certificate,
     save_certificate,
@@ -46,7 +46,6 @@ from .oracle import (
     BudgetExhausted,
     SolutionQuery,
     exhaustive_check,
-    verify_certificate,
 )
 from .rates import DEFAULT_Q, alpha_optimal, rate_report, random_tuple_sweep
 from .search import SearchConfig, max_digit_set
@@ -139,14 +138,6 @@ def _read_set(args) -> tuple[int, ...]:
         return tuple(sorted({int(line) for line in fh if line.strip()}))
 
 
-def _read_checked(path: str, budget: int) -> Certificate:
-    """The certificate at path, its verified field set by an oracle run
-    under the command's budget; a run that runs out raises BudgetExhausted,
-    so the command exits 2."""
-    cert = read_certificate(path)
-    return replace(cert, verified=verify_certificate(cert, budget))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -205,25 +196,27 @@ def cmd_construct(args, argv) -> int:
     elif args.recipe == "distinct-var":
         cert = distinct_var_digits(args.m, budget)
     elif args.recipe == "shift":
-        source = _read_checked(args.cert, budget)
+        source = load_certificate(args.cert, budget)
         i_shifts = [int(x) for x in args.i.split(",")]
         j_shifts = [int(x) for x in args.j.split(",")]
         cert = shift_transfer(source, i_shifts, j_shifts, budget)
 
-    # a lift that fails must leave no certificate behind, so it runs first
-    lifted = None if args.N is None else lift(cert, args.N, budget)
+    # a lift that fails, or that is too large to materialise, must leave
+    # no certificate behind, so it runs first
+    if args.N is not None:
+        lifted = lift(cert, args.N, budget)
+        elements = lifted.elements
     out = args.out or f"{args.recipe}.cert.json"
     save_certificate(cert, out)
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
     _write_manifest(out, argv, budget, started, config)
 
-    if lifted is None:
+    if args.N is None:
         _emit({"certificate": out, "rate": cert.rate.to_json()})
         return EXIT_OK
     set_path = args.set_out or out + ".set"
-    atomic_write_text(set_path,
-                      "\n".join(str(x) for x in lifted.elements) + "\n")
+    atomic_write_text(set_path, "\n".join(str(x) for x in elements) + "\n")
     _emit({"certificate": out, "rate": cert.rate.to_json(),
            "lifted_size": lifted.size, "lifted_file": set_path})
     return EXIT_OK
@@ -305,7 +298,7 @@ def cmd_alpha(args, argv) -> int:
 
 
 def cmd_rate(args, argv) -> int:
-    _emit(rate_report(_read_checked(args.cert, _budget(args))))
+    _emit(rate_report(load_certificate(args.cert, _budget(args))))
     return EXIT_OK
 
 

@@ -159,22 +159,23 @@ def genus(eq: Equation) -> int:
 
 
 def classify_solution(eq: Equation, x) -> SolutionClass:
-    """Classify a satisfying assignment as trivial or not.
-
-    Trivial means: for every distinct value in the assignment, the
-    coefficients at the positions holding that value sum to zero.
-    """
+    """Classify a satisfying assignment as trivial (is_trivial) or not."""
     x = tuple(int(v) for v in x)
     if len(x) != eq.num_vars:
         raise ValueError(f"assignment length {len(x)} != {eq.num_vars}")
     if sum(c * v for c, v in zip(eq.coeffs, x)) != 0:
         raise ValueError("assignment does not satisfy the equation")
+    kind = SolutionKind.TRIVIAL if is_trivial(eq, x) else SolutionKind.NONTRIVIAL
+    return SolutionClass(x, kind)
+
+
+def is_trivial(eq: Equation, x) -> bool:
+    """Whether, for every distinct value in the assignment x, the
+    coefficients at the positions holding that value sum to zero."""
     class_sums: dict[int, int] = {}
     for c, v in zip(eq.coeffs, x):
         class_sums[v] = class_sums.get(v, 0) + c
-    trivial = all(s == 0 for s in class_sums.values())
-    kind = SolutionKind.TRIVIAL if trivial else SolutionKind.NONTRIVIAL
-    return SolutionClass(x, kind)
+    return all(s == 0 for s in class_sums.values())
 
 
 def _min_zero_block(coeffs, indices, anchor) -> tuple[int, ...] | None:

@@ -25,6 +25,7 @@ from .equations import (
     SolutionClass,
     SolutionKind,
     is_dissociated,
+    is_trivial,
 )
 
 DEFAULT_BUDGET = 10 ** 8
@@ -84,10 +85,7 @@ def _is_countable(eq: Equation, assignment, distinct: bool) -> bool:
     """Mode filter on a satisfying assignment."""
     if distinct:
         return len(set(assignment)) == len(assignment)
-    class_sums: dict[int, int] = {}
-    for c, v in zip(eq.coeffs, assignment):
-        class_sums[v] = class_sums.get(v, 0) + c
-    return any(s != 0 for s in class_sums.values())
+    return not is_trivial(eq, assignment)
 
 
 def _suffix_bounds(coeffs, vmin, vmax):
@@ -226,20 +224,17 @@ def _sums_repeat(coeffs, values, budget) -> bool:
     appended to both j-tuples extend the repeat to k-tuples.  Each stage is
     sorted so that repeats are adjacent: it is built as one ascending run
     per value, which the sort merges, and a list takes less memory than a
-    set.  A last stage of more than SCAN_SUMS_CAP sums is built in buckets
-    (_last_stage_repeats).
+    set.  The last stage is built by _last_stage_repeats, in buckets when
+    it holds more than SCAN_SUMS_CAP sums.
     """
-    # the stages before the last are repeat-free, so the last holds
-    # len(values) ** k sums
-    split = len(values) ** len(coeffs) > SCAN_SUMS_CAP
     sums = [0]
-    for c in coeffs[:-1] if split else coeffs:
+    for c in coeffs[:-1]:
         budget.spend(len(sums) * len(values))
         sums = [s + cv for cv in [c * v for v in values] for s in sums]
         sums.sort()
         if any(map(eq, sums, islice(sums, 1, None))):
             return True
-    return split and _last_stage_repeats(sums, coeffs[-1], values, budget)
+    return _last_stage_repeats(sums, coeffs[-1], values, budget)
 
 
 def _last_stage_repeats(prev, c, values, budget) -> bool:

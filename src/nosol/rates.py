@@ -3,14 +3,13 @@ injectivity sweeps, and certificate rate reports."""
 
 from __future__ import annotations
 
-import decimal
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .certificates import Certificate, Rate
+from .certificates import Certificate, Rate, decimal_below
 from .oracle import DEFAULT_BUDGET, BudgetExhausted, is_injective_map
 
 RESIDUAL_TOL = 1e-12
@@ -124,21 +123,12 @@ def _power_at_most(b: int, c: int, t: Fraction) -> bool:
 
     log b / log c is rational exactly when b and c are powers of a common
     root, and then Rate gives it as a Fraction.  Otherwise the two sides
-    differ, and decimal logs decide once their gap passes the rounding
-    error, at doubling precision.
+    differ, and decimal_below decides.
     """
     exact = Rate(b, c).as_fraction()
     if exact is not None:
         return exact <= t
-    prec = 30
-    while True:
-        with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            lhs = t.denominator * decimal.Decimal(b).ln()
-            rhs = t.numerator * decimal.Decimal(c).ln()
-            if abs(lhs - rhs) > (lhs + rhs).scaleb(2 - prec):
-                return lhs < rhs
-        prec *= 2
+    return decimal_below((t.denominator, b), (t.numerator, c))
 
 
 def _tuple_range_bound(k: int, C: int, epsilon: float) -> int:

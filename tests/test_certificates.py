@@ -269,6 +269,11 @@ def _rate_pairs(rng):
     for _ in range(500):          # sizes and bases past float range
         yield (Rate(rng.choice(huge + [1, 2]), rng.choice(huge)),
                Rate(rng.choice(huge + [1, 3, 100]), rng.choice(huge + [7, 1000])))
+    for _ in range(200):          # irrational near-ties of a rational rate
+        w = rng.choice(small)
+        e, f, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 20)
+        base = max(2, w ** (f * k) + rng.choice((-1, 1)))
+        yield Rate(w ** (e * k), base), Rate(w ** e, w ** f)
 
 
 def test_rate_screen_matches_exact_reference():

@@ -351,13 +351,26 @@ def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("argv,code", [
     # the lift is too large to re-verify in distinct mode
-    (["--m", "3", "--N", "793714773254144"], 65),
+    (["distinct-var", "--m", "3", "--N", "793714773254144"], 65),
     # the certificate fits the budget, the lift's re-verification does not
-    (["--m", "3", "--N", "4000", "--budget", "3000"], 2),
+    (["distinct-var", "--m", "3", "--N", "4000", "--budget", "3000"], 2),
+    # the lift holds 4**22 elements, too many to materialise
+    (["two-var", "--a", "1", "--b", "2", "--N", "17592186044416"], 65),
 ])
 def test_construct_failing_lift_writes_nothing(tmp_path, capsys, argv, code):
     out = tmp_path / "d.json"
-    assert main(["construct", "distinct-var", *argv, "-o", str(out)]) == code
+    assert main(["construct", *argv, "-o", str(out)]) == code
+    assert os.listdir(tmp_path) == []
+
+
+def test_construct_thm3_unverified_plan_writes_nothing(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "thm3", "--a", "10", "--b", "11", "--c", "31",
+                 "--alpha", "0.3", "--alpha2", "0.03", "--budget", "1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        '{"case": "small-dependency", "plan": {"digits": [0, 1, 4, 5]}, '
+        '"status": "unverified-plan"}']
     assert os.listdir(tmp_path) == []
 
 
