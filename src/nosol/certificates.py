@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import total_ordering
 
-from .equations import Equation, equation_from_json, equation_to_json
+from .equations import (
+    Equation,
+    equation_from_json,
+    equation_to_json,
+    int_from_json,
+    ints_from_json,
+)
 
 MODE_ALL = "all"
 MODE_DISTINCT = "distinct"
@@ -254,15 +260,15 @@ class Certificate:
     @staticmethod
     def from_json(obj: dict) -> "Certificate":
         ds = DigitSet(
-            int(obj["base"]),
-            tuple(int(d) for d in obj["digits"]),
+            int_from_json(obj["base"]),
+            tuple(ints_from_json(obj["digits"])),
             equation_from_json(obj["equation"]),
             obj.get("mode", MODE_ALL),
         )
         return Certificate(
             ds,
             bool(obj["verified"]),
-            int(obj.get("oracle_nodes", 0)),
+            int_from_json(obj.get("oracle_nodes", 0)),
             dict(obj.get("meta", {})),
         )
 

@@ -48,7 +48,7 @@ from .oracle import (
     exhaustive_check,
 )
 from .rates import DEFAULT_Q, alpha_optimal, rate_report, random_tuple_sweep
-from .search import SearchConfig, max_digit_set
+from .search import SearchConfig, max_digit_set, tight_rate
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -241,35 +241,34 @@ def cmd_search(args, argv) -> int:
     report = _emit if args.progress else None
     mode = "exact" if args.exact else "anytime"
     rows = []
-    best_cert = None
+    best = None     # (rate, digits, L, result) of the best alphabet so far
     per_l_budget = max(budget // len(grid), 1)
     for L in grid:
         cfg = SearchConfig(budget=per_l_budget, mode=mode, report=report)
         result = max_digit_set(eq, L, cfg, distinct=args.distinct)
-        candidates = []
+        rates = []
         for digits in (result.digits, result.best_rate_digits):
-            if len(digits) >= 2 and max(digits) >= 1:
-                base = tight_base(eq, digits)
-                mode_name = MODE_DISTINCT if args.distinct else MODE_ALL
-                cert = Certificate(
-                    make_digit_set(base, digits, eq, mode_name),
-                    verified=True, oracle_nodes=result.nodes,
-                    meta={"kind": "search", "search_base": L,
-                          "exhausted": result.exhausted})
-                candidates.append(cert)
-        for cert in candidates:
-            if best_cert is None or cert.rate > best_cert.rate:
-                best_cert = cert
+            rate = tight_rate(eq, digits)
+            rates.append(rate)
+            if rate is not None and (best is None or rate > best[0]):
+                best = (rate, digits, L, result)
         rows.append({"L": L, "size": len(result.digits),
                      "digits": list(result.digits),
-                     "rate": (candidates[0].rate.decimal if candidates else 0.0),
-                     "best_rate": max((c.rate.decimal for c in candidates),
+                     "rate": 0.0 if rates[0] is None else rates[0].decimal,
+                     "best_rate": max((r.decimal for r in rates if r is not None),
                                       default=0.0),
                      "exhausted": result.exhausted,
                      "nodes": result.nodes})
 
     out = {"schema": 1, "table": rows}
-    if best_cert is not None:
+    if best is not None:
+        _, digits, L, result = best
+        best_cert = Certificate(
+            make_digit_set(tight_base(eq, digits), digits, eq,
+                           MODE_DISTINCT if args.distinct else MODE_ALL),
+            verified=True, oracle_nodes=result.nodes,
+            meta={"kind": "search", "search_base": L,
+                  "exhausted": result.exhausted})
         cert_path = args.out or "search.cert.json"
         save_certificate(best_cert, cert_path)
         _write_manifest(cert_path, argv, budget, started,

@@ -53,7 +53,12 @@ def _certify(digits, base, eq, mode, meta, budget=DEFAULT_BUDGET) -> Certificate
 
 
 def _certify_interval(n, eq, mode, meta, budget) -> Certificate:
-    """Certify the alphabet {0..n-1} at its tight base."""
+    """Certify the alphabet {0..n-1} at its tight base.  On a solution-free
+    alphabet every engine spends at least one node per element, so one with
+    more elements than the budget raises what the oracle run would, before
+    anything is built."""
+    if n > budget:
+        raise BudgetExhausted(budget + 1)
     return _certify(range(n), tight_base(eq, range(n)), eq, mode, meta, budget)
 
 
@@ -416,7 +421,7 @@ def three_coefficient_pipeline(
         return emit(_lift_below(range(b), base0, cap), "easy-c-gt-b3", None,
                     None, {"cap": cap}, greedy=True)
 
-    M = int(b ** alpha)
+    M = int(_float_power(b, alpha))
     dep = small_dependency_search(a, b, c, M) if M >= 1 else None
     if dep is None:
         return emit(range(M + 1), "no-small-dependency", None, None, {"m": M})
@@ -433,9 +438,20 @@ def three_coefficient_pipeline(
         alpha2 = cfg.alpha2_small
         case = "small-dependency"
         exponent = 0.44
-    cap = max(int(b ** (1 - alpha2) / 2), 1)
+    cap = max(int(_float_power(b, 1 - alpha2) / 2), 1)
     return emit(avoid_one_dependency_digits(dep, cap), case, dep, alpha2,
                 {"exponent_claim": exponent, "cap": cap}, greedy=True)
+
+
+def _float_power(b: int, exponent: float) -> float:
+    """b ** exponent as a finite float; ValueError when it is not one."""
+    try:
+        value = b ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{b} ** {exponent} is not a finite float")
+    return value
 
 
 def _lift_below(digits, base, cap) -> list[int]:

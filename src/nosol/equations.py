@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -255,10 +256,27 @@ def equation_to_json(eq: Equation) -> dict:
     }
 
 
+def int_from_json(value) -> int:
+    """A JSON integer (not a bool) or a decimal string of one; anything else
+    raises ValueError rather than being coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def ints_from_json(values) -> list[int]:
+    """A JSON array of integers, each read by int_from_json."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected an array of integers, got {values!r}")
+    return [int_from_json(v) for v in values]
+
+
 def equation_from_json(obj: dict) -> Equation:
-    coeffs = [int(c) for c in obj["coeffs"]]
     gen = obj.get("symmetric_gen")
-    return make_equation(coeffs, symmetric_gen=[int(a) for a in gen] if gen else None)
+    return make_equation(ints_from_json(obj["coeffs"]),
+                         symmetric_gen=ints_from_json(gen) if gen else None)
 
 
 def equation_dumps(eq: Equation) -> str:

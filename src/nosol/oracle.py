@@ -245,7 +245,8 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
     [lo, hi) at a time, in ascending order, and a range is halved until it
     holds at most SCAN_SUMS_CAP sums or a single value, which at most
     len(prev) sums reach.  For each shift c*v, the sums of a range come
-    from a slice of prev, whose ends bisect finds.
+    from a slice of prev, whose ends bisect finds; a slice that is all of
+    prev is not copied.
     """
     shifts = sorted(c * v for v in values)
     lo = prev[0] + shifts[0]
@@ -263,7 +264,7 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
         ends.pop()
         budget.spend(size)
         bucket = [s + t for t, a, b in zip(shifts, start, end)
-                  for s in prev[a:b]]
+                  for s in (prev if b - a == len(prev) else prev[a:b])]
         bucket.sort()
         if any(map(eq, bucket, islice(bucket, 1, None))):
             return True

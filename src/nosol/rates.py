@@ -45,7 +45,10 @@ def alpha_optimal(beta: float, q: float) -> AlphaParams:
         raise ValueError("beta must be nonnegative")
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
-    disc = 4 * (q - 1) * q * beta + (1 + q * (beta - 1) + beta) ** 2
+    try:
+        disc = 4 * (q - 1) * q * beta + (1 + q * (beta - 1) + beta) ** 2
+    except OverflowError:
+        raise ValueError(f"beta {beta} overflows the discriminant") from None
     if disc < 0:
         raise ValueError("negative discriminant; no real optimum")
     alpha = (-1 + q - beta - q * beta + math.sqrt(disc)) / (2 * (q - 1))

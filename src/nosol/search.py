@@ -75,7 +75,8 @@ class SearchResult:
     phases: list = field(default_factory=list)
 
 
-def _tight_rate(eq: Equation, digits) -> Rate | None:
+def tight_rate(eq: Equation, digits) -> Rate | None:
+    """Rate of digits at their tight base; None for a degenerate alphabet."""
     if len(digits) < 2 or max(digits) < 1:
         return None
     return Rate(len(digits), tight_base(eq, digits))
@@ -97,7 +98,7 @@ class _Tracker:
         improved = len(digits) > len(self.best)
         if improved:
             self.best = digits
-        rate = _tight_rate(self.eq, digits)
+        rate = tight_rate(self.eq, digits)
         if rate is not None and (self.best_rate is None or rate > self.best_rate):
             self.best_rate = rate
             self.best_rate_digits = digits
@@ -125,34 +126,32 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
     return sorted(b for b in combos if 4 <= b <= cap)
 
 
-def _exact_branch_and_bound(eq, candidates, cfg, tracker, distinct, memory):
-    """Full include-first DFS over candidates in increasing order.
-
-    Returns True when the whole tree was enumerated within budget.
-    """
+def _exact_branch_and_bound(eq, n, cfg, tracker, distinct, memory):
+    """Full include-first DFS over the candidates 0..n-1 in increasing order,
+    on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
+    branch of i for its exclude branch.  Returns (whether the whole tree was
+    enumerated within budget, nodes)."""
     index = IncrementalSolutionIndex(eq, distinct=distinct, budget=cfg.budget,
                                      memory=memory)
-    n = len(candidates)
     best_here = 0
-
-    def descend(i):
-        nonlocal best_here
-        if i == n:
-            if len(index.values) > best_here:
-                best_here = len(index.values)
-                tracker.offer(sorted(index.values), index.nodes, "exact")
-            return
-        if len(index.values) + (n - i) <= best_here:
-            return  # cannot beat the incumbent
-        index.tracker.spend()
-        if index.legal(candidates[i]):
-            index.add(candidates[i])
-            descend(i + 1)
-            index.pop()
-        descend(i + 1)
-
+    stack = [0]
     try:
-        descend(0)
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                index.pop()
+                i = ~i + 1
+            size = len(index.values)
+            if i == n:
+                if size > best_here:
+                    best_here = size
+                    tracker.offer(sorted(index.values), index.nodes, "exact")
+            elif size + (n - i) > best_here:  # else it cannot beat the incumbent
+                index.tracker.spend()
+                if index.legal(i):
+                    index.add(i)
+                    stack.append(~i)
+                stack.append(i + 1)
     except BudgetExhausted:
         return False, index.nodes
     return True, index.nodes
@@ -172,16 +171,15 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     if L < 2:
         raise ValueError("base must be at least 2")
     cap = (L - 1) // s
-    candidates = list(range(cap + 1))
+    candidates = range(cap + 1)
     tracker = _Tracker(eq, cfg)
     memory = ConflictMemory()
     nodes_total = 0
     exhausted = False
 
-    if cfg.mode == MODE_EXACT or (cfg.mode == MODE_ANYTIME
-                                  and len(candidates) <= EXACT_AUTO_LIMIT):
+    if cfg.mode == MODE_EXACT or cap + 1 <= EXACT_AUTO_LIMIT:
         exhausted, nodes_total = _exact_branch_and_bound(
-            eq, candidates, cfg, tracker, distinct, memory)
+            eq, cap + 1, cfg, tracker, distinct, memory)
         if cfg.mode == MODE_EXACT or exhausted:
             return SearchResult(tracker.best, exhausted, nodes_total,
                                 tracker.best_rate_digits,
@@ -230,14 +228,15 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
         if prefix and prefix != inner:
             inners.append(("pseed", prefix))
         for label, alphabet in inners:
-            seeds = sorted({a + base * b
-                            for b in range(cap // base + 1)
-                            for a in alphabet if a + base * b <= cap})
-            if seeds == candidates and greedy_nodes <= cfg.budget - nodes_total:
-                # the phase would replay the greedy phase bit for bit
+            # the seeds a + base*b come out ascending, as a < base; they are
+            # the whole range, and the phase would replay the greedy phase
+            # bit for bit, when the alphabet holds every a < base
+            if len(alphabet) == base and greedy_nodes <= cfg.budget - nodes_total:
                 filtered = greedy
                 phases.append((f"{label}[{base}]", len(greedy)))
             else:
+                seeds = (a + base * b for b in range(cap // base + 1)
+                         for a in alphabet if a + base * b <= cap)
                 filtered = run_phase(f"{label}[{base}]", seeds)
             seed_results.append((len(filtered), -base, filtered))
 
@@ -250,7 +249,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             break
         kept = set(filtered)
         run_phase(f"extend[{-negbase}]",
-                  [x for x in candidates if x not in kept], filtered)
+                  (x for x in candidates if x not in kept), filtered)
 
     return SearchResult(tracker.best, exhausted, nodes_total,
                         tracker.best_rate_digits, phases=phases)

@@ -20,6 +20,7 @@ from nosol.certificates import (
 )
 from nosol.constructions import two_var_rate
 from nosol.equations import make_symmetric
+from nosol.oracle import verify_certificate
 
 
 def test_rate_rational_detection():
@@ -176,6 +177,28 @@ def test_certificate_json_rejects_tampering():
     obj["digits"] = [0, 1, 2]             # violates no-carry
     with pytest.raises(ValueError):
         Certificate.from_json(obj)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("base", 7.9), ("base", "7.9"), ("base", True), ("base", " 7"),
+    ("digits", "013"), ("digits", [0, 1.0, 3]), ("digits", [0, True, 3]),
+    ("digits", {"0": 0}), ("oracle_nodes", 5.5),
+    ("equation", {"coeffs": [True, -1]}), ("equation", {"coeffs": "2"}),
+    ("equation", {"coeffs": [2, -1, "-1.0"]}),
+    ("equation", {"coeffs": [1, 1, -1, -1], "symmetric_gen": ["1", 1.0]}),
+])
+def test_certificate_json_numbers_are_checked_not_coerced(key, value):
+    obj = {"equation": {"coeffs": ["2", "-1", "-1"]}, "base": 7,
+           "digits": [0, 1, 3], "verified": True}
+    # JSON integers and decimal strings of them are read exactly
+    cert = Certificate.from_json(obj)
+    assert (cert.digit_set.base, cert.digit_set.digits) == (7, (0, 1, 3))
+    assert cert.equation.coeffs == (2, -1, -1)
+    assert verify_certificate(obj)
+    obj[key] = value
+    with pytest.raises(ValueError):
+        Certificate.from_json(obj)
+    assert verify_certificate(obj) is False
 
 
 # The exact comparison Rate used before its float screen, kept as the

@@ -308,8 +308,9 @@ def test_env_budget_malformed_is_usage_error(capsys, monkeypatch):
 
 
 # bad input, each case of which once escaped main() as a traceback, ran
-# anyway, or wrote files before failing; ARRAY and NO_BASE name files
-# holding a JSON array and a certificate without its base
+# anyway, or wrote files before failing; ARRAY, NO_BASE and COERCED name
+# files holding a JSON array, a certificate without its base and one whose
+# base is a fraction and whose digits are a string
 BAD_INPUT = [
     (["search", "--sym", "1,2", "--L", "1"], {}, 64),
     (["search", "--sym", "1,2", "--L-grid", "1,0"], {}, 64),
@@ -327,7 +328,21 @@ BAD_INPUT = [
     (["construct", "geometric", "--m", "2", "--k", "3", "--N", "0"], {}, 64),
     (["construct", "geometric", "--m", "2", "--k", "3", "--N", "-5"], {}, 64),
     (["search", "--sym", "1,2", "--L", "4"], {"NOSOL_BUDGET": "0"}, 64),
+    (["alpha", "--beta", "1e200"], {}, 64),
+    (["construct", "thm3", "--a", "10", "--b", "11", "--c", "31",
+      "--alpha", "1000"], {}, 65),
+    (["construct", "thm3", "--a", "10", "--b", "11", "--c", "31",
+      "--alpha", "0.3", "--alpha2", "-1000"], {}, 65),
+    (["verify", "--cert", "COERCED"], {}, 64),
+    (["rate", "--cert", "COERCED"], {}, 64),
+    (["construct", "shift", "--cert", "COERCED", "--i", "1,0", "--j", "0,1"],
+     {}, 65),
 ]
+
+
+# once read as base 7 with digits (0, 1, 3), a clean 3AP-free alphabet
+COERCED = {"schema": 1, "equation": {"coeffs": ["2", "-1", "-1"]},
+           "base": 7.9, "digits": "013", "verified": True, "mode": "all"}
 
 
 @pytest.mark.parametrize("argv,env,code", BAD_INPUT,
@@ -342,11 +357,12 @@ def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
     no_base = two_var_digits(1, 2).to_json()
     del no_base["base"]
     (tmp_path / "NO_BASE").write_text(json.dumps(no_base))
+    (tmp_path / "COERCED").write_text(json.dumps(COERCED))
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
-    assert sorted(os.listdir(tmp_path)) == ["ARRAY", "NO_BASE"]
+    assert sorted(os.listdir(tmp_path)) == ["ARRAY", "COERCED", "NO_BASE"]
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -443,3 +459,40 @@ def test_rate_checks_its_certificate_under_the_budget(
         assert report == {"status": "budget-exhausted", "nodes": 2}
     else:
         assert 0.445 < report["rate_decimal"] < 0.446
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-var", "--a", "1", "--b", "2000"],
+    ["distinct-var", "--m", "3000"],
+    ["spaced", "--gens", "1,5000", "--s-factor", "2000"],
+    ["coprime-power", "--a", "1", "--b", "2000", "--k", "2"],
+    # once ran for minutes building the alphabet
+    ["two-var", "--a", "1", "--b", "100000000000"],
+])
+def test_interval_past_the_budget_is_never_built(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # every engine spends a node per element, so these exhaust the budget
+    # with the nodes an oracle run would report
+    def never(*args, **kwargs):
+        raise AssertionError("the alphabet was built")
+
+    monkeypatch.setattr(constructions, "make_digit_set", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", *argv, "--budget", "1000"]) == 2
+    assert capsys.readouterr().out == (
+        '{"nodes": 1001, "status": "budget-exhausted"}\n')
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # these two once ended in an OverflowError: the candidate range has
+    # more than sys.maxsize values
+    ["--sym", "43,69,70", "--L", str(10 ** 30), "--budget", "1000"],
+    ["--sym", "43,69,70", "--exact", "--L", str(10 ** 30), "--budget", "1000"],
+    # once a RecursionError: the exact search is 2,500 candidates deep
+    ["--sym", "1,1", "--exact", "--L", "5000", "--budget", "200000"],
+])
+def test_search_over_a_huge_range_runs_out_of_budget(tmp_path, capsys, argv):
+    code, report = run(capsys, "search", *argv, "-o", str(tmp_path / "b.json"))
+    assert code == 3
+    assert not report["table"][0]["exhausted"]

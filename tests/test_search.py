@@ -311,3 +311,80 @@ def test_43_69_70_all_mode_rows():
         res = max_digit_set(eq, L, SearchConfig(budget=10 ** 9 // 8))
         rows.append((L, res.digits, res.best_rate_digits, res.exhausted))
     assert rows == ROWS_43_69_70_ALL
+
+
+# (equation, distinct, M, budget) -> (digits, best_rate_digits, exhausted,
+# nodes, phase names) at base L = s*M + 1; node counts are part of what a
+# search must reproduce bit for bit
+SEARCH_TABLE = [
+    (("sym", (3, 5, 17)), True, 8, 3000,
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 3033, "greedy"),
+    (("sym", (3, 5, 17)), True, 8, 30000,
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 5490, "exact"),
+    (("sym", (3, 5, 17)), True, 64, 30000,
+     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 17609,
+     "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
+     "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
+     "extend[5] extend[6] extend[8]"),
+    (("sym", (3, 5, 17)), True, 300, 3000,
+     (0, 1, 2, 3, 4, 5, 35), (0, 1, 2, 3, 4, 5), False, 3034, "greedy"),
+    (("sym", (3, 5, 17)), True, 300, 30000,
+     (0, 1, 2, 3, 4, 5, 35, 45, 86), (0, 1, 2, 3, 4, 5), False, 30041,
+     "greedy"),
+    (("sym", (3, 5, 17)), True, 300, 10 ** 7,
+     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 176827,
+     "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
+     "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
+     "seed[128] pseed[128] seed[256] pseed[256] extend[8] extend[10] "
+     "extend[16]"),
+    (("eq", (2, 2, -3, -1)), False, 8, 10 ** 7,
+     (0, 1, 5, 6), (0, 1, 5, 6), True, 807, "exact"),
+    (("eq", (2, 2, -3, -1)), False, 64, 3000,
+     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3006,
+     "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
+     "pseed[16] seed[32] pseed[32] seed[64] pseed[64]"),
+    (("eq", (2, 2, -3, -1)), False, 64, 30000,
+     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 4780,
+     "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
+     "pseed[16] seed[32] pseed[32] seed[64] pseed[64] extend[5] extend[6] "
+     "extend[8]"),
+    (("eq", (2, 2, -3, -1)), False, 300, 30000,
+     (0, 1, 5, 6, 23, 25, 54, 66, 71, 133, 138, 221, 223, 252, 295, 300),
+     (0, 1), False, 30011,
+     "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
+     "pseed[16] seed[32] pseed[32] seed[64] pseed[64] seed[128] pseed[128] "
+     "seed[256] pseed[256] extend[6]"),
+    (("eq", (2, 2, -3, -1)), False, 300, 10 ** 7,
+     (0, 1, 5, 6, 23, 25, 54, 66, 71, 133, 138, 221, 223, 252, 295, 300),
+     (0, 1), False, 35927,
+     "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
+     "pseed[16] seed[32] pseed[32] seed[64] pseed[64] seed[128] pseed[128] "
+     "seed[256] pseed[256] extend[6] extend[8] extend[256]"),
+    (("sym", (1, 1)), False, 64, 30000,
+     (0, 1, 3, 7, 15, 24, 35, 40, 53), (0, 1), False, 2377,
+     "greedy seed[8] pseed[8] seed[16] pseed[16] seed[32] pseed[32] seed[64] "
+     "pseed[64] extend[8] extend[32] extend[64]"),
+    (("sym", (1, 1)), False, 300, 3000,
+     (0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122, 147, 181, 203), (0, 1),
+     False, 3013, "greedy"),
+    (("sym", (1, 1)), False, 300, 10 ** 7,
+     (0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122, 147, 181, 203, 251, 289),
+     (0, 1), False, 20476,
+     "greedy seed[8] pseed[8] seed[16] pseed[16] seed[32] pseed[32] seed[64] "
+     "pseed[64] seed[128] pseed[128] seed[256] pseed[256] extend[256] "
+     "extend[8] extend[16]"),
+]
+
+
+@pytest.mark.parametrize(
+    "equation,distinct,M,budget,digits,best,exhausted,nodes,phases",
+    SEARCH_TABLE)
+def test_search_table(equation, distinct, M, budget, digits, best, exhausted,
+                      nodes, phases):
+    kind, coeffs = equation
+    eq = make_symmetric(coeffs) if kind == "sym" else make_equation(coeffs)
+    res = max_digit_set(eq, eq.side_sum * M + 1, SearchConfig(budget=budget),
+                        distinct=distinct)
+    assert (res.digits, res.best_rate_digits, res.exhausted, res.nodes,
+            " ".join(name for name, _ in res.phases)) == (
+        digits, best, exhausted, nodes, phases)
