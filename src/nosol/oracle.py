@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import groupby, islice, product
 from math import perm
 from operator import eq, mul
 
@@ -38,6 +38,11 @@ MITM_TABLE_CAP = 2_000_000
 # MITM_TABLE_CAP (about 165 against 180 MB), but a bucketed scan, which
 # also holds stage k-1, can peak above it (up to about 310 MB)
 SCAN_SUMS_CAP = 4_000_000
+# expected solutions over its range past which a SolutionHypergraph costs
+# more than the legality index's tests.  Of 16 equations timed at 9, 17
+# and 22 candidates, sym(43,69,70) at 17 (about 8,300) ran 4 times faster
+# in distinct mode, sym(1,2,3) at 9 (about 10,800) 3 to 18 times slower
+HYPERGRAPH_SOLUTION_CAP = 10_000
 
 
 class BudgetExhausted(RuntimeError):
@@ -444,9 +449,11 @@ class IncrementalSolutionIndex:
     table, so a BudgetExhausted leaves the index as it was.
 
     Sums accounting: a sum costs one node when it is built.  The new sums
-    are built stage by stage, and a test rejects at the first stage whose
-    new sums repeat or meet the stored ones: equal values appended to both
-    j-tuples extend the repeat to k-tuples.
+    are built stage by stage, each stage in chunks (x appended to the
+    stored tuples, then each value appended to the new ones), and a test
+    rejects at the first chunk whose sums meet the stored ones or an
+    earlier chunk's: equal values appended to both j-tuples extend the
+    repeat to k-tuples.
 
     Mask accounting: an entry costs one node when it is built and a pairing
     of two entries one node when it is tested.  A solution that uses x
@@ -469,9 +476,8 @@ class IncrementalSolutionIndex:
     the witness costs nothing.  Before it builds anything, ``legal(x)``
     tests the witnesses remembered for x against the held values, one node
     each, and rejects at the first one that is held entirely.  Sums decode
-    a rejection through the stage sets: a meet pairs the stored tuple with
-    the new one, and a repeat within a stage rebuilds that stage with the
-    (prefix sum, value) provenance of each sum.  Masks give the values of
+    a rejection through the stage sets: each of the two sums is its chunk's
+    prefix, decoded stage by stage, and value.  Masks give the values of
     both masks, and tuples those of both tuples.
 
     The answers do not depend on this accounting, but the node counts, and
@@ -632,29 +638,49 @@ class IncrementalSolutionIndex:
     def _new_sums(self, x):
         """(stages, None), stages being the sets, one per stage j, of sums
         over the j-tuples of values+[x] that use x; (None, witness) at the
-        first stage whose new sums repeat or meet the stored ones, the
-        witness being the values of two j-tuples of equal sum, one of them
-        using x.  Equal values appended to both extend them to a solution."""
+        first chunk of new sums that meets the stored ones or repeats an
+        earlier chunk's, the witness being the values of two j-tuples of
+        equal sum, one of them using x.  Equal values appended to both
+        extend them to a solution.
+
+        A stage is built in chunks, each spent before it is tested: x
+        appended to the stored (j-1)-tuples, then each value appended to
+        the new ones.  A chunk's sums are distinct, so a repeat pairs two
+        chunks, and each sum's tuple is its chunk's prefix and value."""
         values = self.values + [x]
         spend = self.tracker.spend
         old_prev, new_prev = (0,), ()
         stages = []
-        for c, old in zip(self.eq.symmetric_gen, self.sums):
-            n = len(old_prev) + len(new_prev) * len(values)
-            spend(n)
-            new = {s + cv for cv in [c * v for v in values] for s in new_prev}
-            cx = c * x
-            new.update([s + cx for s in old_prev])
-            if len(new) < n:
-                return None, self._repeat(x, stages, c, old_prev, new_prev)
-            if not old.isdisjoint(new):
-                t = min(old.intersection(new))
-                stages.append(new)
-                return None, (self._old_tuple(t, len(stages))
-                              + self._new_tuple(t, len(stages), x, stages))
+        for j, (c, old) in enumerate(zip(self.eq.symmetric_gen, self.sums), 1):
+            new = set()
+            built = []
+            for prev, v in [(old_prev, x)] + [(new_prev, v) for v in values
+                                              if new_prev]:
+                cv = c * v
+                chunk = [s + cv for s in prev]
+                spend(len(chunk))
+                if not old.isdisjoint(chunk):
+                    t = next(s for s in chunk if s in old)
+                    return None, (self._old_tuple(t, j)
+                                  + self._prefix(t - cv, j - 1, x, stages) + [v])
+                size = len(new)
+                new.update(chunk)
+                if len(new) < size + len(chunk):
+                    t, w = next((s, w) for s in chunk for p, w in built
+                                if s - c * w in p)
+                    return None, (self._prefix(t - c * w, j - 1, x, stages) + [w]
+                                  + self._prefix(t - cv, j - 1, x, stages) + [v])
+                built.append((prev, v))
             stages.append(new)
             old_prev, new_prev = old, new
         return stages, None
+
+    def _prefix(self, t, j, x, stages) -> list:
+        """The values of a j-tuple of sum t over values+[x]: one that uses
+        x when t is a new sum of stage j, else one of held values."""
+        if j and t in stages[j - 1]:
+            return self._new_tuple(t, j, x, stages)
+        return self._old_tuple(t, j)
 
     def _old_tuple(self, t, j) -> list:
         """The values of a j-tuple of held values of sum t."""
@@ -681,26 +707,6 @@ class IncrementalSolutionIndex:
             tup.append(v)
             t -= c * v
         raise AssertionError("t is not a new sum")
-
-    def _repeat(self, x, stages, c, old_prev, new_prev) -> list:
-        """The values of two j-tuples that use x with equal sums, for a
-        repeat within the new stage j = len(stages) + 1: the stage is
-        rebuilt with the (prefix sum, last value) provenance of each sum."""
-        values = self.values + [x]
-        seen = {}
-        for p, v in chain(product(new_prev, values), product(old_prev, (x,))):
-            first = seen.setdefault(p + c * v, (p, v))
-            if first != (p, v):
-                break
-        else:
-            raise AssertionError("the stage does not repeat")
-        j = len(stages) + 1
-        tuples = []
-        for p, v in (first, (p, v)):
-            prefix = (self._new_tuple(p, j - 1, x, stages) if p in new_prev
-                      else self._old_tuple(p, j - 1))
-            tuples += prefix + [v]
-        return tuples
 
     def _solution(self, pos_tup, neg_tup) -> bool:
         self.tracker.spend()
@@ -844,6 +850,87 @@ class IncrementalSolutionIndex:
             _unstore(self.neg_table, undo[1])
         x = self.values.pop()
         self.held ^= self.memory.bits[x]
+        return x
+
+
+class SolutionHypergraph:
+    """Legality oracle over the candidates range(n), for a search that adds
+    values in ascending order.
+
+    Its edges are the value sets of every countable solution over range(n),
+    enumerated once by mitm, as bitmasks (bit v for value v).  Only the
+    minimal ones are kept: a solution whose values hold an edge is rejected
+    through that edge.  A set is solution-free iff it holds no edge, and the
+    held values are all below x, so ``legal(x)`` tests only the edges whose
+    largest value is x.  Nothing is built or dropped by ``add`` and ``pop``.
+
+    Accounting: mitm's nodes, spent while the edges are enumerated, then one
+    node per edge tested.
+    """
+
+    @staticmethod
+    def pays(eq: Equation, n: int, distinct: bool, budget: int) -> bool:
+        """Whether a search over range(n) should test legality here rather
+        than in an IncrementalSolutionIndex.
+
+        The enumeration spends a node per table entry, scanned tuple and
+        solution, about n**m / (s*(n-1) + 1) solutions for m variables and
+        side sum s (the assignments over the values a side's sum takes),
+        whatever the answer; the index spends in proportion to the sets it
+        holds.  So the solutions must be few, and the enumeration must fit
+        the budget, as a cut one leaves no set found, and MITM_TABLE_CAP.
+        The sums index was faster on every equation measured.
+        """
+        if _sums_decide(eq, distinct):
+            return False
+        solutions = n ** eq.num_vars // (eq.side_sum * (n - 1) + 1)
+        nodes = solutions + sum(n ** len(side) for side in _sides(eq))
+        return (solutions <= HYPERGRAPH_SOLUTION_CAP
+                and nodes <= min(budget, MITM_TABLE_CAP))
+
+    def __init__(self, eq: Equation, n: int, distinct: bool = False,
+                 budget: int = DEFAULT_BUDGET):
+        self.tracker = _Budget(budget)
+        bits = [1 << v for v in range(n)]
+        sets = set()
+        for solution in _mitm_solutions(eq, range(n), distinct, self.tracker):
+            e = 0
+            for v in solution:
+                e |= bits[v]
+            sets.add(e)
+        # a set holds another only if it has more values
+        minimal = []
+        for _, group in groupby(sorted(sets, key=int.bit_count), int.bit_count):
+            minimal += [e for e in group if all(f & e != f for f in minimal)]
+        self.edges: list[list[int]] = [[] for _ in range(n)]
+        for e in minimal:
+            self.edges[e.bit_length() - 1].append(e)
+        self.values: list[int] = []
+        self.held = 0
+
+    @property
+    def nodes(self) -> int:
+        return self.tracker.nodes
+
+    def legal(self, x: int) -> bool:
+        """Whether adding x, which exceeds every held value, keeps the set
+        solution-free."""
+        edges = self.edges[x]
+        free = ~(self.held | 1 << x)
+        for i, e in enumerate(edges, 1):
+            if not e & free:
+                self.tracker.spend(i)
+                return False
+        self.tracker.spend(len(edges))
+        return True
+
+    def add(self, x: int) -> None:
+        self.values.append(x)
+        self.held |= 1 << x
+
+    def pop(self) -> int:
+        x = self.values.pop()
+        self.held ^= 1 << x
         return x
 
 

@@ -21,6 +21,7 @@ from .oracle import (
     BudgetExhausted,
     ConflictMemory,
     IncrementalSolutionIndex,
+    SolutionHypergraph,
 )
 
 MODE_EXACT = "exact"
@@ -129,13 +130,21 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
 def _exact_branch_and_bound(eq, n, cfg, tracker, distinct, memory):
     """Full include-first DFS over the candidates 0..n-1 in increasing order,
     on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
-    branch of i for its exclude branch.  Returns (whether the whole tree was
-    enumerated within budget, nodes)."""
-    index = IncrementalSolutionIndex(eq, distinct=distinct, budget=cfg.budget,
-                                     memory=memory)
+    branch of i for its exclude branch.  The legality tests are those of a
+    SolutionHypergraph of the range when it has at most EXACT_AUTO_LIMIT
+    candidates and the hypergraph pays, else those of an
+    IncrementalSolutionIndex, whose work grows with the values held, so
+    that a budget cut still leaves the sets found.  Returns (whether the
+    whole tree was enumerated within budget, nodes)."""
     best_here = 0
     stack = [0]
     try:
+        if (n <= EXACT_AUTO_LIMIT
+                and SolutionHypergraph.pays(eq, n, distinct, cfg.budget)):
+            index = SolutionHypergraph(eq, n, distinct, cfg.budget)
+        else:
+            index = IncrementalSolutionIndex(eq, distinct=distinct,
+                                             budget=cfg.budget, memory=memory)
         while stack:
             i = stack.pop()
             if i < 0:
@@ -152,8 +161,8 @@ def _exact_branch_and_bound(eq, n, cfg, tracker, distinct, memory):
                     index.add(i)
                     stack.append(~i)
                 stack.append(i + 1)
-    except BudgetExhausted:
-        return False, index.nodes
+    except BudgetExhausted as exc:
+        return False, exc.nodes
     return True, index.nodes
 
 
@@ -281,25 +290,50 @@ def small_dependency_search(a: int, b: int, c: int, M: int) -> Dependency | None
 
     Smallest means lowest max-magnitude, then first in the scan order
     (i ascending from 0, j ascending); the leading nonzero entry is positive.
+    None when every such triple has a magnitude above M.
+
+    The triples form a lattice of rank 2.  Let (u, v) be a reduced basis of
+    it: |u| <= |v| and 2|u.v| <= |u|^2, in Euclidean norm.  Then
+    |x*u + y*v|^2 >= 3/4 * max(|x|, |y|)^2 * |u|^2, while a triple of
+    max-magnitude at most that of u has |w|^2 <= 3 * |u|^2.  So every
+    smallest triple is x*u + y*v with |x|, |y| <= 2, and a smallest triple
+    is primitive, since the lattice holds w / gcd(w).
     """
     if min(a, b, c) < 1:
         raise ValueError("coefficients must be positive")
     if M < 1:
         raise ValueError("magnitude bound must be positive")
-    for level in range(1, M + 1):
-        for i in range(0, level + 1):
-            for j in range(-level, level + 1):
-                num = -(i * a + j * b)
-                if num % c:
-                    continue
-                k = num // c
-                if abs(k) > level:
-                    continue
-                if max(i, abs(j), abs(k)) != level:
-                    continue
-                if i == 0 and j <= 0:
-                    continue
-                if math.gcd(math.gcd(i, abs(j)), abs(k)) != 1:
-                    continue
-                return Dependency(i, j, k)
-    return None
+    u, v = _reduced_basis(*_relation_basis(a, b, c))
+    found = []
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            w = tuple(x * p + y * q for p, q in zip(u, v))
+            if w[0] > 0 or (w[0] == 0 and w[1] > 0):
+                found.append((max(map(abs, w)), w))
+    level, w = min(found)
+    return Dependency(*w) if level <= M else None
+
+
+def _relation_basis(a, b, c):
+    """A basis of the triples (i, j, k) with i*a + j*b + k*c = 0: (0,
+    c/g, -b/g) for g = gcd(b, c), and one with the least positive i, a
+    multiple i0 of g / gcd(a, g), whose (j, k) solve j*b + k*c = -i0*a."""
+    g = math.gcd(b, c)
+    i0 = g // math.gcd(a, g)
+    j = -i0 * a // g * pow(b // g, -1, c // g)
+    return (0, c // g, -b // g), (i0, j, (-i0 * a - j * b) // c)
+
+
+def _reduced_basis(u, v):
+    """Lagrange-reduce the basis (u, v): |u| <= |v| and 2|u.v| <= |u|^2."""
+    def dot(p, q):
+        return sum(x * y for x, y in zip(p, q))
+
+    while True:
+        if dot(v, v) < dot(u, u):
+            u, v = v, u
+        uu = dot(u, u)
+        q = (2 * dot(u, v) + uu) // (2 * uu)     # nearest integer to u.v/u.u
+        if q == 0:
+            return u, v
+        v = tuple(y - q * x for x, y in zip(u, v))

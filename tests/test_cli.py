@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nosol import cli, constructions, oracle
+from nosol import cli, constructions, oracle, search
 from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
 from nosol.constructions import lift, two_var_digits
@@ -496,3 +496,38 @@ def test_search_over_a_huge_range_runs_out_of_budget(tmp_path, capsys, argv):
     code, report = run(capsys, "search", *argv, "-o", str(tmp_path / "b.json"))
     assert code == 3
     assert not report["table"][0]["exhausted"]
+
+
+def test_exact_search_past_the_hypergraph_limit_runs_on_the_index(
+        tmp_path, capsys, monkeypatch):
+    # an enumeration of the whole range would leave no set when the budget
+    # runs out, and over 10**30 candidates would never end
+    def never(*args, **kwargs):
+        raise AssertionError("the candidate range was enumerated")
+
+    monkeypatch.setattr(search, "SolutionHypergraph", never)
+    code, report = run(capsys, "search", "--sym", "1,1", "--exact", "--L",
+                       "5000", "--budget", "200000", "-o", str(tmp_path / "b.json"))
+    assert code == 3
+    assert report["table"][0]["digits"] == [
+        0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122, 147, 181, 203, 251, 289,
+        360, 400, 474, 564, 592, 661, 774, 821, 915, 969, 1015, 1158, 1311,
+        1394, 1522, 1571, 1820, 1895, 2028, 2258, 2330, 2492]
+    assert report["table"][0]["nodes"] == 200026
+    code, report = run(capsys, "search", "--sym", "43,69,70", "--exact", "--L",
+                       str(10 ** 30), "--budget", "1000",
+                       "-o", str(tmp_path / "c.json"))
+    assert code == 3
+
+
+def test_construct_thm3_with_a_far_dependency_stays_in_budget(tmp_path,
+                                                               capsys,
+                                                               monkeypatch):
+    # the dependency search once scanned every level up to b**alpha, about
+    # 3e5 here, whatever the budget; the relation found has magnitude 592
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "thm3", "--a", "999983", "--b", "1299709",
+                 "--c", "1999993", "--alpha", "0.9", "--budget", "1000"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "unverified-plan"
+    assert os.listdir(tmp_path) == []

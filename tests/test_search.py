@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ from nosol.equations import make_equation, make_symmetric
 from nosol.oracle import (
     ConflictMemory,
     IncrementalSolutionIndex,
+    SolutionHypergraph,
     SolutionQuery,
     find_nontrivial_solution,
 )
@@ -229,11 +231,11 @@ def test_search_shares_one_conflict_memory(monkeypatch, distinct):
     monkeypatch.setattr(search, "IncrementalSolutionIndex", Recorded)
     eq = make_symmetric([43, 69, 70])
     memories = []
-    for M in (16, 32):    # the exact search, then the anytime phases
+    for M in (32, 64):    # two anytime searches
         max_digit_set(eq, eq.side_sum * M + 1,
                       SearchConfig(budget=10 ** 9 // 8), distinct=distinct)
         memories.append(indexes[0].memory)
-        assert len(indexes) >= (1 if M == 16 else 5)
+        assert len(indexes) >= 5
         assert all(index.memory is memories[-1] for index in indexes)
         indexes.clear()
     assert memories[0] is not memories[1]
@@ -320,7 +322,7 @@ SEARCH_TABLE = [
     (("sym", (3, 5, 17)), True, 8, 3000,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 3033, "greedy"),
     (("sym", (3, 5, 17)), True, 8, 30000,
-     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 5490, "exact"),
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 5075, "exact"),
     (("sym", (3, 5, 17)), True, 64, 30000,
      (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 17609,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
@@ -338,7 +340,7 @@ SEARCH_TABLE = [
      "seed[128] pseed[128] seed[256] pseed[256] extend[8] extend[10] "
      "extend[16]"),
     (("eq", (2, 2, -3, -1)), False, 8, 10 ** 7,
-     (0, 1, 5, 6), (0, 1, 5, 6), True, 807, "exact"),
+     (0, 1, 5, 6), (0, 1, 5, 6), True, 806, "exact"),
     (("eq", (2, 2, -3, -1)), False, 64, 3000,
      (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3006,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
@@ -388,3 +390,95 @@ def test_search_table(equation, distinct, M, budget, digits, best, exhausted,
     assert (res.digits, res.best_rate_digits, res.exhausted, res.nodes,
             " ".join(name for name, _ in res.phases)) == (
         digits, best, exhausted, nodes, phases)
+
+
+def _random_equations(rng, count):
+    """Symmetric equations of two or three generators, and equations of
+    three or four coefficients, with sides of equal or unequal length."""
+    eqs = [make_equation([2, 2, -3, -1]), make_equation([4, -1, -1, -2])]
+    while len(eqs) < count:
+        if rng.random() < 0.5:
+            eqs.append(make_symmetric(sorted(rng.randint(1, 12)
+                                             for _ in range(rng.randint(2, 3)))))
+            continue
+        pos = [rng.randint(1, 6) for _ in range(rng.randint(1, 2))]
+        neg = [rng.randint(1, 6) for _ in range(rng.randint(2, 3) - len(pos))]
+        if sum(neg) < sum(pos):
+            neg.append(sum(pos) - sum(neg))
+            eqs.append(make_equation(pos + [-c for c in neg]))
+    return eqs
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_hypergraph_exact_search_matches_the_index(monkeypatch, distinct):
+    """On the solution hypergraph, the exact search offers the sets the
+    legality index's offers, in the same order, and ends with the same
+    digits and best-rate digits."""
+    offers = []
+    offer = search._Tracker.offer
+
+    def recorded(self, digits, nodes, phase):
+        offers.append(tuple(digits))
+        offer(self, digits, nodes, phase)
+
+    monkeypatch.setattr(search._Tracker, "offer", recorded)
+    rng = random.Random(16)
+    for eq in _random_equations(rng, 24):
+        L = eq.side_sum * rng.randint(3, 11) + 1
+        runs = []
+        for hypergraph in (True, False):
+            monkeypatch.setattr(search.SolutionHypergraph, "pays",
+                                staticmethod(lambda *args: hypergraph))
+            offers.clear()
+            res = max_digit_set(eq, L, SearchConfig(mode="exact"),
+                                distinct=distinct)
+            assert res.exhausted
+            runs.append((list(offers), res.digits, res.best_rate_digits))
+        assert runs[0] == runs[1], (eq, L)
+
+
+def test_hypergraph_keeps_the_minimal_solution_sets():
+    eq = make_symmetric([1, 1])     # x + y = z + w
+    edges = {e for group in SolutionHypergraph(eq, 5).edges for e in group}
+
+    def mask(values):
+        return sum(1 << v for v in values)
+
+    # {0, 1, 2} holds 0 + 2 = 1 + 1, so no edge holds it and another value
+    assert mask([0, 1, 2]) in edges and mask([0, 1, 2, 3]) not in edges
+    for e in edges:
+        values = [v for v in range(5) if e >> v & 1]
+        q = SolutionQuery(eq, values)
+        assert find_nontrivial_solution(q, engine="naive") is not None
+        for v in values:
+            rest = [w for w in values if w != v]
+            assert find_nontrivial_solution(
+                SolutionQuery(eq, rest), engine="naive") is None
+
+
+def test_small_dependency_search_matches_the_scan():
+    """The lattice search against the scan it replaced, levels 1..M."""
+    def scan(a, b, c, M):
+        for level in range(1, M + 1):
+            for i in range(0, level + 1):
+                for j in range(-level, level + 1):
+                    num = -(i * a + j * b)
+                    if num % c:
+                        continue
+                    k = num // c
+                    if (abs(k) > level or max(i, abs(j), abs(k)) != level
+                            or (i == 0 and j <= 0)
+                            or math.gcd(math.gcd(i, abs(j)), abs(k)) != 1):
+                        continue
+                    return (i, j, k)
+        return None
+
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b, c = (rng.randint(1, rng.choice([3, 20, 1000, 10 ** 5]))
+                   for _ in range(3))
+        if rng.random() < 0.3:
+            b = a * rng.randint(1, 4)
+        M = rng.randint(1, 60)
+        dep = small_dependency_search(a, b, c, M)
+        assert (dep and dep.as_tuple()) == scan(a, b, c, M), (a, b, c, M)
