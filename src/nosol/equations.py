@@ -172,7 +172,13 @@ def classify_solution(eq: Equation, x) -> SolutionClass:
 
 def is_trivial(eq: Equation, x) -> bool:
     """Whether, for every distinct value in the assignment x, the
-    coefficients at the positions holding that value sum to zero."""
+    coefficients at the positions holding that value sum to zero.
+
+    When more than half of the positions hold distinct values, one value
+    is held once, and its sum is one coefficient, nonzero since
+    make_equation strips zeros: the answer is False at once."""
+    if 2 * len(set(x)) > len(x):
+        return False
     class_sums: dict[int, int] = {}
     for c, v in zip(eq.coeffs, x):
         class_sums[v] = class_sums.get(v, 0) + c

@@ -9,7 +9,14 @@ import pytest
 
 from nosol import oracle
 from nosol.certificates import Certificate, make_digit_set
-from nosol.constructions import _lift_below, geometric_digits, lift, two_var_digits
+from nosol.constructions import (
+    PipelineConfig,
+    _lift_below,
+    geometric_digits,
+    lift,
+    three_coefficient_pipeline,
+    two_var_digits,
+)
 from nosol.equations import (
     classify_solution,
     is_dissociated,
@@ -460,6 +467,101 @@ def test_bucketed_last_stage_matches_one_bucket(monkeypatch):
                                      }) == size ** (k - 1)
         outcomes.add((split_up, repeats, last_only))
     assert {(True, False, False), (True, True, True)} <= outcomes
+
+
+def _first_repeating_stage(coeffs, values):
+    """The first j whose j-tuple sums repeat, from plain sets of all the
+    sums; None when the k-tuple sums are distinct."""
+    for j in range(1, len(coeffs) + 1):
+        sums = {sum(map(operator.mul, coeffs, x))
+                for x in product(values, repeat=j)}
+        if len(sums) < len(values) ** j:
+            return j
+    return None
+
+
+def _forced_scan(monkeypatch, bitset, coeffs, values, limit):
+    """(answer, nodes) of _sums_repeat with its last stage forced to the
+    bitset or the sorted scan; ("cut", nodes) when the budget runs out."""
+    monkeypatch.setattr(oracle, "_bitset_pays", lambda coeffs, values: bitset)
+    budget = _Budget(limit)
+    try:
+        return _sums_repeat(coeffs, values, budget), budget.nodes
+    except BudgetExhausted as exc:
+        return "cut", exc.nodes
+
+
+def test_bitset_last_stage_matches_the_sorted_scan(monkeypatch):
+    """The bitset and the sorted last stage give the answer of a plain set
+    of all k-tuple sums, spend one node per sum up to the first repeating
+    stage, and are cut by a small budget at the same node."""
+    rng = random.Random(20261020)
+    max_size = {1: 30, 2: 14, 3: 7, 4: 4}
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        size = rng.randint(2, max_size[k])
+        lo = rng.randint(-60, 10)
+        spread = rng.choice((size, 3 * size, 12 * size))
+        values = sorted(rng.sample(range(lo, lo + spread), size))
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(1, 25) for _ in range(k)]
+        else:
+            # powers of the width keep the j-tuple sums distinct, and a
+            # repeated coefficient makes the stage after it repeat
+            width = values[-1] - values[0] + 1
+            coeffs = [width ** j for j in range(k)]
+            stage = rng.randint(2, k + 1)
+            if stage <= k:
+                coeffs[stage - 1] = coeffs[stage - 2]
+        first = _first_repeating_stage(coeffs, values)
+        seen.add((k, first))
+        nodes = sum(size ** j for j in range(1, (first or k) + 1))
+        for bitset in (True, False):
+            assert _forced_scan(monkeypatch, bitset, coeffs, values, 10 ** 9) \
+                == (first is not None, nodes), (bitset, coeffs, values)
+        for limit in {1, nodes - 1, rng.randint(1, nodes)} - {0}:
+            assert _forced_scan(monkeypatch, True, coeffs, values, limit) \
+                == _forced_scan(monkeypatch, False, coeffs, values, limit), (
+                    coeffs, values, limit)
+    # every k, clean and with the first repeat at each stage from 2 (the
+    # values are distinct, so stage 1 never repeats)
+    assert seen == {(k, first) for k in range(1, 5)
+                    for first in (None, *range(2, k + 1))}
+
+
+def _other_path_ran(*args):
+    raise AssertionError("the other last-stage scan ran")
+
+
+@pytest.mark.parametrize("build,N,path", [
+    # 64 elements of sum span 67.8 bits per last-stage sum: sorted
+    pytest.param(lambda: three_coefficient_pipeline(
+        10, 11, 31, PipelineConfig(alpha=0.3, alpha2_small=0.03)).certificate,
+        261 ** 3, "sorted", id="thm3_10_11_31"),
+    # 1,024 and 128 elements whose sums fill their span: bitset
+    pytest.param(lambda: two_var_digits(1, 2), 10 ** 6, "bitset",
+                 id="two_var_1e6"),
+    pytest.param(lambda: geometric_digits(2, 3), 8 ** 7, "bitset",
+                 id="geometric_8e7"),
+])
+def test_lift_scan_takes_the_path_its_sums_call_for(monkeypatch, build, N,
+                                                    path):
+    cert = build()
+    q = SolutionQuery(cert.equation, lift(cert, N).elements)
+    other = ("_last_stage_repeats" if path == "bitset"
+             else "_last_stage_bitset_repeats")
+    monkeypatch.setattr(oracle, other, _other_path_ran)
+    k = len(cert.equation.symmetric_gen)
+    size = len(q.ground_set)
+    assert exhaustive_check(q) == (None, sum(size ** j
+                                             for j in range(1, k + 1)))
+
+
+def test_scan_past_the_cap_takes_the_sorted_path(monkeypatch):
+    # its 2500**2 last-stage sums exceed SCAN_SUMS_CAP, dense as they are
+    monkeypatch.setattr(oracle, "_last_stage_bitset_repeats", _other_path_ran)
+    assert two_var_digits(1, 2500).oracle_nodes == 2500 + 2500 ** 2
 
 
 def _picked_engine_result(q):
