@@ -226,6 +226,11 @@ def cmd_search(args, argv) -> int:
     started = time.monotonic()
     budget = _budget(args)
     eq = _equation_from_args(args)
+    chosen = [flag for flag, given in (("--L", args.L is not None),
+                                       ("--L-grid", args.L_grid != "auto"),
+                                       ("--extended", args.extended)) if given]
+    if len(chosen) > 1:
+        raise _UsageError(f"{' and '.join(chosen)} cannot be combined")
     if args.L is not None:
         grid = [args.L]
     elif args.L_grid != "auto":

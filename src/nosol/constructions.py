@@ -26,6 +26,7 @@ from .certificates import (
 from .equations import Equation, is_primitive, make_equation, make_symmetric
 from .oracle import (
     DEFAULT_BUDGET,
+    MITM_TABLE_CAP,
     BudgetExhausted,
     IncrementalSolutionIndex,
     SolutionQuery,
@@ -391,7 +392,9 @@ def three_coefficient_pipeline(
 
     def emit(digits, case, dep, alpha2, extra, greedy=False):
         # greedy: certify the solution-free subset that one greedy pass
-        # keeps of digits; a budget blowup in either step leaves a plan
+        # keeps of digits; a budget blowup in either step leaves a plan.
+        # The pass stores up to a sum per node, so MITM_TABLE_CAP bounds
+        # its nodes, and so its memory, whatever the budget
         meta = {"kind": "thm3", "a": a, "b": b, "c": c, "case": case,
                 "alpha": alpha, **extra}
         if dep is not None:
@@ -401,7 +404,8 @@ def three_coefficient_pipeline(
         plan = {"digits": list(digits)}
         try:
             if greedy:
-                index = IncrementalSolutionIndex(eq, budget=cfg.budget)
+                index = IncrementalSolutionIndex(
+                    eq, budget=min(cfg.budget, MITM_TABLE_CAP))
                 index.greedy(digits)
                 digits = index.values
             digits = tuple(sorted(digits))

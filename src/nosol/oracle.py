@@ -8,6 +8,10 @@ of one-side sums, which certifies a clean set without storing any tuple.
 A search is only trusted when it ran to completion within its node budget;
 running out raises BudgetExhausted so callers can never mistake "unknown"
 for "verified absent".
+
+The digit searches' IncrementalSolutionIndex first scans the conflicts
+that its ConflictMemory remembers for a value; a memory that learned a
+whole range (ConflictMemory.learn_range) answers by that scan alone.
 """
 
 from __future__ import annotations
@@ -43,10 +47,11 @@ SCAN_SUMS_CAP = 4_000_000
 # inputs of 4,096 to 2,048,000 sums, the bitset took 0.16-0.57 of the
 # sort's time at about 32 words per sum and 0.29-1.14 at about 64
 BITSET_WORDS_PER_SUM = 32
-# expected solutions over its range past which a SolutionHypergraph costs
-# more than the legality index's tests.  Of 16 equations timed at 9, 17
-# and 22 candidates, sym(43,69,70) at 17 (about 8,300) ran 4 times faster
-# in distinct mode, sym(1,2,3) at 9 (about 10,800) 3 to 18 times slower
+# expected solutions over its range past which learning the range
+# (ConflictMemory.learn_range) costs more than the legality index's
+# tables.  Of 16 equations timed at 9, 17 and 22 candidates,
+# sym(43,69,70) at 17 (about 8,300) ran 4 times faster in distinct mode,
+# sym(1,2,3) at 9 (about 10,800) 3 to 18 times slower
 HYPERGRAPH_SOLUTION_CAP = 10_000
 
 
@@ -445,12 +450,13 @@ class ConflictMemory:
     share what its phases learn.
     """
 
-    __slots__ = ("bits", "conflicts", "scope")
+    __slots__ = ("bits", "conflicts", "scope", "complete")
 
     def __init__(self):
         self.bits: dict[int, int] = {}
         self.conflicts: dict[int, list[int]] = {}
         self.scope = None
+        self.complete = False
 
     def bit(self, v: int) -> int:
         b = self.bits.get(v)
@@ -466,6 +472,54 @@ class ConflictMemory:
         for v in solution:
             w |= bit(v)
         self.conflicts.setdefault(x, []).append(w & ~bit(x))
+
+    def learn_range(self, n: int, budget) -> None:
+        """Record every minimal solution value set over range(n) as a
+        conflict of its largest value, and mark the memory complete.
+
+        The memory must be fresh and scoped, so that bit v is value v's.
+        The value sets of every countable solution are enumerated by mitm,
+        spending on budget (a _Budget).  Only the minimal ones are kept: a
+        set is solution-free iff it holds none of them, and when values
+        enter in ascending order, x is the largest held value, so only the
+        sets whose largest value is x can be completed by x.
+        """
+        eq, distinct = self.scope
+        bits = [self.bit(v) for v in range(n)]
+        sets = set()
+        for solution in _mitm_solutions(eq, range(n), distinct, budget):
+            e = 0
+            for v in solution:
+                e |= bits[v]
+            sets.add(e)
+        # a set holds another only if it has more values
+        minimal = []
+        for _, group in groupby(sorted(sets, key=int.bit_count), int.bit_count):
+            minimal += [e for e in group if all(f & e != f for f in minimal)]
+        for e in minimal:
+            x = e.bit_length() - 1
+            self.conflicts.setdefault(x, []).append(e ^ bits[x])
+        self.complete = True
+
+
+def _learn_range_pays(eq: Equation, n: int, distinct: bool, budget: int) -> bool:
+    """Whether an exact search over range(n) should test legality on a
+    memory that learned the range rather than build its index's tables.
+
+    The enumeration spends a node per table entry, scanned tuple and
+    solution, about n**m / (s*(n-1) + 1) solutions for m variables and
+    side sum s (the assignments over the values a side's sum takes),
+    whatever the answer; the tables cost in proportion to the sets held.
+    So the solutions must be few, and the enumeration must fit the budget,
+    as a cut one leaves no set found, and MITM_TABLE_CAP.  The sums index
+    was faster on every equation measured.
+    """
+    if _sums_decide(eq, distinct):
+        return False
+    solutions = n ** eq.num_vars // (eq.side_sum * (n - 1) + 1)
+    nodes = solutions + sum(n ** len(side) for side in _sides(eq))
+    return (solutions <= HYPERGRAPH_SOLUTION_CAP
+            and nodes <= min(budget, MITM_TABLE_CAP))
 
 
 class IncrementalSolutionIndex:
@@ -527,6 +581,10 @@ class IncrementalSolutionIndex:
     a rejection through the stage sets: each of the two sums is its chunk's
     prefix, decoded stage by stage, and value.  Masks give the values of
     both masks, and tuples those of both tuples.
+
+    When the memory is complete (ConflictMemory.learn_range), the conflict
+    scan is the whole test of a value added in ascending order over the
+    learned range, and ``add`` and ``pop`` store nothing.
 
     The answers do not depend on this accounting, but the node counts, and
     so how far a given budget reaches, do.
@@ -829,6 +887,8 @@ class IncrementalSolutionIndex:
                     self.tracker.spend(i)
                     return False
             self.tracker.spend(len(conflicts))
+        if memory.complete:
+            return True
         if self.sums is not None:
             kept, witness = self._new_sums(x)
         elif self.distinct:
@@ -849,7 +909,9 @@ class IncrementalSolutionIndex:
         if self.held & self.memory.bits.get(x, 0):
             raise ValueError(f"{x} is already in the index")
         kept = kept[1] if kept is not None and kept[0] == x else None
-        if self.sums is not None:
+        if self.memory.complete:
+            undo = None
+        elif self.sums is not None:
             stages = kept or self._new_sums(x)[0]
             if stages is None:
                 raise ValueError(f"adding {x} creates a solution")
@@ -888,7 +950,9 @@ class IncrementalSolutionIndex:
     def pop(self) -> int:
         self._kept = None
         undo = self._undo.pop()
-        if self.sums is not None:
+        if self.memory.complete:
+            pass        # add stored nothing
+        elif self.sums is not None:
             for stored, new in zip(self.sums, undo):
                 stored.difference_update(new)
         elif self.distinct:
@@ -898,87 +962,6 @@ class IncrementalSolutionIndex:
             _unstore(self.neg_table, undo[1])
         x = self.values.pop()
         self.held ^= self.memory.bits[x]
-        return x
-
-
-class SolutionHypergraph:
-    """Legality oracle over the candidates range(n), for a search that adds
-    values in ascending order.
-
-    Its edges are the value sets of every countable solution over range(n),
-    enumerated once by mitm, as bitmasks (bit v for value v).  Only the
-    minimal ones are kept: a solution whose values hold an edge is rejected
-    through that edge.  A set is solution-free iff it holds no edge, and the
-    held values are all below x, so ``legal(x)`` tests only the edges whose
-    largest value is x.  Nothing is built or dropped by ``add`` and ``pop``.
-
-    Accounting: mitm's nodes, spent while the edges are enumerated, then one
-    node per edge tested.
-    """
-
-    @staticmethod
-    def pays(eq: Equation, n: int, distinct: bool, budget: int) -> bool:
-        """Whether a search over range(n) should test legality here rather
-        than in an IncrementalSolutionIndex.
-
-        The enumeration spends a node per table entry, scanned tuple and
-        solution, about n**m / (s*(n-1) + 1) solutions for m variables and
-        side sum s (the assignments over the values a side's sum takes),
-        whatever the answer; the index spends in proportion to the sets it
-        holds.  So the solutions must be few, and the enumeration must fit
-        the budget, as a cut one leaves no set found, and MITM_TABLE_CAP.
-        The sums index was faster on every equation measured.
-        """
-        if _sums_decide(eq, distinct):
-            return False
-        solutions = n ** eq.num_vars // (eq.side_sum * (n - 1) + 1)
-        nodes = solutions + sum(n ** len(side) for side in _sides(eq))
-        return (solutions <= HYPERGRAPH_SOLUTION_CAP
-                and nodes <= min(budget, MITM_TABLE_CAP))
-
-    def __init__(self, eq: Equation, n: int, distinct: bool = False,
-                 budget: int = DEFAULT_BUDGET):
-        self.tracker = _Budget(budget)
-        bits = [1 << v for v in range(n)]
-        sets = set()
-        for solution in _mitm_solutions(eq, range(n), distinct, self.tracker):
-            e = 0
-            for v in solution:
-                e |= bits[v]
-            sets.add(e)
-        # a set holds another only if it has more values
-        minimal = []
-        for _, group in groupby(sorted(sets, key=int.bit_count), int.bit_count):
-            minimal += [e for e in group if all(f & e != f for f in minimal)]
-        self.edges: list[list[int]] = [[] for _ in range(n)]
-        for e in minimal:
-            self.edges[e.bit_length() - 1].append(e)
-        self.values: list[int] = []
-        self.held = 0
-
-    @property
-    def nodes(self) -> int:
-        return self.tracker.nodes
-
-    def legal(self, x: int) -> bool:
-        """Whether adding x, which exceeds every held value, keeps the set
-        solution-free."""
-        edges = self.edges[x]
-        free = ~(self.held | 1 << x)
-        for i, e in enumerate(edges, 1):
-            if not e & free:
-                self.tracker.spend(i)
-                return False
-        self.tracker.spend(len(edges))
-        return True
-
-    def add(self, x: int) -> None:
-        self.values.append(x)
-        self.held |= 1 << x
-
-    def pop(self) -> int:
-        x = self.values.pop()
-        self.held ^= 1 << x
         return x
 
 

@@ -5,7 +5,10 @@ exact branch-and-bound when the candidate range is small, or an anytime
 pipeline under a node budget.  Every anytime phase is one greedy pass
 (IncrementalSolutionIndex.greedy) over a candidate order: the ascending
 range, two-level seeds built from coefficient-derived bases, and the rest
-of the range on top of the best seed sets.  Everything is deterministic:
+of the range on top of the best seed sets.  The exact search tests on one
+IncrementalSolutionIndex as well; over a small range its conflict memory
+first learns every minimal solution set (ConflictMemory.learn_range), so
+the conflict scan is its whole test.  Everything is deterministic:
 rerunning a search reproduces the same sets bit for bit.
 """
 
@@ -21,7 +24,7 @@ from .oracle import (
     BudgetExhausted,
     ConflictMemory,
     IncrementalSolutionIndex,
-    SolutionHypergraph,
+    _learn_range_pays,
 )
 
 MODE_EXACT = "exact"
@@ -130,21 +133,22 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
 def _exact_branch_and_bound(eq, n, cfg, tracker, distinct, memory):
     """Full include-first DFS over the candidates 0..n-1 in increasing order,
     on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
-    branch of i for its exclude branch.  The legality tests are those of a
-    SolutionHypergraph of the range when it has at most EXACT_AUTO_LIMIT
-    candidates and the hypergraph pays, else those of an
-    IncrementalSolutionIndex, whose work grows with the values held, so
-    that a budget cut still leaves the sets found.  Returns (whether the
-    whole tree was enumerated within budget, nodes)."""
+    branch of i for its exclude branch.  One IncrementalSolutionIndex tests
+    legality: on a fresh memory that first learns the range when it has at
+    most EXACT_AUTO_LIMIT candidates and that pays, else on the search's
+    memory, where the work grows with the values held, so that a budget
+    cut still leaves the sets found.  Returns (whether the whole tree was
+    enumerated within budget, nodes)."""
     best_here = 0
     stack = [0]
     try:
-        if (n <= EXACT_AUTO_LIMIT
-                and SolutionHypergraph.pays(eq, n, distinct, cfg.budget)):
-            index = SolutionHypergraph(eq, n, distinct, cfg.budget)
-        else:
-            index = IncrementalSolutionIndex(eq, distinct=distinct,
-                                             budget=cfg.budget, memory=memory)
+        learn = (n <= EXACT_AUTO_LIMIT
+                 and _learn_range_pays(eq, n, distinct, cfg.budget))
+        index = IncrementalSolutionIndex(
+            eq, distinct=distinct, budget=cfg.budget,
+            memory=ConflictMemory() if learn else memory)
+        if learn:
+            index.memory.learn_range(n, index.tracker)
         while stack:
             i = stack.pop()
             if i < 0:

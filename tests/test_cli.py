@@ -337,6 +337,10 @@ BAD_INPUT = [
     (["rate", "--cert", "COERCED"], {}, 64),
     (["construct", "shift", "--cert", "COERCED", "--i", "1,0", "--j", "0,1"],
      {}, 65),
+    # --L once overrode --L-grid, and --extended was ignored beside either
+    (["search", "--sym", "1,2", "--L-grid", "7", "--L", "9"], {}, 64),
+    (["search", "--sym", "1,2", "--L", "9", "--extended"], {}, 64),
+    (["search", "--sym", "1,2", "--L-grid", "7,9", "--extended"], {}, 64),
 ]
 
 
@@ -505,7 +509,7 @@ def test_exact_search_past_the_hypergraph_limit_runs_on_the_index(
     def never(*args, **kwargs):
         raise AssertionError("the candidate range was enumerated")
 
-    monkeypatch.setattr(search, "SolutionHypergraph", never)
+    monkeypatch.setattr(search.ConflictMemory, "learn_range", never)
     code, report = run(capsys, "search", "--sym", "1,1", "--exact", "--L",
                        "5000", "--budget", "200000", "-o", str(tmp_path / "b.json"))
     assert code == 3
@@ -531,3 +535,20 @@ def test_construct_thm3_with_a_far_dependency_stays_in_budget(tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "unverified-plan"
     assert os.listdir(tmp_path) == []
+
+
+def test_construct_thm3_greedy_step_is_capped_whatever_the_budget(
+        tmp_path, capsys, monkeypatch):
+    # the greedy step stores up to a sum per node, so its nodes are capped
+    # to bound its memory; past the cap the plan is left unverified
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "thm3", "--a", "10", "--b", "11", "--c", "31",
+            "--alpha", "0.3", "--alpha2", "0.03"]
+    monkeypatch.setattr(constructions, "MITM_TABLE_CAP", 10)
+    assert main(argv) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        '{"case": "small-dependency", "plan": {"digits": [0, 1, 4, 5]}, '
+        '"status": "unverified-plan"}']
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(constructions, "MITM_TABLE_CAP", oracle.MITM_TABLE_CAP)
+    assert main(argv) == 0

@@ -9,7 +9,6 @@ from nosol.equations import make_equation, make_symmetric
 from nosol.oracle import (
     ConflictMemory,
     IncrementalSolutionIndex,
-    SolutionHypergraph,
     SolutionQuery,
     find_nontrivial_solution,
 )
@@ -427,8 +426,8 @@ def test_hypergraph_exact_search_matches_the_index(monkeypatch, distinct):
         L = eq.side_sum * rng.randint(3, 11) + 1
         runs = []
         for hypergraph in (True, False):
-            monkeypatch.setattr(search.SolutionHypergraph, "pays",
-                                staticmethod(lambda *args: hypergraph))
+            monkeypatch.setattr(search, "_learn_range_pays",
+                                lambda *args: hypergraph)
             offers.clear()
             res = max_digit_set(eq, L, SearchConfig(mode="exact"),
                                 distinct=distinct)
@@ -439,7 +438,9 @@ def test_hypergraph_exact_search_matches_the_index(monkeypatch, distinct):
 
 def test_hypergraph_keeps_the_minimal_solution_sets():
     eq = make_symmetric([1, 1])     # x + y = z + w
-    edges = {e for group in SolutionHypergraph(eq, 5).edges for e in group}
+    index = IncrementalSolutionIndex(eq)
+    index.memory.learn_range(5, index.tracker)
+    edges = {w | 1 << x for x, ws in index.memory.conflicts.items() for w in ws}
 
     def mask(values):
         return sum(1 << v for v in values)
@@ -454,6 +455,43 @@ def test_hypergraph_keeps_the_minimal_solution_sets():
             rest = [w for w in values if w != v]
             assert find_nontrivial_solution(
                 SolutionQuery(eq, rest), engine="naive") is None
+
+
+def test_exact_search_on_a_learned_range_runs_on_the_index(monkeypatch):
+    """The distinct 43/69/70 exact search at M=16 learns its range, and its
+    one legality index makes every test, add and pop."""
+    calls = {"legal": 0, "add": 0, "pop": 0}
+    for name in calls:
+        def counted(self, *args, _name=name,
+                    _method=getattr(IncrementalSolutionIndex, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(IncrementalSolutionIndex, name, counted)
+    eq = make_symmetric([43, 69, 70])
+    res = max_digit_set(eq, eq.side_sum * 16 + 1,
+                        SearchConfig(budget=10 ** 9 // 8), distinct=True)
+    assert (res.exhausted, len(res.digits), res.nodes) == (True, 9, 814878)
+    assert calls == {"legal": 9734, "add": 4507, "pop": 4507}
+
+
+def test_budget_cut_exact_search_keeps_its_learned_range_apart(monkeypatch):
+    """The anytime fallback of an exact search that learned its range and
+    ran out of budget tests on the search's memory, which learned nothing:
+    its greedy phase, left one node, adds no value."""
+    indexes = []
+
+    class Recorded(IncrementalSolutionIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            indexes.append(self)
+
+    monkeypatch.setattr(search, "IncrementalSolutionIndex", Recorded)
+    eq = make_symmetric([43, 69, 70])
+    res = max_digit_set(eq, eq.side_sum * 16 + 1, SearchConfig(budget=50_000),
+                        distinct=True)
+    assert not res.exhausted and res.phases == [("greedy", 0)]
+    exact, greedy = indexes
+    assert exact.memory.complete and not greedy.memory.complete
 
 
 def test_small_dependency_search_matches_the_scan():
