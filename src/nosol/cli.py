@@ -129,6 +129,13 @@ def _equation_from_args(args):
     raise ValueError("specify an equation with --sym or --eq")
 
 
+def _refuse(message, names) -> None:
+    """Raise _UsageError, message then the flags of names, if any."""
+    if names:
+        raise _UsageError(message + ", ".join(
+            "--" + name.replace("_", "-") for name in names))
+
+
 def _read_set(args) -> tuple[int, ...]:
     if args.set is not None:
         return tuple(sorted({int(x) for x in args.set.split(",")}))
@@ -144,6 +151,8 @@ def _read_set(args) -> tuple[int, ...]:
 def cmd_verify(args, argv) -> int:
     budget = _budget(args)
     if args.cert:
+        _refuse("--cert cannot be combined with ", [name for name in (
+            "sym", "eq", "set", "set_file") if getattr(args, name) is not None])
         # the one oracle run is the check below, under the user's budget
         cert = read_certificate(args.cert)
         eq = cert.equation
@@ -166,11 +175,13 @@ def cmd_verify(args, argv) -> int:
 def cmd_construct(args, argv) -> int:
     started = time.monotonic()
     budget = _budget(args)
-    missing = [name for name in RECIPE_ARGS[args.recipe]
-               if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise _UsageError(f"recipe {args.recipe} needs {flags}")
+    _refuse(f"recipe {args.recipe} needs ", [
+        name for name in RECIPE_ARGS[args.recipe] if getattr(args, name) is None])
+    tuning = ("alpha", "alpha2", "literal_constants")   # read by thm3 alone
+    reads = RECIPE_ARGS[args.recipe] + (tuning if args.recipe == "thm3" else ())
+    _refuse(f"recipe {args.recipe} does not read ", [
+        name for name in dict.fromkeys(sum(RECIPE_ARGS.values(), ()) + tuning)
+        if name not in reads and getattr(args, name) is not None])
     if args.recipe == "geometric":
         cert = geometric_digits(args.m, args.k, budget)
     elif args.recipe == "two-var":
@@ -182,7 +193,7 @@ def cmd_construct(args, argv) -> int:
         cert = spaced_digits(gens, args.s_factor, budget)
     elif args.recipe == "thm3":
         cfg = PipelineConfig(alpha=args.alpha, budget=budget,
-                             literal_constants=args.literal_constants)
+                             literal_constants=bool(args.literal_constants))
         if args.alpha2 is not None:
             cfg.alpha2_small = args.alpha2
         result = three_coefficient_pipeline(args.a, args.b, args.c, cfg)
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", help="comma-separated generators for spaced")
     p.add_argument("--alpha", type=float)
     p.add_argument("--alpha2", type=float)
-    p.add_argument("--literal-constants", action="store_true",
+    p.add_argument("--literal-constants", action="store_true", default=None,
                    help="use the literal asymptotic thresholds in thm3")
     p.add_argument("--cert", help="source certificate for shift")
     p.add_argument("--i", help="comma-separated left shifts for shift")

@@ -34,15 +34,14 @@ from .equations import (
 
 DEFAULT_BUDGET = 10 ** 8
 MITM_TABLE_CAP = 2_000_000
-# the sum scan holds its stage k-1 and one bucket of its last stage, each
-# within this cap.  Under tracemalloc a scanned sum costs about 41 bytes
-# (its int, a list slot and the sort's buffer) and a mitm table entry about
-# 90 (its sum, its product index, two list slots and the sort's buffers).
-# So a scan whose last stage is one bucket peaks below mitm at
-# MITM_TABLE_CAP (about 165 against 180 MB), but a bucketed scan, which
-# also holds stage k-1, can peak above it (up to about 310 MB)
+# the sum scan holds its stage k-1 and one sum range of its last stage,
+# each within this cap.  Under tracemalloc a sorted sum costs about 41 bytes
+# (int, list slot, sort buffer), a bitset range's sum at most 8, and a mitm
+# table entry about 90 (sum, product index, two list slots, sort buffers).
+# So a one-range scan peaks below mitm at MITM_TABLE_CAP (about 165 against
+# 180 MB), but a split one, which also holds stage k-1, up to about 310 MB
 SCAN_SUMS_CAP = 4_000_000
-# 64-bit words ORed per last-stage sum up to which the sum scan builds its
+# 64-bit words ORed per sum up to which the sum scan builds a range of its
 # last stage as a bitset.  Timed against the sorted last stage on random
 # inputs of 4,096 to 2,048,000 sums, the bitset took 0.16-0.57 of the
 # sort's time at about 32 words per sum and 0.29-1.14 at about 64
@@ -241,11 +240,8 @@ def _sums_repeat(coeffs, values, budget) -> bool:
     before the last is sorted so that repeats are adjacent: it is built as
     one ascending run per value, which the sort merges, and a list takes
     less memory than a set.  The last stage, which holds a factor |values|
-    more sums than the one before, is scanned as a bitset when its sums are
-    dense (_bitset_pays, _last_stage_bitset_repeats), else sorted, in
-    buckets when it holds more than SCAN_SUMS_CAP sums
-    (_last_stage_repeats).  Both spend the same nodes and give the same
-    answer.
+    more sums than the one before, is built one sum range at a time, each
+    as a bitset or sorted, at the same nodes (_last_stage_repeats).
     """
     sums = [0]
     for c in coeffs[:-1]:
@@ -254,44 +250,14 @@ def _sums_repeat(coeffs, values, budget) -> bool:
         sums.sort()
         if any(map(eq, sums, islice(sums, 1, None))):
             return True
-    if _bitset_pays(coeffs, values):
-        return _last_stage_bitset_repeats(sums, coeffs[-1], values, budget)
     return _last_stage_repeats(sums, coeffs[-1], values, budget)
 
 
-def _bitset_pays(coeffs, values) -> bool:
-    """Whether the last stage of _sums_repeat is scanned as a bitset: the
-    sorted scan would build it as one bucket (so both spend their nodes at
-    once, budget cuts included), its span of sums takes at most 8 bytes
-    per sum as bits, and ORing |values| shifted copies of stage k-1 into it
-    takes at most BITSET_WORDS_PER_SUM 64-bit words per sum."""
-    sums = len(values) ** len(coeffs)
-    if sums > SCAN_SUMS_CAP:
-        return False
-    span = sum(coeffs) * (values[-1] - values[0]) + 1
-    return (span <= 64 * sums
-            and len(values) * span <= 64 * BITSET_WORDS_PER_SUM * sums)
-
-
-def _last_stage_bitset_repeats(prev, c, values, budget) -> bool:
-    """_last_stage_repeats with the stage as one int, the bit-parallel
-    subset-sum step (Pisinger, Algorithmica 35, 2003): bit d of the int for
-    prev is set when prev holds prev[0] + d, the last stage is the OR of
-    that int shifted by each c*(v - values[0]), and its sums repeat when
-    it has fewer bits than len(prev) * len(values)."""
-    size = len(prev) * len(values)
-    budget.spend(size)
-    lo = prev[0]
-    bits = bytearray((prev[-1] - lo) // 8 + 1)
-    for s in prev:
-        d = s - lo
-        bits[d >> 3] |= 1 << (d & 7)
-    stage = int.from_bytes(bits, "little")
-    del bits
-    acc = 0
-    for v in values:
-        acc |= stage << c * (v - values[0])
-    return acc.bit_count() < size
+def _range_bitset_pays(span, prev_span, shifts, size) -> bool:
+    """Whether _last_stage_repeats builds a range as a bitset: at most 64 bits
+    and BITSET_WORDS_PER_SUM words ORed per sum, and prev spans less."""
+    return (prev_span < span <= 64 * size
+            and shifts * span <= 64 * BITSET_WORDS_PER_SUM * size)
 
 
 def _last_stage_repeats(prev, c, values, budget) -> bool:
@@ -299,11 +265,14 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
     values, repeat; one node per sum.
 
     Equal sums fall in the same range, so the stage is built one sum range
-    [lo, hi) at a time, in ascending order, and a range is halved until it
-    holds at most SCAN_SUMS_CAP sums or a single value, which at most
-    len(prev) sums reach.  For each shift c*v, the sums of a range come
-    from a slice of prev, whose ends bisect finds; a slice that is all of
-    prev is not copied.
+    [lo, hi) at a time, in ascending order, halved until it holds at most
+    SCAN_SUMS_CAP sums or a single value, which at most len(prev) sums
+    reach.  For each shift c*v, a range's sums come from a slice of prev,
+    whose ends bisect finds.  A dense range (_range_bitset_pays) is one
+    int, the OR of prev's bitset shifted by each c*v of a non-empty slice,
+    masked unless the slice is all of prev (the bit-parallel subset-sum
+    step of Pisinger, Algorithmica 35, 2003); its sums repeat when it has
+    fewer bits than sums.  Any other range is sorted.
     """
     shifts = sorted(c * v for v in values)
     lo = prev[0] + shifts[0]
@@ -311,6 +280,7 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
     # upper ends of the ranges still to build, each with its cuts: for
     # each shift t, the number of sums in prev below the end minus t
     ends = [(prev[-1] + shifts[-1] + 1, [len(prev)] * len(shifts))]
+    stage = None    # prev's bitset, built for the first bitset range
     while ends:
         hi, end = ends[-1]
         size = sum(end) - sum(start)
@@ -320,12 +290,31 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
             continue
         ends.pop()
         budget.spend(size)
-        bucket = [s + t for t, a, b in zip(shifts, start, end)
-                  for s in (prev if b - a == len(prev) else prev[a:b])]
-        bucket.sort()
-        if any(map(eq, bucket, islice(bucket, 1, None))):
+        reach = [(t, a, b) for t, a, b in zip(shifts, start, end) if a < b]
+        if _range_bitset_pays(hi - lo, prev[-1] - prev[0], len(reach), size):
+            if stage is None:   # bit d is set when prev holds prev[0] + d
+                stage = bytearray((prev[-1] - prev[0]) // 8 + 1)
+                for s in prev:
+                    d = s - prev[0]
+                    stage[d >> 3] |= 1 << (d & 7)
+                stage = int.from_bytes(stage, "little")
+            acc = 0
+            for t, a, b in reach:
+                d = prev[0] + t - lo
+                if b - a == len(prev):
+                    acc |= stage << d
+                else:
+                    acc |= (stage << d if d >= 0 else stage >> -d) & (
+                        (1 << hi - lo) - 1)
+            repeats = acc.bit_count() < size
+        else:
+            bucket = [s + t for t, a, b in reach
+                      for s in (prev if b - a == len(prev) else prev[a:b])]
+            bucket.sort()
+            repeats = any(map(eq, bucket, islice(bucket, 1, None)))
+        if repeats:
             return True
-        del bucket      # freed before the next bucket is built
+        acc = bucket = None     # freed before the next range
         lo, start = hi, end
     return False
 
@@ -346,7 +335,7 @@ def _sums_decide(eq: Equation, distinct: bool) -> bool:
 def _scan_applies(q: SolutionQuery) -> bool:
     """Whether the automatic choice may answer q by the one-side sum scan:
     sums decide it (_sums_decide), all its sums fit the query's budget, and
-    its stage k-1, which the last stage's buckets are built from, fits
+    its stage k-1, which the last stage's ranges are built from, fits
     SCAN_SUMS_CAP."""
     if not _sums_decide(q.equation, q.distinct_variables):
         return False
@@ -395,11 +384,10 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether (i_1..i_k) -> sum(i_j * a_j) is injective on [1, B]^k.
 
     Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
-    injective; memory grows with stage k-1 and one bucket of the last, or,
-    when the last stage's sums are dense (_bitset_pays), its bitset of at
-    most 8 bytes per sum.  A B past the budget raises BudgetExhausted(B),
-    and a B whose stage k-1, B**(k-1) sums, exceeds SCAN_SUMS_CAP raises
-    ValueError, before the scan runs.
+    injective, which holds stage k-1 and one sum range of the last (a dense
+    one as a bitset of at most 8 bytes per sum).  A B past the budget
+    raises BudgetExhausted(B), and a B whose stage k-1, B**(k-1) sums,
+    exceeds SCAN_SUMS_CAP raises ValueError, before the scan runs.
     """
     a = [int(v) for v in a]
     if len(a) < 2:

@@ -6,7 +6,7 @@ import pytest
 from nosol import cli, constructions, oracle, search
 from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
-from nosol.constructions import lift, two_var_digits
+from nosol.constructions import geometric_digits, lift, two_var_digits
 from nosol.certificates import save_certificate
 from nosol.equations import make_symmetric
 
@@ -341,6 +341,18 @@ BAD_INPUT = [
     (["search", "--sym", "1,2", "--L-grid", "7", "--L", "9"], {}, 64),
     (["search", "--sym", "1,2", "--L", "9", "--extended"], {}, 64),
     (["search", "--sym", "1,2", "--L-grid", "7,9", "--extended"], {}, 64),
+    # verify --cert once ignored an equation or set given beside it
+    (["verify", "--cert", "ARRAY", "--sym", "5,7", "--set", "0,1,2,3,4,5,6"],
+     {}, 64),
+    (["verify", "--cert", "ARRAY", "--eq", "1,-1", "--set-file", "ARRAY"],
+     {}, 64),
+    # construct once took, and recorded, options its recipe does not read
+    (["construct", "geometric", "--m", "2", "--k", "3", "--a", "7",
+      "--alpha", "0.5", "--i", "1,2"], {}, 64),
+    (["construct", "two-var", "--a", "1", "--b", "2", "--literal-constants"],
+     {}, 64),
+    (["construct", "thm3", "--a", "10", "--b", "11", "--c", "31",
+      "--alpha", "0.3", "--m", "3"], {}, 64),
 ]
 
 
@@ -367,6 +379,38 @@ def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["ARRAY", "COERCED", "NO_BASE"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["--sym", "5,7", "--set", "0,1,2,3,4,5,6"], "--sym, --set"),
+    (["--eq", "1,-1"], "--eq"),
+    (["--set-file", "SET"], "--set-file"),
+])
+def test_verify_cert_refuses_an_equation_or_a_set(tmp_path, capsys, argv,
+                                                 flags):
+    # the check would run on the certificate alone, not on what was given
+    cert_path = tmp_path / "geometric.cert.json"
+    save_certificate(geometric_digits(2, 3), str(cert_path))
+    (tmp_path / "SET").write_text("0\n1\n2\n")
+    argv = [str(tmp_path / a) if a == "SET" else a for a in argv]
+    assert main(["verify", "--cert", str(cert_path), *argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --cert cannot be combined with {flags}\n"
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["geometric", "--m", "2", "--k", "3", "--a", "7", "--alpha", "0.5",
+      "--i", "1,2"], "--a, --i, --alpha"),
+    (["distinct-var", "--m", "3", "--k", "2", "--literal-constants"],
+     "--k, --literal-constants"),
+])
+def test_construct_refuses_options_its_recipe_does_not_read(tmp_path, capsys,
+                                                           argv, flags):
+    out = tmp_path / "x.json"
+    assert main(["construct", *argv, "-o", str(out)]) == 64
+    assert f"does not read {flags}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -481,9 +481,10 @@ def _first_repeating_stage(coeffs, values):
 
 
 def _forced_scan(monkeypatch, bitset, coeffs, values, limit):
-    """(answer, nodes) of _sums_repeat with its last stage forced to the
-    bitset or the sorted scan; ("cut", nodes) when the budget runs out."""
-    monkeypatch.setattr(oracle, "_bitset_pays", lambda coeffs, values: bitset)
+    """(answer, nodes) of _sums_repeat with every range of its last stage
+    forced to the bitset or the sorted scan; ("cut", nodes) when the budget
+    runs out."""
+    monkeypatch.setattr(oracle, "_range_bitset_pays", lambda *args: bitset)
     budget = _Budget(limit)
     try:
         return _sums_repeat(coeffs, values, budget), budget.nodes
@@ -494,10 +495,12 @@ def _forced_scan(monkeypatch, bitset, coeffs, values, limit):
 def test_bitset_last_stage_matches_the_sorted_scan(monkeypatch):
     """The bitset and the sorted last stage give the answer of a plain set
     of all k-tuple sums, spend one node per sum up to the first repeating
-    stage, and are cut by a small budget at the same node."""
+    stage, and are cut by a small budget at the same node, whether the
+    last stage is one sum range or, under a cap of a few sums, several."""
     rng = random.Random(20261020)
     max_size = {1: 30, 2: 14, 3: 7, 4: 4}
     seen = set()
+    splits = set()
     for _ in range(400):
         k = rng.randint(1, 4)
         size = rng.randint(2, max_size[k])
@@ -517,21 +520,46 @@ def test_bitset_last_stage_matches_the_sorted_scan(monkeypatch):
         first = _first_repeating_stage(coeffs, values)
         seen.add((k, first))
         nodes = sum(size ** j for j in range(1, (first or k) + 1))
-        for bitset in (True, False):
-            assert _forced_scan(monkeypatch, bitset, coeffs, values, 10 ** 9) \
-                == (first is not None, nodes), (bitset, coeffs, values)
-        for limit in {1, nodes - 1, rng.randint(1, nodes)} - {0}:
-            assert _forced_scan(monkeypatch, True, coeffs, values, limit) \
-                == _forced_scan(monkeypatch, False, coeffs, values, limit), (
-                    coeffs, values, limit)
+        for cap in (10 ** 9, rng.randint(1, 9)):
+            monkeypatch.setattr(oracle, "SCAN_SUMS_CAP", cap)
+            runs = {bitset: _forced_scan(monkeypatch, bitset, coeffs, values,
+                                         10 ** 9) for bitset in (True, False)}
+            assert runs[True] == runs[False], (coeffs, values, cap)
+            answer, spent = runs[True]
+            assert answer == (first is not None), (coeffs, values)
+            split = cap < size ** k
+            if not split or first != k:
+                assert spent == nodes, (coeffs, values, cap)
+            else:
+                # a last stage in several ranges stops at its first
+                # repeating range
+                assert spent <= nodes, (coeffs, values, cap)
+            splits.add((split, first is not None))
+            for limit in {1, nodes - 1, rng.randint(1, nodes)} - {0}:
+                assert _forced_scan(monkeypatch, True, coeffs, values, limit) \
+                    == _forced_scan(monkeypatch, False, coeffs, values,
+                                    limit), (coeffs, values, cap, limit)
     # every k, clean and with the first repeat at each stage from 2 (the
     # values are distinct, so stage 1 never repeats)
     assert seen == {(k, first) for k in range(1, 5)
                     for first in (None, *range(2, k + 1))}
+    # one range and several, clean and repeating
+    assert splits == {(split, repeats) for split in (False, True)
+                      for repeats in (False, True)}
 
 
-def _other_path_ran(*args):
-    raise AssertionError("the other last-stage scan ran")
+def _range_paths(monkeypatch):
+    """The list to which each later last-stage range of _sums_repeat
+    appends True when it is built as a bitset and False when sorted."""
+    paths = []
+    pays = oracle._range_bitset_pays
+
+    def spy(*args):
+        paths.append(pays(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(oracle, "_range_bitset_pays", spy)
+    return paths
 
 
 @pytest.mark.parametrize("build,N,path", [
@@ -549,19 +577,28 @@ def test_lift_scan_takes_the_path_its_sums_call_for(monkeypatch, build, N,
                                                     path):
     cert = build()
     q = SolutionQuery(cert.equation, lift(cert, N).elements)
-    other = ("_last_stage_repeats" if path == "bitset"
-             else "_last_stage_bitset_repeats")
-    monkeypatch.setattr(oracle, other, _other_path_ran)
+    paths = _range_paths(monkeypatch)
     k = len(cert.equation.symmetric_gen)
     size = len(q.ground_set)
     assert exhaustive_check(q) == (None, sum(size ** j
                                              for j in range(1, k + 1)))
+    assert paths == [path == "bitset"]
 
 
-def test_scan_past_the_cap_takes_the_sorted_path(monkeypatch):
-    # its 2500**2 last-stage sums exceed SCAN_SUMS_CAP, dense as they are
-    monkeypatch.setattr(oracle, "_last_stage_bitset_repeats", _other_path_ran)
-    assert two_var_digits(1, 2500).oracle_nodes == 2500 + 2500 ** 2
+@pytest.mark.parametrize("build,nodes,ranges", [
+    # 2500**2 sums that fill their span, in 2 ranges of 1,250 shifts
+    pytest.param(lambda: two_var_digits(1, 2500), 2500 + 2500 ** 2, 2,
+                 id="two_var_1_2500"),
+    # 60**4 sums that fill their span, in 4 ranges of 15 shifts
+    pytest.param(lambda: geometric_digits(60, 4), 60 + 60 ** 2 + 60 ** 3
+                 + 60 ** 4, 4, id="geometric_60_4"),
+])
+def test_scan_past_the_cap_builds_every_range_as_a_bitset(monkeypatch, build,
+                                                          nodes, ranges):
+    # their last-stage sums exceed SCAN_SUMS_CAP, dense as they are
+    paths = _range_paths(monkeypatch)
+    assert build().oracle_nodes == nodes
+    assert paths == [True] * ranges
 
 
 def _picked_engine_result(q):
