@@ -259,6 +259,8 @@ class Certificate:
 
     @staticmethod
     def from_json(obj: dict) -> "Certificate":
+        """The certificate obj records, unverified whatever its verified
+        field says: only an oracle run (load_certificate) verifies it."""
         ds = DigitSet(
             int_from_json(obj["base"]),
             tuple(ints_from_json(obj["digits"])),
@@ -267,7 +269,7 @@ class Certificate:
         )
         return Certificate(
             ds,
-            bool(obj["verified"]),
+            False,
             int_from_json(obj.get("oracle_nodes", 0)),
             dict(obj.get("meta", {})),
         )
@@ -296,17 +298,16 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 def read_certificate(path: str) -> Certificate:
     """Read a certificate file without checking it: the result is
-    unverified, whatever the file's verified field says.  A file that is
-    not a certificate object raises ValueError."""
+    unverified (Certificate.from_json).  A file that is not a certificate
+    object raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"malformed certificate {path}: not a JSON object")
     try:
-        cert = Certificate.from_json(obj)
+        return Certificate.from_json(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate {path}: {exc!r}") from None
-    return replace(cert, verified=False)
 
 
 def load_certificate(path: str, budget: int | None = None) -> Certificate:

@@ -152,12 +152,13 @@ def cmd_verify(args, argv) -> int:
     budget = _budget(args)
     if args.cert:
         _refuse("--cert cannot be combined with ", [name for name in (
-            "sym", "eq", "set", "set_file") if getattr(args, name) is not None])
+            "sym", "eq", "set", "set_file", "distinct")
+            if getattr(args, name) not in (None, False)])
         # the one oracle run is the check below, under the user's budget
         cert = read_certificate(args.cert)
         eq = cert.equation
         values = cert.digit_set.digits
-        distinct = cert.digit_set.mode == MODE_DISTINCT or args.distinct
+        distinct = cert.digit_set.mode == MODE_DISTINCT
     else:
         eq = _equation_from_args(args)
         values = _read_set(args)
@@ -182,6 +183,8 @@ def cmd_construct(args, argv) -> int:
     _refuse(f"recipe {args.recipe} does not read ", [
         name for name in dict.fromkeys(sum(RECIPE_ARGS.values(), ()) + tuning)
         if name not in reads and getattr(args, name) is not None])
+    if args.set_out is not None and args.N is None:
+        raise _UsageError("--set-out needs --N")
     if args.recipe == "geometric":
         cert = geometric_digits(args.m, args.k, budget)
     elif args.recipe == "two-var":

@@ -579,7 +579,7 @@ class IncrementalSolutionIndex:
     """
 
     def __init__(self, eq: Equation, distinct: bool = False,
-                 budget: int = DEFAULT_BUDGET,
+                 budget: int | _Budget = DEFAULT_BUDGET,
                  memory: ConflictMemory | None = None):
         self.eq = eq
         self.distinct = distinct
@@ -611,7 +611,8 @@ class IncrementalSolutionIndex:
         # new stages for sums, the full chunks per side for masks, (pos
         # chunks, neg chunks) for tuples
         self._kept = None
-        self.tracker = _Budget(budget)
+        # a _Budget passed in is shared: its nodes count every index's spend
+        self.tracker = budget if isinstance(budget, _Budget) else _Budget(budget)
 
     @property
     def nodes(self) -> int:
@@ -755,52 +756,42 @@ class IncrementalSolutionIndex:
                 spend(len(chunk))
                 if not old.isdisjoint(chunk):
                     t = next(s for s in chunk if s in old)
-                    return None, (self._old_tuple(t, j)
-                                  + self._prefix(t - cv, j - 1, x, stages) + [v])
+                    return None, (self._tuple(t, j, x, stages)
+                                  + self._tuple(t - cv, j - 1, x, stages) + [v])
                 size = len(new)
                 new.update(chunk)
                 if len(new) < size + len(chunk):
                     t, w = next((s, w) for s in chunk for p, w in built
                                 if s - c * w in p)
-                    return None, (self._prefix(t - c * w, j - 1, x, stages) + [w]
-                                  + self._prefix(t - cv, j - 1, x, stages) + [v])
+                    return None, (self._tuple(t - c * w, j - 1, x, stages) + [w]
+                                  + self._tuple(t - cv, j - 1, x, stages) + [v])
                 built.append((prev, v))
             stages.append(new)
             old_prev, new_prev = old, new
         return stages, None
 
-    def _prefix(self, t, j, x, stages) -> list:
-        """The values of a j-tuple of sum t over values+[x]: one that uses
-        x when t is a new sum of stage j, else one of held values."""
-        if j and t in stages[j - 1]:
-            return self._new_tuple(t, j, x, stages)
-        return self._old_tuple(t, j)
-
-    def _old_tuple(self, t, j) -> list:
-        """The values of a j-tuple of held values of sum t."""
-        gen, sums = self.eq.symmetric_gen, self.sums
+    def _tuple(self, t, j, x, stages) -> list:
+        """The values of a j-tuple over values+[x] of sum t: one that uses
+        x when t is a new sum of stage j in stages, the new sums of
+        _new_sums, else one of held values.  Each level takes the first
+        value that leaves a sum of the stage below: for a new sum, x on a
+        held sum, else a value of values+[x] on a new one; for a held sum,
+        a held value on a held one."""
+        gen = self.eq.symmetric_gen
+        held, new = [(0,)] + self.sums, [()] + stages
+        is_new = j < len(new) and t in new[j]
         tup = []
         for i in range(j - 1, -1, -1):
-            below = sums[i - 1] if i else (0,)
             c = gen[i]
-            v = next(v for v in self.values if t - c * v in below)
+            if is_new and t - c * x in held[i]:
+                v, is_new = x, False
+            elif is_new:
+                v = next(v for v in self.values + [x] if t - c * v in new[i])
+            else:
+                v = next(v for v in self.values if t - c * v in held[i])
             tup.append(v)
             t -= c * v
         return tup
-
-    def _new_tuple(self, t, j, x, stages) -> list:
-        """The values of a j-tuple over values+[x] that uses x, of sum t in
-        stages[j-1], the new sums of _new_sums."""
-        gen = self.eq.symmetric_gen
-        tup = []
-        for i in range(j - 1, -1, -1):
-            c = gen[i]
-            if t - c * x in (self.sums[i - 1] if i else (0,)):
-                return tup + [x] + self._old_tuple(t - c * x, i)
-            v = next(v for v in self.values + [x] if t - c * v in stages[i - 1])
-            tup.append(v)
-            t -= c * v
-        raise AssertionError("t is not a new sum")
 
     def _solution(self, pos_tup, neg_tup) -> bool:
         self.tracker.spend()

@@ -24,6 +24,7 @@ from .oracle import (
     BudgetExhausted,
     ConflictMemory,
     IncrementalSolutionIndex,
+    _Budget,
     _learn_range_pays,
 )
 
@@ -32,6 +33,7 @@ MODE_ANYTIME = "anytime"
 
 EXACT_AUTO_LIMIT = 22          # candidate count below which anytime finishes exactly
 SEED_EXTENSION_PHASES = 3      # extend only the most promising seed phases
+REPORT_INTERVAL = 50_000       # nodes between progress events without a gain
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class SearchConfig:
     budget: int = DEFAULT_BUDGET
     mode: str = MODE_ANYTIME
     report: object = None          # callable(dict) for progress events
-    report_interval: int = 50_000
 
     def __post_init__(self):
         if self.budget < 1:
@@ -106,7 +107,7 @@ class _Tracker:
         if rate is not None and (self.best_rate is None or rate > self.best_rate):
             self.best_rate = rate
             self.best_rate_digits = digits
-        if improved or nodes - self._last_report >= self.cfg.report_interval:
+        if improved or nodes - self._last_report >= REPORT_INTERVAL:
             self.heartbeat(nodes, phase, depth=len(digits))
 
     def heartbeat(self, nodes, phase, depth=0):
@@ -130,25 +131,22 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
     return sorted(b for b in combos if 4 <= b <= cap)
 
 
-def _exact_branch_and_bound(eq, n, cfg, tracker, distinct, memory):
+def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     """Full include-first DFS over the candidates 0..n-1 in increasing order,
     on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
-    branch of i for its exclude branch.  One IncrementalSolutionIndex tests
-    legality: on a fresh memory that first learns the range when it has at
-    most EXACT_AUTO_LIMIT candidates and that pays, else on the search's
-    memory, where the work grows with the values held, so that a budget
-    cut still leaves the sets found.  Returns (whether the whole tree was
-    enumerated within budget, nodes)."""
+    branch of i for its exclude branch.  One IncrementalSolutionIndex on its
+    own memory tests legality: the memory first learns the range when it
+    has at most EXACT_AUTO_LIMIT candidates and that pays; else the work
+    grows with the values held, so that a budget cut still leaves the sets
+    found.  Returns whether the whole tree was enumerated within budget,
+    the search's _Budget."""
     best_here = 0
     stack = [0]
+    index = IncrementalSolutionIndex(eq, distinct=distinct, budget=budget)
     try:
-        learn = (n <= EXACT_AUTO_LIMIT
-                 and _learn_range_pays(eq, n, distinct, cfg.budget))
-        index = IncrementalSolutionIndex(
-            eq, distinct=distinct, budget=cfg.budget,
-            memory=ConflictMemory() if learn else memory)
-        if learn:
-            index.memory.learn_range(n, index.tracker)
+        if (n <= EXACT_AUTO_LIMIT
+                and _learn_range_pays(eq, n, distinct, budget.limit)):
+            index.memory.learn_range(n, budget)
         while stack:
             i = stack.pop()
             if i < 0:
@@ -158,16 +156,16 @@ def _exact_branch_and_bound(eq, n, cfg, tracker, distinct, memory):
             if i == n:
                 if size > best_here:
                     best_here = size
-                    tracker.offer(sorted(index.values), index.nodes, "exact")
+                    tracker.offer(sorted(index.values), budget.nodes, "exact")
             elif size + (n - i) > best_here:  # else it cannot beat the incumbent
-                index.tracker.spend()
+                budget.spend()
                 if index.legal(i):
                     index.add(i)
                     stack.append(~i)
                 stack.append(i + 1)
-    except BudgetExhausted as exc:
-        return False, exc.nodes
-    return True, index.nodes
+    except BudgetExhausted:
+        return False
+    return True
 
 
 def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
@@ -175,7 +173,8 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     """Largest (or best-found) solution-free digit subset of {0..(L-1)//s}.
 
     Candidates stop at (L-1)//s so the no-carry condition holds by
-    construction for base L.  Every index the search builds shares one
+    construction for base L.  Every index the search builds spends on one
+    budget of cfg.budget nodes, and every anytime phase's index shares one
     ConflictMemory, so a phase rejects at once a value whose solution an
     earlier test found among the values it holds.
     """
@@ -186,42 +185,36 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     cap = (L - 1) // s
     candidates = range(cap + 1)
     tracker = _Tracker(eq, cfg)
-    memory = ConflictMemory()
-    nodes_total = 0
-    exhausted = False
+    budget = _Budget(cfg.budget)
 
     if cfg.mode == MODE_EXACT or cap + 1 <= EXACT_AUTO_LIMIT:
-        exhausted, nodes_total = _exact_branch_and_bound(
-            eq, cap + 1, cfg, tracker, distinct, memory)
-        if cfg.mode == MODE_EXACT or exhausted:
-            return SearchResult(tracker.best, exhausted, nodes_total,
-                                tracker.best_rate_digits,
-                                phases=[("exact", len(tracker.best))])
+        exhausted = _exact_branch_and_bound(eq, cap + 1, budget, tracker,
+                                            distinct)
+        return SearchResult(tracker.best, exhausted, budget.nodes,
+                            tracker.best_rate_digits,
+                            phases=[("exact", len(tracker.best))])
 
+    memory = ConflictMemory()
     phases = []
 
     def run_phase(name, order, start=()):
         """One greedy pass over order in a fresh index holding start, a set
         known to be solution-free; its values, sorted."""
-        nonlocal nodes_total
-        index = IncrementalSolutionIndex(eq, distinct=distinct,
-                                         budget=max(1, cfg.budget - nodes_total),
+        index = IncrementalSolutionIndex(eq, distinct=distinct, budget=budget,
                                          memory=memory)
         try:
             for x in start:
                 index.add(x)
             index.greedy(order, lambda: tracker.offer(
-                sorted(index.values), nodes_total + index.nodes, name))
+                sorted(index.values), budget.nodes, name))
         except BudgetExhausted:
             pass
-        nodes_total += index.nodes
         phases.append((name, len(index.values)))
         return sorted(index.values)
 
     # phase 1: plain ascending greedy
-    before = nodes_total
     greedy = run_phase("greedy", candidates)
-    greedy_nodes = nodes_total - before
+    greedy_nodes = budget.nodes
 
     # phase 2: structured two-level seeds.  The greedy scan is ascending, so
     # its values below a base are the greedy inner alphabet for that base;
@@ -233,7 +226,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     first_rejected = next((x for x in candidates if x not in accepted), cap + 1)
     seed_results = []
     for base in _seed_bases(eq, cap):
-        if nodes_total >= cfg.budget:
+        if budget.nodes >= budget.limit:
             break
         inner = [x for x in greedy if x < base]
         inners = [("seed", inner)]
@@ -244,7 +237,8 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             # the seeds a + base*b come out ascending, as a < base; they are
             # the whole range, and the phase would replay the greedy phase
             # bit for bit, when the alphabet holds every a < base
-            if len(alphabet) == base and greedy_nodes <= cfg.budget - nodes_total:
+            if (len(alphabet) == base
+                    and budget.nodes + greedy_nodes <= budget.limit):
                 filtered = greedy
                 phases.append((f"{label}[{base}]", len(greedy)))
             else:
@@ -258,13 +252,13 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     # prefix of it was already offered by its seed phase.
     seed_results.sort(reverse=True)
     for _, negbase, filtered in seed_results[:SEED_EXTENSION_PHASES]:
-        if nodes_total >= cfg.budget:
+        if budget.nodes >= budget.limit:
             break
         kept = set(filtered)
         run_phase(f"extend[{-negbase}]",
                   (x for x in candidates if x not in kept), filtered)
 
-    return SearchResult(tracker.best, exhausted, nodes_total,
+    return SearchResult(tracker.best, False, budget.nodes,
                         tracker.best_rate_digits, phases=phases)
 
 

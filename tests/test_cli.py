@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nosol
 from nosol import cli, constructions, oracle, search
 from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
@@ -297,6 +300,27 @@ def test_env_budget_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_python_m_nosol_exits_with_main(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "NOSOL_BUDGET"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nosol.__file__))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "nosol", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+
+    version = run_module("--version")
+    assert (version.returncode, version.stdout) == (0, nosol.__version__ + "\n")
+    witness = run_module("verify", "--sym", "1,1", "--set", "1,2,3,4")
+    assert witness.returncode == 1
+    assert json.loads(witness.stdout) == {"nodes": 24, "status": "witness",
+                                          "witness": [2, 2, 1, 3]}
+    usage = run_module("search", "--sym", "1,2", "--L", "1")
+    assert (usage.returncode, usage.stdout) == (64, "")
+    assert usage.stderr == "error: base must be at least 2, got 1\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 64
 
@@ -310,7 +334,8 @@ def test_env_budget_malformed_is_usage_error(capsys, monkeypatch):
 # bad input, each case of which once escaped main() as a traceback, ran
 # anyway, or wrote files before failing; ARRAY, NO_BASE and COERCED name
 # files holding a JSON array, a certificate without its base and one whose
-# base is a fraction and whose digits are a string
+# base is a fraction and whose digits are a string, and ALL a clean
+# all-mode certificate
 BAD_INPUT = [
     (["search", "--sym", "1,2", "--L", "1"], {}, 64),
     (["search", "--sym", "1,2", "--L-grid", "1,0"], {}, 64),
@@ -346,6 +371,8 @@ BAD_INPUT = [
      {}, 64),
     (["verify", "--cert", "ARRAY", "--eq", "1,-1", "--set-file", "ARRAY"],
      {}, 64),
+    # and checked an all-mode certificate in the weaker distinct mode
+    (["verify", "--cert", "ALL", "--distinct"], {}, 64),
     # construct once took, and recorded, options its recipe does not read
     (["construct", "geometric", "--m", "2", "--k", "3", "--a", "7",
       "--alpha", "0.5", "--i", "1,2"], {}, 64),
@@ -353,6 +380,9 @@ BAD_INPUT = [
      {}, 64),
     (["construct", "thm3", "--a", "10", "--b", "11", "--c", "31",
       "--alpha", "0.3", "--m", "3"], {}, 64),
+    # and wrote a certificate, with set_out in its manifest, but no set
+    (["construct", "geometric", "--m", "2", "--k", "3", "--set-out",
+      "lifted.txt"], {}, 64),
 ]
 
 
@@ -374,11 +404,13 @@ def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
     del no_base["base"]
     (tmp_path / "NO_BASE").write_text(json.dumps(no_base))
     (tmp_path / "COERCED").write_text(json.dumps(COERCED))
+    save_certificate(two_var_digits(1, 2), str(tmp_path / "ALL"))
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
-    assert sorted(os.listdir(tmp_path)) == ["ARRAY", "COERCED", "NO_BASE"]
+    assert sorted(os.listdir(tmp_path)) == ["ALL", "ARRAY", "COERCED",
+                                            "NO_BASE"]
 
 
 @pytest.mark.parametrize("argv,flags", [

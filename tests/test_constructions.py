@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,10 @@ def test_lift_rejects_bad_inputs():
         make_digit_set(10, [1, 2], make_symmetric([1, 2])), verified=True)
     with pytest.raises(ValueError):
         lift(no_zero, 100)
+    # a file cannot vouch for itself: (0, 1, 2, 0) solves this alphabet
+    claimed = Certificate(make_digit_set(7, [0, 1, 2], eq), verified=True)
+    with pytest.raises(ValueError, match="unverified"):
+        lift(Certificate.from_json(claimed.to_json()), 343)
 
 
 def test_lift_rate_degenerate():
@@ -284,6 +289,14 @@ def test_three_pipeline_no_dependency_case():
     assert res.case == "no-small-dependency"
     assert res.certificate.digit_set.digits == (0, 1, 2)
     assert res.certificate.digit_set.base == (2 + 17 + 167) * 2 + 1
+
+
+def test_three_pipeline_large_dependency_case():
+    res = three_coefficient_pipeline(11217, 199765, 1439391,
+                                     PipelineConfig(alpha=0.7))
+    assert (res.status, res.case) == ("certified", "large-dependency")
+    assert res.dependency.as_tuple() == (1111, -84, 3)
+    assert verify_certificate(res.certificate)
 
 
 def test_three_pipeline_easy_case():
@@ -405,6 +418,13 @@ def test_shift_transfer_rejects():
         shift_transfer(cert, [-1, 0], [0, -1])   # nonpositive coefficient
     with pytest.raises(ValueError):
         shift_transfer(cert, [1, 0], [0, 0])     # unbalanced shift sums
+    with pytest.raises(ValueError, match="exactly 2 shifts"):
+        shift_transfer(cert, [1, 0, 0], [0, 0, 1])
+    with pytest.raises(ValueError, match="unverified"):
+        shift_transfer(replace(cert, verified=False), [0, 0], [0, 0])
+    sidon = window_extract([1, 2, 5, 11], 24, make_equation([1, 1, -1, -1]))
+    with pytest.raises(ValueError, match="symmetric"):
+        shift_transfer(sidon, [0, 0], [0, 0])
 
 
 def test_window_extract_sidon():
@@ -455,6 +475,14 @@ def test_distinct_lift_recheck_passes():
     assert lifted.size == 4
     q = SolutionQuery(cert.equation, lifted.elements, distinct_variables=True)
     assert find_nontrivial_solution(q) is None
+
+
+def test_distinct_lift_holding_a_solution_is_refused():
+    # four distinct variables cannot fit three digits, but the lift's nine
+    # elements hold a solution
+    ds = make_digit_set(7, (0, 1, 2), make_symmetric([1, 2]), "distinct")
+    with pytest.raises(ConstructionError, match="admits a solution"):
+        lift(ds, 49)
 
 
 def test_distinct_lift_too_large_to_recheck_is_refused():

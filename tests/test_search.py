@@ -96,13 +96,14 @@ def test_search_determinism():
 def test_progress_events_stream():
     events = []
     eq = make_symmetric([1, 2])
-    max_digit_set(eq, 40, SearchConfig(report=events.append, report_interval=1))
+    max_digit_set(eq, 40, SearchConfig(report=events.append))
     assert events
     assert all({"best_size", "nodes", "depth", "phase"} <= set(e) for e in events)
 
 
 def test_progress_nodes_are_the_running_total():
-    # every phase starts a fresh index at 0 nodes; events carry the total
+    # every phase's index spends on the search's one budget, whose running
+    # total the events carry
     events = []
     cfg = SearchConfig(budget=10 ** 9 // 8, report=events.append)
     result = max_digit_set(make_symmetric([43, 69, 70]), 182 * 64 + 1, cfg,
@@ -319,7 +320,7 @@ def test_43_69_70_all_mode_rows():
 # search must reproduce bit for bit
 SEARCH_TABLE = [
     (("sym", (3, 5, 17)), True, 8, 3000,
-     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 3033, "greedy"),
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 3030, "exact"),
     (("sym", (3, 5, 17)), True, 8, 30000,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 5075, "exact"),
     (("sym", (3, 5, 17)), True, 64, 30000,
@@ -341,7 +342,7 @@ SEARCH_TABLE = [
     (("eq", (2, 2, -3, -1)), False, 8, 10 ** 7,
      (0, 1, 5, 6), (0, 1, 5, 6), True, 806, "exact"),
     (("eq", (2, 2, -3, -1)), False, 64, 3000,
-     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3006,
+     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3005,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
      "pseed[16] seed[32] pseed[32] seed[64] pseed[64]"),
     (("eq", (2, 2, -3, -1)), False, 64, 30000,
@@ -475,9 +476,9 @@ def test_exact_search_on_a_learned_range_runs_on_the_index(monkeypatch):
 
 
 def test_budget_cut_exact_search_keeps_its_learned_range_apart(monkeypatch):
-    """The anytime fallback of an exact search that learned its range and
-    ran out of budget tests on the search's memory, which learned nothing:
-    its greedy phase, left one node, adds no value."""
+    """An automatic exact search that learned its range and ran out of
+    budget runs one index, on its complete memory, and reports the sets it
+    found as its own."""
     indexes = []
 
     class Recorded(IncrementalSolutionIndex):
@@ -489,9 +490,10 @@ def test_budget_cut_exact_search_keeps_its_learned_range_apart(monkeypatch):
     eq = make_symmetric([43, 69, 70])
     res = max_digit_set(eq, eq.side_sum * 16 + 1, SearchConfig(budget=50_000),
                         distinct=True)
-    assert not res.exhausted and res.phases == [("greedy", 0)]
-    exact, greedy = indexes
-    assert exact.memory.complete and not greedy.memory.complete
+    assert not res.exhausted and res.phases == [("exact", 8)]
+    assert res.digits == tuple(range(8)) and res.nodes > 50_000
+    (exact,) = indexes
+    assert exact.memory.complete
 
 
 def test_small_dependency_search_matches_the_scan():
