@@ -393,8 +393,11 @@ def three_coefficient_pipeline(
     def emit(digits, case, dep, alpha2, extra, greedy=False):
         # greedy: certify the solution-free subset that one greedy pass
         # keeps of digits; a budget blowup in either step leaves a plan.
-        # The pass stores up to a sum per node, so MITM_TABLE_CAP bounds
-        # its nodes, and so its memory, whatever the budget
+        # The pass stores up to a sum per node, about 120 bytes each in the
+        # sums index (mitm's table entry costs 90), until its last stage's
+        # set doubles its table at about 1.26M sums.  So its nodes are
+        # capped at 3/5 of MITM_TABLE_CAP whatever the budget, where it
+        # peaks at about 160 MB, below mitm's 180 MB at that cap
         meta = {"kind": "thm3", "a": a, "b": b, "c": c, "case": case,
                 "alpha": alpha, **extra}
         if dep is not None:
@@ -405,7 +408,7 @@ def three_coefficient_pipeline(
         try:
             if greedy:
                 index = IncrementalSolutionIndex(
-                    eq, budget=min(cfg.budget, MITM_TABLE_CAP))
+                    eq, budget=min(cfg.budget, MITM_TABLE_CAP * 3 // 5))
                 index.greedy(digits)
                 digits = index.values
             digits = tuple(sorted(digits))

@@ -10,15 +10,16 @@ running out raises BudgetExhausted so callers can never mistake "unknown"
 for "verified absent".
 
 The digit searches' IncrementalSolutionIndex first scans the conflicts
-that its ConflictMemory remembers for a value; a memory that learned a
-whole range (ConflictMemory.learn_range) answers by that scan alone.
+that its ConflictMemory remembers for a value.  An exact search over a
+small range tests on no index, but on closed tables of the value sets
+that _mitm_solutions lists over the range (search._TableIndex).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby, islice, product
+from itertools import islice, product
 from math import perm
 from operator import eq, mul
 
@@ -46,12 +47,25 @@ SCAN_SUMS_CAP = 4_000_000
 # inputs of 4,096 to 2,048,000 sums, the bitset took 0.16-0.57 of the
 # sort's time at about 32 words per sum and 0.29-1.14 at about 64
 BITSET_WORDS_PER_SUM = 32
-# expected solutions over its range past which learning the range
-# (ConflictMemory.learn_range) costs more than the legality index's
-# tables.  Of 16 equations timed at 9, 17 and 22 candidates,
-# sym(43,69,70) at 17 (about 8,300) ran 4 times faster in distinct mode,
-# sym(1,2,3) at 9 (about 10,800) 3 to 18 times slower
+# expected solutions over its range past which an exact search's closed
+# tables (search._TableIndex) may cost more than the legality index's.
+# Timed at 9 and 17 candidates, sym(43,69,70) at 17 (about 8,300) ran 3
+# times faster on the tables in all mode and 10 in distinct mode,
+# sym(1,2,3) at 9 (about 10,800) 12 times slower in all mode and 4 in
+# distinct mode.  Past the cap, at 17 candidates, the tables lost 3 to 15
+# times in all mode on sym(5,11,21), sym(2,8,18) and sym(1,5,18) (about
+# 41,000 to 63,000), but in distinct mode they ran 3 to 6 times faster
 HYPERGRAPH_SOLUTION_CAP = 10_000
+# values a side's sum takes over range(n), s*(n-1) + 1, below which the
+# sums index (_sums_decide) keeps an exact search: its stage sets hold at
+# most that many sums, so its tests stay cheap, while the tables pay for
+# every solution first.  Timed in all mode on 30 seeded dissociated
+# triples with entries <= 100 at 7 to 17 candidates, the tables lost on
+# 67 of 76 ranges below 1,500 values and won on 34 of 53 from 2,000; the
+# 165 ranges took 2.46 s on the index, 2.06 s on the tables and 1.82 s
+# split here.  sym(43,69,70) lost at 9 candidates (1,457 values) and won
+# at 13 and 17
+SUMS_INDEX_SPAN = 2_000
 
 
 class BudgetExhausted(RuntimeError):
@@ -438,13 +452,12 @@ class ConflictMemory:
     share what its phases learn.
     """
 
-    __slots__ = ("bits", "conflicts", "scope", "complete")
+    __slots__ = ("bits", "conflicts", "scope")
 
     def __init__(self):
         self.bits: dict[int, int] = {}
         self.conflicts: dict[int, list[int]] = {}
         self.scope = None
-        self.complete = False
 
     def bit(self, v: int) -> int:
         b = self.bits.get(v)
@@ -461,53 +474,43 @@ class ConflictMemory:
             w |= bit(v)
         self.conflicts.setdefault(x, []).append(w & ~bit(x))
 
-    def learn_range(self, n: int, budget) -> None:
-        """Record every minimal solution value set over range(n) as a
-        conflict of its largest value, and mark the memory complete.
-
-        The memory must be fresh and scoped, so that bit v is value v's.
-        The value sets of every countable solution are enumerated by mitm,
-        spending on budget (a _Budget).  Only the minimal ones are kept: a
-        set is solution-free iff it holds none of them, and when values
-        enter in ascending order, x is the largest held value, so only the
-        sets whose largest value is x can be completed by x.
-        """
-        eq, distinct = self.scope
-        bits = [self.bit(v) for v in range(n)]
-        sets = set()
-        for solution in _mitm_solutions(eq, range(n), distinct, budget):
-            e = 0
-            for v in solution:
-                e |= bits[v]
-            sets.add(e)
-        # a set holds another only if it has more values
-        minimal = []
-        for _, group in groupby(sorted(sets, key=int.bit_count), int.bit_count):
-            minimal += [e for e in group if all(f & e != f for f in minimal)]
-        for e in minimal:
-            x = e.bit_length() - 1
-            self.conflicts.setdefault(x, []).append(e ^ bits[x])
-        self.complete = True
-
 
 def _learn_range_pays(eq: Equation, n: int, distinct: bool, budget: int) -> bool:
-    """Whether an exact search over range(n) should test legality on a
-    memory that learned the range rather than build its index's tables.
+    """Whether an exact search over range(n) should list the range's
+    solutions (_mitm_solutions) and test on their closed tables rather
+    than build a legality index's tables.
 
-    The enumeration spends a node per table entry, scanned tuple and
-    solution, about n**m / (s*(n-1) + 1) solutions for m variables and
-    side sum s (the assignments over the values a side's sum takes),
-    whatever the answer; the tables cost in proportion to the sets held.
-    So the solutions must be few, and the enumeration must fit the budget,
-    as a cut one leaves no set found, and MITM_TABLE_CAP.  The sums index
-    was faster on every equation measured.
+    The listing spends a node per table entry, scanned tuple and pairing
+    of equal side sums, whatever the answer; the index's tables cost in
+    proportion to the sets held.  So the solutions must be few, about
+    n**m / (s*(n-1) + 1) for m variables and side sum s (the assignments
+    over the values a side's sum takes), and where the sums index would
+    test, those values must reach SUMS_INDEX_SPAN.  The listing must fit
+    the budget, as a cut one leaves no set found, and MITM_TABLE_CAP: its
+    pairings are counted exactly from the two sides' sums (_side_sums),
+    as the estimate leaves out the mirror and trivial pairings.
     """
-    if _sums_decide(eq, distinct):
+    span = eq.side_sum * (n - 1) + 1
+    cap = min(budget, MITM_TABLE_CAP)
+    nodes = sum(n ** len(side) for side in _sides(eq))
+    if (n ** eq.num_vars // span > HYPERGRAPH_SOLUTION_CAP or nodes > cap
+            or span < SUMS_INDEX_SPAN and _sums_decide(eq, distinct)):
         return False
-    solutions = n ** eq.num_vars // (eq.side_sum * (n - 1) + 1)
-    nodes = solutions + sum(n ** len(side) for side in _sides(eq))
-    return (solutions <= HYPERGRAPH_SOLUTION_CAP
-            and nodes <= min(budget, MITM_TABLE_CAP))
+    pos, neg = (_side_sums([abs(eq.coeffs[i]) for i in side], n)
+                for side in _sides(eq))
+    return nodes + sum(k * neg.get(t, 0) for t, k in pos.items()) <= cap
+
+
+def _side_sums(coeffs: list[int], n: int) -> dict[int, int]:
+    """How many tuples over range(n) give each sum of coeffs times them."""
+    counts = {0: 1}
+    for c in coeffs:
+        step = {}
+        for t, k in counts.items():
+            for u in range(t, t + c * n, c):
+                step[u] = step.get(u, 0) + k
+        counts = step
+    return counts
 
 
 class IncrementalSolutionIndex:
@@ -569,10 +572,6 @@ class IncrementalSolutionIndex:
     a rejection through the stage sets: each of the two sums is its chunk's
     prefix, decoded stage by stage, and value.  Masks give the values of
     both masks, and tuples those of both tuples.
-
-    When the memory is complete (ConflictMemory.learn_range), the conflict
-    scan is the whole test of a value added in ascending order over the
-    learned range, and ``add`` and ``pop`` store nothing.
 
     The answers do not depend on this accounting, but the node counts, and
     so how far a given budget reaches, do.
@@ -866,8 +865,6 @@ class IncrementalSolutionIndex:
                     self.tracker.spend(i)
                     return False
             self.tracker.spend(len(conflicts))
-        if memory.complete:
-            return True
         if self.sums is not None:
             kept, witness = self._new_sums(x)
         elif self.distinct:
@@ -888,9 +885,7 @@ class IncrementalSolutionIndex:
         if self.held & self.memory.bits.get(x, 0):
             raise ValueError(f"{x} is already in the index")
         kept = kept[1] if kept is not None and kept[0] == x else None
-        if self.memory.complete:
-            undo = None
-        elif self.sums is not None:
+        if self.sums is not None:
             stages = kept or self._new_sums(x)[0]
             if stages is None:
                 raise ValueError(f"adding {x} creates a solution")
@@ -929,9 +924,7 @@ class IncrementalSolutionIndex:
     def pop(self) -> int:
         self._kept = None
         undo = self._undo.pop()
-        if self.memory.complete:
-            pass        # add stored nothing
-        elif self.sums is not None:
+        if self.sums is not None:
             for stored, new in zip(self.sums, undo):
                 stored.difference_update(new)
         elif self.distinct:

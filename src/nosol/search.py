@@ -5,11 +5,12 @@ exact branch-and-bound when the candidate range is small, or an anytime
 pipeline under a node budget.  Every anytime phase is one greedy pass
 (IncrementalSolutionIndex.greedy) over a candidate order: the ascending
 range, two-level seeds built from coefficient-derived bases, and the rest
-of the range on top of the best seed sets.  The exact search tests on one
-IncrementalSolutionIndex as well; over a small range its conflict memory
-first learns every minimal solution set (ConflictMemory.learn_range), so
-the conflict scan is its whole test.  Everything is deterministic:
-rerunning a search reproduces the same sets bit for bit.
+of the range on top of the best seed sets.  Over a small range, the
+exact search files the value set of every solution in a table of its
+largest value, closes each table upward (_TableIndex), and tests a
+value by one lookup; otherwise it tests on one IncrementalSolutionIndex
+as well.  Everything is deterministic: rerunning a search reproduces the
+same sets bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .oracle import (
     IncrementalSolutionIndex,
     _Budget,
     _learn_range_pays,
+    _mitm_solutions,
 )
 
 MODE_EXACT = "exact"
@@ -134,19 +136,22 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
 def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     """Full include-first DFS over the candidates 0..n-1 in increasing order,
     on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
-    branch of i for its exclude branch.  One IncrementalSolutionIndex on its
-    own memory tests legality: the memory first learns the range when it
-    has at most EXACT_AUTO_LIMIT candidates and that pays; else the work
-    grows with the values held, so that a budget cut still leaves the sets
-    found.  Returns whether the whole tree was enumerated within budget,
-    the search's _Budget."""
+    branch of i for its exclude branch; each branch costs one node.  Over
+    at most EXACT_AUTO_LIMIT candidates, when _learn_range_pays, a test is
+    one lookup in the range's closed solution tables (_TableIndex); else
+    one IncrementalSolutionIndex tests legality, whose work grows with the
+    values held, so that a budget cut still leaves the sets found.  Returns
+    whether the whole tree was enumerated within budget, the search's
+    _Budget."""
     best_here = 0
     stack = [0]
-    index = IncrementalSolutionIndex(eq, distinct=distinct, budget=budget)
     try:
         if (n <= EXACT_AUTO_LIMIT
                 and _learn_range_pays(eq, n, distinct, budget.limit)):
-            index.memory.learn_range(n, budget)
+            index = _TableIndex(eq, n, distinct, budget)
+        else:
+            index = IncrementalSolutionIndex(eq, distinct=distinct,
+                                             budget=budget)
         while stack:
             i = stack.pop()
             if i < 0:
@@ -166,6 +171,62 @@ def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     except BudgetExhausted:
         return False
     return True
+
+
+class _TableIndex:
+    """Legality over range(n) on closed solution tables, for values added
+    in ascending order: a test is one lookup, and it spends nothing.
+
+    tables[x] has bit h set iff the values of the mask h, all below x, and
+    x hold a countable solution that uses x.  The value set of each
+    solution over range(n) (_mitm_solutions, spending its nodes on
+    budget) is filed under its largest value x as the bit of its other
+    values.  Each table is then closed upward by x shift-ORs, the i-th
+    setting bit h | 2**i wherever bit h is set and h lacks i: the
+    superset-sum (zeta) transform of Bjorklund, Husfeldt, Kaski and
+    Koivisto (STOC 2007).  The tables hold 2**n bits in all.
+    """
+
+    __slots__ = ("tables", "values", "held")
+
+    def __init__(self, eq, n, distinct, budget):
+        tables = [bytearray(1 << x >> 3 or 1) for x in range(n)]
+        value_bit = [1 << v for v in range(n)]
+        for solution in _mitm_solutions(eq, range(n), distinct, budget):
+            e = 0
+            for v in solution:
+                e |= value_bit[v]
+            x = e.bit_length() - 1
+            h = e ^ 1 << x
+            tables[x][h >> 3] |= 1 << (h & 7)
+        # clear[i] has bit h set iff h lacks i, for h below 2**(n-1); an
+        # AND with a smaller table's int reads only that table's bits
+        size = len(tables[-1])
+        clear = [int.from_bytes(
+            bytes([(0x55, 0x33, 0x0F)[i]]) * size if i < 3 else
+            (b"\xff" * (1 << i - 3) + bytes(1 << i - 3)) * (size >> i - 2),
+            "little") for i in range(n - 1)]
+        self.tables = []
+        for x, table in enumerate(tables):
+            bits = int.from_bytes(table, "little")
+            for i in range(x):
+                bits |= (bits & clear[i]) << (1 << i)
+            self.tables.append(bits.to_bytes(len(table), "little"))
+        self.values: list[int] = []
+        self.held = 0       # the values, as bits
+
+    def legal(self, x: int) -> bool:
+        """Whether adding x, above every value held, keeps the set
+        solution-free."""
+        held = self.held
+        return not self.tables[x][held >> 3] >> (held & 7) & 1
+
+    def add(self, x: int) -> None:
+        self.values.append(x)
+        self.held |= 1 << x
+
+    def pop(self) -> None:
+        self.held ^= 1 << self.values.pop()
 
 
 def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,

@@ -585,7 +585,7 @@ def test_exact_search_past_the_hypergraph_limit_runs_on_the_index(
     def never(*args, **kwargs):
         raise AssertionError("the candidate range was enumerated")
 
-    monkeypatch.setattr(search.ConflictMemory, "learn_range", never)
+    monkeypatch.setattr(search, "_mitm_solutions", never)
     code, report = run(capsys, "search", "--sym", "1,1", "--exact", "--L",
                        "5000", "--budget", "200000", "-o", str(tmp_path / "b.json"))
     assert code == 3

@@ -716,6 +716,30 @@ def _random_equation(rng):
     return make_equation(pos + [-c for c in neg])
 
 
+@pytest.mark.parametrize("distinct", [False, True])
+def test_learn_range_gate_admits_only_listings_that_fit(distinct):
+    """_learn_range_pays counts the nodes of the whole _mitm_solutions
+    listing over range(n): a range it admits at all, it admits at exactly
+    that budget and at none below, so an admitted listing is never cut."""
+    rng = random.Random(21)
+    eqs = [make_symmetric([43, 69, 70]), make_symmetric([5, 11, 21]),
+           make_symmetric([1, 1, 2]), make_equation([2, 2, -3, -1])]
+    while len(eqs) < 11:
+        eqs.append(make_symmetric(rng.sample(range(1, 13), rng.randint(2, 3)))
+                   if len(eqs) % 2 else _random_equation(rng))
+    admitted = 0
+    for eq, n in product(eqs, (3, 6, 9, 12, 17)):
+        budget = _Budget(10 ** 8)
+        for _ in _mitm_solutions(eq, range(n), distinct, budget):
+            pass
+        pays = oracle._learn_range_pays(eq, n, distinct, 10 ** 8)
+        assert oracle._learn_range_pays(eq, n, distinct, budget.nodes) == pays
+        assert not oracle._learn_range_pays(eq, n, distinct,
+                                            budget.nodes - 1), (eq, n)
+        admitted += pays
+    assert admitted >= 25
+
+
 def test_pick_engine_changes_only_where_the_shorter_side_fits():
     """The choice against the formula that sized the table as
     |S|**ceil(m/2): they differ exactly when the shorter side's table fits

@@ -10,6 +10,8 @@ from nosol.oracle import (
     ConflictMemory,
     IncrementalSolutionIndex,
     SolutionQuery,
+    _Budget,
+    _naive_solutions,
     find_nontrivial_solution,
 )
 from nosol.search import (
@@ -322,7 +324,7 @@ SEARCH_TABLE = [
     (("sym", (3, 5, 17)), True, 8, 3000,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 3030, "exact"),
     (("sym", (3, 5, 17)), True, 8, 30000,
-     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 5075, "exact"),
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 4705, "exact"),
     (("sym", (3, 5, 17)), True, 64, 30000,
      (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 17609,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
@@ -340,7 +342,7 @@ SEARCH_TABLE = [
      "seed[128] pseed[128] seed[256] pseed[256] extend[8] extend[10] "
      "extend[16]"),
     (("eq", (2, 2, -3, -1)), False, 8, 10 ** 7,
-     (0, 1, 5, 6), (0, 1, 5, 6), True, 806, "exact"),
+     (0, 1, 5, 6), (0, 1, 5, 6), True, 461, "exact"),
     (("eq", (2, 2, -3, -1)), False, 64, 3000,
      (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3005,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
@@ -375,6 +377,13 @@ SEARCH_TABLE = [
      "greedy seed[8] pseed[8] seed[16] pseed[16] seed[32] pseed[32] seed[64] "
      "pseed[64] seed[128] pseed[128] seed[256] pseed[256] extend[256] "
      "extend[8] extend[16]"),
+    # ranges that run on the index: the sums index keeps a narrow range,
+    # and a listing that would not fit the budget is not begun
+    (("sym", (5, 11, 21)), False, 3, 200, (0, 1), (0, 1), True, 118, "exact"),
+    (("sym", (43, 69, 70)), False, 8, 10 ** 9 // 8,
+     tuple(range(8)), tuple(range(8)), True, 675, "exact"),
+    (("sym", (12, 14, 27)), True, 8, 3000,
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 3014, "exact"),
 ]
 
 
@@ -437,63 +446,56 @@ def test_hypergraph_exact_search_matches_the_index(monkeypatch, distinct):
         assert runs[0] == runs[1], (eq, L)
 
 
-def test_hypergraph_keeps_the_minimal_solution_sets():
-    eq = make_symmetric([1, 1])     # x + y = z + w
-    index = IncrementalSolutionIndex(eq)
-    index.memory.learn_range(5, index.tracker)
-    edges = {w | 1 << x for x, ws in index.memory.conflicts.items() for w in ws}
+@pytest.mark.parametrize("distinct", [False, True])
+def test_closed_tables_match_the_naive_engine(distinct):
+    """Bit h of the closed table of x is set iff the values of h and x hold
+    a countable solution that uses x: for every x and h over range(n), n <=
+    7, against the solutions the naive engine lists over range(n)."""
+    rng = random.Random(21)
+    eqs = _random_equations(rng, 7) + [make_symmetric([1, 1]),
+                                       make_symmetric([1, 2, 4])]
+    for eq in eqs:
+        n = 7 if eq.num_vars <= 4 else 5
+        sets = {sum(1 << v for v in set(solution))
+                for solution in _naive_solutions(eq, range(n), distinct,
+                                                 _Budget(10 ** 8))}
+        tables = search._TableIndex(eq, n, distinct, _Budget(10 ** 8)).tables
+        assert [len(t) for t in tables] == [max(1, 2 ** x // 8)
+                                           for x in range(n)]
+        for x in range(n):
+            for h in range(2 ** x):
+                held = h | 1 << x
+                uses_x = any(e >> x & 1 and not e & ~held for e in sets)
+                assert tables[x][h >> 3] >> (h & 7) & 1 == uses_x, (eq, x, h)
 
-    def mask(values):
-        return sum(1 << v for v in values)
 
-    # {0, 1, 2} holds 0 + 2 = 1 + 1, so no edge holds it and another value
-    assert mask([0, 1, 2]) in edges and mask([0, 1, 2, 3]) not in edges
-    for e in edges:
-        values = [v for v in range(5) if e >> v & 1]
-        q = SolutionQuery(eq, values)
-        assert find_nontrivial_solution(q, engine="naive") is not None
-        for v in values:
-            rest = [w for w in values if w != v]
-            assert find_nontrivial_solution(
-                SolutionQuery(eq, rest), engine="naive") is None
+def test_exact_search_on_a_learned_range_builds_no_index(monkeypatch):
+    """The distinct 43/69/70 exact search at M=16 tests on the closed
+    tables of its range, with no legality index."""
+    def never(*args, **kwargs):
+        raise AssertionError("a legality index was built")
 
-
-def test_exact_search_on_a_learned_range_runs_on_the_index(monkeypatch):
-    """The distinct 43/69/70 exact search at M=16 learns its range, and its
-    one legality index makes every test, add and pop."""
-    calls = {"legal": 0, "add": 0, "pop": 0}
-    for name in calls:
-        def counted(self, *args, _name=name,
-                    _method=getattr(IncrementalSolutionIndex, name)):
-            calls[_name] += 1
-            return _method(self, *args)
-        monkeypatch.setattr(IncrementalSolutionIndex, name, counted)
+    monkeypatch.setattr(search, "IncrementalSolutionIndex", never)
     eq = make_symmetric([43, 69, 70])
     res = max_digit_set(eq, eq.side_sum * 16 + 1,
                         SearchConfig(budget=10 ** 9 // 8), distinct=True)
-    assert (res.exhausted, len(res.digits), res.nodes) == (True, 9, 814878)
-    assert calls == {"legal": 9734, "add": 4507, "pop": 4507}
+    assert (res.exhausted, res.nodes, res.phases) == (True, 33105,
+                                                      [("exact", 9)])
+    assert res.digits == (0, 1, 5, 6, 7, 10, 11, 12, 16)
 
 
 def test_budget_cut_exact_search_keeps_its_learned_range_apart(monkeypatch):
-    """An automatic exact search that learned its range and ran out of
-    budget runs one index, on its complete memory, and reports the sets it
-    found as its own."""
-    indexes = []
+    """An automatic exact search on a learned range that ran out of budget
+    builds no legality index, and reports the sets it found as its own."""
+    def never(*args, **kwargs):
+        raise AssertionError("a legality index was built")
 
-    class Recorded(IncrementalSolutionIndex):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            indexes.append(self)
-
-    monkeypatch.setattr(search, "IncrementalSolutionIndex", Recorded)
+    monkeypatch.setattr(search, "IncrementalSolutionIndex", never)
     eq = make_symmetric([43, 69, 70])
-    res = max_digit_set(eq, eq.side_sum * 16 + 1, SearchConfig(budget=50_000),
+    res = max_digit_set(eq, eq.side_sum * 16 + 1, SearchConfig(budget=25_000),
                         distinct=True)
     assert not res.exhausted and res.phases == [("exact", 8)]
-    assert res.digits == tuple(range(8)) and res.nodes > 50_000
-    (exact,) = indexes
-    assert exact.memory.complete
+    assert res.digits == tuple(range(8)) and res.nodes > 25_000
 
 
 def test_small_dependency_search_matches_the_scan():
