@@ -44,6 +44,7 @@ from .equations import make_equation, make_symmetric, normalize_generators
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExhausted,
+    ConflictMemory,
     SolutionQuery,
     exhaustive_check,
 )
@@ -262,8 +263,12 @@ def cmd_search(args, argv) -> int:
     rows = []
     best = None     # (rate, digits, L, result) of the best alphabet so far
     per_l_budget = max(budget // len(grid), 1)
+    # the bases share what their anytime phases learn: a witness found
+    # below one base is a solution below every larger one
+    memory = ConflictMemory()
     for L in grid:
-        cfg = SearchConfig(budget=per_l_budget, mode=mode, report=report)
+        cfg = SearchConfig(budget=per_l_budget, mode=mode, report=report,
+                           memory=memory)
         result = max_digit_set(eq, L, cfg, distinct=args.distinct)
         rates = []
         for digits in (result.digits, result.best_rate_digits):

@@ -66,6 +66,12 @@ HYPERGRAPH_SOLUTION_CAP = 10_000
 # split here.  sym(43,69,70) lost at 9 candidates (1,457 values) and won
 # at 13 and 17
 SUMS_INDEX_SPAN = 2_000
+# entries in the first piece of a full chunk that a distinct-mode legality
+# test builds (IncrementalSolutionIndex._new_full_sums); each next piece is
+# twice as long.  A rejection's witness mostly lies in the first few dozen
+# of a chunk's entries, n(n-1) of them for three positions a side and n
+# values, about 1,500 at n = 39
+FIRST_PIECE = 32
 
 
 class BudgetExhausted(RuntimeError):
@@ -448,8 +454,10 @@ class ConflictMemory:
     values of one non-trivial solution that uses x.  While every value of
     a witness is held, x stays illegal.  Witnesses are int bitmasks over
     bits that the memory assigns per value on first use.  A memory serves
-    every index of one equation and mode (its scope), so one search can
-    share what its phases learn.
+    every index of one equation and mode (its scope), whatever the values
+    it ranges over: a witness is a solution, so it holds below any base.
+    So the phases of one search share what they learn, and so do the bases
+    of one search grid (SearchConfig.memory).
     """
 
     __slots__ = ("bits", "conflicts", "scope")
@@ -458,6 +466,14 @@ class ConflictMemory:
         self.bits: dict[int, int] = {}
         self.conflicts: dict[int, list[int]] = {}
         self.scope = None
+
+    def claim(self, eq: Equation, distinct: bool) -> None:
+        """Scope the memory to eq and mode on first use; ValueError when
+        it serves another."""
+        if self.scope is None:
+            self.scope = (eq, distinct)
+        elif self.scope != (eq, distinct):
+            raise ValueError("a conflict memory serves one equation and mode")
 
     def bit(self, v: int) -> int:
         b = self.bits.get(v)
@@ -553,10 +569,14 @@ class IncrementalSolutionIndex:
     holds it once, on one side, and only old values on the other side.  So
     ``legal(x)`` builds, for each position p of a side, the full tuples
     with x at p as one chunk (the tuples on the other positions, shifted by
-    c_p*x), and tests its sums against the other side's full table.  Only a
-    sum met there costs pairings, one per mate, and a pairing is a solution
-    when the two masks share no bit.  A symmetric equation tests one side:
-    the tuples with x on the other side mirror it.
+    c_p*x), and tests its sums against the other side's full table.  The
+    chunk is built and tested in pieces, FIRST_PIECE entries and then twice
+    as many as the piece before, so a rejection spends the entries of the
+    pieces up to the one that holds its witness, never more than the whole
+    chunk.  Only a sum met there costs pairings, one per mate, walked in
+    entry and mate order, and a pairing is a solution when the two masks
+    share no bit.  A symmetric equation tests one side: the tuples with x
+    on the other side mirror it.
 
     Tuple accounting (all mode): a tuple costs one node when it is built
     and a pairing of two tuples one node when it is tested.  New tuples are
@@ -583,10 +603,7 @@ class IncrementalSolutionIndex:
         self.eq = eq
         self.distinct = distinct
         self.memory = ConflictMemory() if memory is None else memory
-        if self.memory.scope is None:
-            self.memory.scope = (eq, distinct)
-        elif self.memory.scope != (eq, distinct):
-            raise ValueError("a conflict memory serves one equation and mode")
+        self.memory.claim(eq, distinct)
         self.pos_idx, self.neg_idx = _sides(eq)
         self.pos_coeffs = [eq.coeffs[i] for i in self.pos_idx]
         self.neg_coeffs = [-eq.coeffs[i] for i in self.neg_idx]
@@ -629,22 +646,34 @@ class IncrementalSolutionIndex:
         """(kept, None), kept holding per side tested one list per position
         p of the sums of the full tuples with x at p; (None, witness) once
         one of them meets a mate of equal sum on the other side that shares
-        no value with it, the witness being the values of both."""
+        no value with it, the witness being the values of both.
+
+        Each list is built in pieces, the first FIRST_PIECE sums long and
+        each next one twice as long, and each piece is spent and tested
+        before the next is built, so a rejection stops after the piece
+        that holds its witness."""
         spend = self.tracker.spend
         kept = []
         for coeffs, subsets, mates in self._mask_sides():
             keys = mates.keys()
             chunks = []
-            for new, masks in _full_shifts(coeffs, subsets, x):
-                spend(len(new))
-                if not keys.isdisjoint(new):
-                    for s, m in zip(new, masks):
-                        for mate in mates.get(s, ()):
-                            spend()
-                            if not m & mate:
-                                m |= mate
-                                return None, [v for i, v in enumerate(self.values)
-                                              if m >> i & 1]
+            for sums, masks, cx in _full_shifts(coeffs, subsets, x):
+                new = []
+                lo, size = 0, FIRST_PIECE
+                while lo < len(sums):
+                    hi = lo + size
+                    piece = [s + cx for s in sums[lo:hi]]
+                    spend(len(piece))
+                    if not keys.isdisjoint(piece):
+                        for s, m in zip(piece, masks[lo:hi]):
+                            for mate in mates.get(s, ()):
+                                spend()
+                                if not m & mate:
+                                    m |= mate
+                                    return None, [v for i, v in enumerate(
+                                        self.values) if m >> i & 1]
+                    new += piece
+                    lo, size = hi, 2 * size
                 chunks.append(new)
             kept.append(chunks)
         return kept, None
@@ -659,7 +688,8 @@ class IncrementalSolutionIndex:
             if kept is not None:
                 chunks = kept[side]
             else:
-                chunks = [new for new, _ in _full_shifts(coeffs, subsets, x)]
+                chunks = [[s + cx for s in sums]
+                          for sums, _, cx in _full_shifts(coeffs, subsets, x)]
                 nodes += sum(map(len, chunks))
             for p, new in enumerate(chunks):
                 masks = subsets[full ^ (1 << p)][1]
@@ -944,14 +974,13 @@ def _empty_subsets(k: int) -> list:
 
 
 def _full_shifts(coeffs, subsets, x):
-    """For each position p, the sums of the full tuples with x at p (the
-    tuples on the other positions, shifted by c_p*x) and their masks
-    without x's bit."""
+    """For each position p, the full tuples with x at p: the sums and masks
+    of the tuples on the other positions, and the shift c_p*x of their
+    sums (the masks lack x's bit)."""
     full = len(subsets) - 1
     for p, c in enumerate(coeffs):
         sums, masks = subsets[full ^ (1 << p)]
-        cx = c * x
-        yield [s + cx for s in sums], masks
+        yield sums, masks, c * x
 
 
 def _store(table, chunks) -> None:

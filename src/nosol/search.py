@@ -9,8 +9,10 @@ of the range on top of the best seed sets.  Over a small range, the
 exact search files the value set of every solution in a table of its
 largest value, closes each table upward (_TableIndex), and tests a
 value by one lookup; otherwise it tests on one IncrementalSolutionIndex
-as well.  Everything is deterministic: rerunning a search reproduces the
-same sets bit for bit.
+as well.  The anytime phases' indexes share one ConflictMemory, which a
+search grid may pass from base to base (SearchConfig.memory): the digits
+found do not depend on it, only the nodes spent.  Everything is
+deterministic: rerunning a search reproduces the same sets bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +64,16 @@ class Dependency:
 
 @dataclass
 class SearchConfig:
+    """How max_digit_set searches.  memory, when given, is the
+    ConflictMemory that every anytime phase's index shares; None gives
+    each call a fresh one.  Sharing one across the bases of a grid keeps
+    the answers and cuts the nodes, as a later base starts with what the
+    earlier ones learned; the exact search keeps its own."""
+
     budget: int = DEFAULT_BUDGET
     mode: str = MODE_ANYTIME
     report: object = None          # callable(dict) for progress events
+    memory: ConflictMemory | None = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -236,13 +245,16 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     Candidates stop at (L-1)//s so the no-carry condition holds by
     construction for base L.  Every index the search builds spends on one
     budget of cfg.budget nodes, and every anytime phase's index shares one
-    ConflictMemory, so a phase rejects at once a value whose solution an
-    earlier test found among the values it holds.
+    ConflictMemory (cfg.memory, else a fresh one), so a phase rejects at
+    once a value whose solution an earlier test found among the values it
+    holds.  A cfg.memory of another equation or mode is a ValueError.
     """
     cfg = cfg or SearchConfig()
     s = eq.side_sum
     if L < 2:
         raise ValueError("base must be at least 2")
+    memory = ConflictMemory() if cfg.memory is None else cfg.memory
+    memory.claim(eq, distinct)
     cap = (L - 1) // s
     candidates = range(cap + 1)
     tracker = _Tracker(eq, cfg)
@@ -255,7 +267,6 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
                             tracker.best_rate_digits,
                             phases=[("exact", len(tracker.best))])
 
-    memory = ConflictMemory()
     phases = []
 
     def run_phase(name, order, start=()):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ from nosol.cli import main
 from nosol.certificates import Certificate, load_certificate, make_digit_set
 from nosol.constructions import geometric_digits, lift, two_var_digits
 from nosol.certificates import save_certificate
-from nosol.equations import make_symmetric
+from nosol.equations import is_dissociated, make_symmetric
+from nosol.search import SearchConfig, max_digit_set
 
 
 def run(capsys, *argv):
@@ -254,6 +256,50 @@ def test_search_exact_2231(tmp_path, capsys):
     row = report["table"][0]
     assert row["exhausted"]
     assert row["size"] == 4
+
+
+def _seeded_dissociated_triples(seed, count):
+    rng = random.Random(seed)
+    triples = []
+    while len(triples) < count:
+        gens = sorted(rng.sample(range(1, 31), 3))
+        if is_dissociated(gens):
+            triples.append(gens)
+    return triples
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("gens", [[43, 69, 70]]
+                         + _seeded_dissociated_triples(20261020, 2))
+def test_search_grid_memory_leaves_every_row_alone(tmp_path, capsys,
+                                                   monkeypatch, gens,
+                                                   distinct):
+    """The bases of the auto grid share one conflict memory, and each row
+    still has the digits, best-rate digits and exhausted flag of a
+    standalone search of its base at the same budget, with a fresh
+    memory."""
+    calls = []
+
+    def recorded(eq, L, cfg=None, distinct=False):
+        result = max_digit_set(eq, L, cfg, distinct)
+        calls.append((L, cfg, result))
+        return result
+
+    monkeypatch.setattr(cli, "max_digit_set", recorded)
+    code, report = run(capsys, "search", "--sym", ",".join(map(str, gens)),
+                       *(["--distinct"] if distinct else []),
+                       "-o", str(tmp_path / "b.json"))
+    assert code == 0
+    assert len({id(cfg.memory) for _, cfg, _ in calls}) == 1
+    assert calls[0][1].memory.conflicts
+    eq = make_symmetric(gens)
+    for (L, cfg, result), row in zip(calls, report["table"], strict=True):
+        alone = max_digit_set(eq, L, SearchConfig(budget=cfg.budget),
+                              distinct=distinct)
+        assert (alone.digits, alone.best_rate_digits, alone.exhausted) == (
+            result.digits, result.best_rate_digits, result.exhausted), L
+        assert (row["digits"], row["exhausted"]) == (list(alone.digits),
+                                                     alone.exhausted)
 
 
 def test_sweep_cli(capsys):

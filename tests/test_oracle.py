@@ -413,6 +413,70 @@ def test_conflict_memory_differential(eq, distinct, representation):
             assert solution is not None and x in solution.assignment, (x, values)
 
 
+@pytest.mark.parametrize("eq", [make_symmetric([211, 347, 509]),
+                                make_equation([5, 7, 11, -23])])
+def test_distinct_index_pieces_differential(monkeypatch, eq):
+    """Random legal/add/pop sequences in distinct mode over range(60), on
+    held sets that reach 11-14 values, so that a position's full chunk,
+    n(n-1) tuples on a side of three positions, spans three pieces or
+    more.  Each answer agrees with mitm, which shares no code with the
+    index, and each remembered conflict plus its key holds a solution
+    that uses the key.  Built whole (one piece per chunk), the same
+    sequence gives the same answers and witnesses, and no test spends
+    fewer nodes than with pieces."""
+    def replay():
+        rng = random.Random(20261020)
+        idx = IncrementalSolutionIndex(eq, distinct=True)
+        log = []
+        for _ in range(400):
+            x = rng.randrange(60)
+            if rng.random() < 0.1 and idx.values:
+                idx.pop()
+                continue
+            remembered = any(w & idx.held == w
+                             for w in idx.memory.conflicts.get(x, ()))
+            before = idx.nodes
+            answer = idx.legal(x)
+            log.append((tuple(idx.values), x, answer, remembered,
+                        idx.nodes - before))
+            if answer and len(idx.values) < 14:
+                idx.add(x)
+        return idx.memory, log
+
+    memory, log = replay()
+    monkeypatch.setattr(oracle, "FIRST_PIECE", 10 ** 9)
+    whole_memory, whole_log = replay()
+    assert [step[:4] for step in log] == [step[:4] for step in whole_log]
+    assert (memory.bits, memory.conflicts) == (whole_memory.bits,
+                                               whole_memory.conflicts)
+    assert all(step[4] <= whole[4] for step, whole in zip(log, whole_log))
+    # rejections built from the index's tables on 11 values or more
+    built = [(step[4], whole[4]) for step, whole in zip(log, whole_log)
+             if len(step[0]) >= 11 and not step[2] and not step[3]
+             and step[1] not in step[0]]
+    assert max(len(step[0]) for step in log) == 14
+    assert len(built) >= 50
+    assert sum(nodes < whole for nodes, whole in built) >= 30
+
+    expected = {}
+    for values, x, answer, _, _ in log:
+        if x in values:
+            assert not answer
+            continue
+        key = tuple(sorted(values + (x,)))
+        if key not in expected:
+            q = SolutionQuery(eq, key, distinct_variables=True)
+            expected[key] = exhaustive_check(q, engine="mitm")[0] is None
+        assert answer == expected[key], key
+    value_of = {b: v for v, b in memory.bits.items()}
+    for x, witnesses in memory.conflicts.items():
+        for w in witnesses:
+            values = sorted([v for b, v in value_of.items() if w & b] + [x])
+            q = SolutionQuery(eq, values, distinct_variables=True)
+            solution, _ = exhaustive_check(q, engine="mitm")
+            assert solution is not None and x in solution.assignment, (x, values)
+
+
 def test_conflict_memory_serves_one_equation_and_mode():
     memory = ConflictMemory()
     IncrementalSolutionIndex(make_symmetric([43, 69, 70]), memory=memory)

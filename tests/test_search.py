@@ -252,6 +252,17 @@ def test_search_shares_one_conflict_memory(monkeypatch, distinct):
                 assert solution is not None and x in solution.assignment
 
 
+@pytest.mark.parametrize("M", [4, 64])     # an exact and an anytime search
+def test_search_memory_serves_one_equation_and_mode(M):
+    eq = make_symmetric([43, 69, 70])
+    memory = ConflictMemory()
+    max_digit_set(eq, eq.side_sum * M + 1, SearchConfig(memory=memory))
+    for other, distinct in ((eq, True), (make_symmetric([10, 11, 31]), False)):
+        with pytest.raises(ValueError):
+            max_digit_set(other, other.side_sum * M + 1,
+                          SearchConfig(memory=memory), distinct=distinct)
+
+
 # (equation, distinct, M) -> (digits, best_rate_digits, exhausted) at base
 # L = s*M + 1 under the CLI's per-base budget; each row's result is decided
 # by a seed or extension phase, named in the comment
@@ -326,17 +337,17 @@ SEARCH_TABLE = [
     (("sym", (3, 5, 17)), True, 8, 30000,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 4705, "exact"),
     (("sym", (3, 5, 17)), True, 64, 30000,
-     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 17609,
+     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 16503,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
      "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
      "extend[5] extend[6] extend[8]"),
     (("sym", (3, 5, 17)), True, 300, 3000,
-     (0, 1, 2, 3, 4, 5, 35), (0, 1, 2, 3, 4, 5), False, 3034, "greedy"),
+     (0, 1, 2, 3, 4, 5, 35), (0, 1, 2, 3, 4, 5), False, 3019, "greedy"),
     (("sym", (3, 5, 17)), True, 300, 30000,
-     (0, 1, 2, 3, 4, 5, 35, 45, 86), (0, 1, 2, 3, 4, 5), False, 30041,
+     (0, 1, 2, 3, 4, 5, 35, 45, 86), (0, 1, 2, 3, 4, 5), False, 30018,
      "greedy"),
     (("sym", (3, 5, 17)), True, 300, 10 ** 7,
-     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 176827,
+     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 143969,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
      "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
      "seed[128] pseed[128] seed[256] pseed[256] extend[8] extend[10] "
