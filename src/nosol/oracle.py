@@ -12,7 +12,7 @@ for "verified absent".
 The digit searches' IncrementalSolutionIndex first scans the conflicts
 that its ConflictMemory remembers for a value.  An exact search over a
 small range tests on no index, but on closed tables of the value sets
-that _mitm_solutions lists over the range (search._TableIndex).
+that _mitm_pairs pairs over the range (search._TableIndex).
 """
 
 from __future__ import annotations
@@ -180,19 +180,52 @@ def _sides(eq: Equation) -> tuple[list[int], list[int]]:
             [i for i, c in enumerate(eq.coeffs) if c < 0])
 
 
-def _mitm_solutions(eq, values, distinct, budget):
-    """Meet in the middle over the equation's positive/negative sides.
+def _mitm_sides(eq: Equation) -> tuple[list[int], list[int]]:
+    """(table positions, scan positions) of _mitm_pairs: the shorter side
+    is tabled, the positive one on a tie."""
+    pos, neg = _sides(eq)
+    return (pos, neg) if len(pos) <= len(neg) else (neg, pos)
 
-    The shorter side (the positive one on a tie) is tabled as the sorted
-    list of its sums over values^p; the tuple behind a sum is decoded from
-    its index in product order, so no tuple is stored.  A table entry costs
-    one node, paid before the table is built, and so do each tuple of the
-    other side, scanned in product order, and each of its mates, tried in
-    product order (a mirror mate too, though it is not tested).
+
+def _mitm_solutions(eq, values, distinct, budget):
+    """Meet in the middle over the equation's positive/negative sides: the
+    countable solutions among _mitm_pairs' pairings, decoded in their
+    order."""
+    decode = _mitm_decoder(eq, values)
+    for tup, r in _mitm_pairs(eq, values, budget):
+        assignment = decode(tup, r)
+        if _is_countable(eq, assignment, distinct):
+            yield assignment
+
+
+def _mitm_decoder(eq, values):
+    """decode(tup, r), the assignment of a pairing of _mitm_pairs."""
+    table_idx, scan_idx = _mitm_sides(eq)
+    table_back, n, assignment = table_idx[::-1], len(values), [0] * eq.num_vars
+
+    def decode(tup, r) -> tuple[int, ...]:
+        for i, v in zip(scan_idx, tup):
+            assignment[i] = v
+        for i in table_back:
+            r, d = divmod(r, n)
+            assignment[i] = values[d]
+        return tuple(assignment)
+    return decode
+
+
+def _mitm_pairs(eq, values, budget):
+    """The pairs of a tuple of the scan side and a table-side tuple of
+    equal sum, as (scan tuple, table tuple's index in product order).
+
+    The table side (_mitm_sides) is tabled as the sorted list of its sums
+    over values^p; the tuple behind a sum is its index in product order,
+    so no tuple is stored.  A table entry costs one node, paid before the
+    table is built, and so do each tuple of the other side, scanned in
+    product order, and each of its mates, tried in product order (a mirror
+    mate too, though it is not yielded).
     """
     coeffs = eq.coeffs
-    pos, neg = _sides(eq)
-    table_idx, scan_idx = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
+    table_idx, scan_idx = _mitm_sides(eq)
     n = len(values)
     size = n ** len(table_idx)
     # a table that does not fit spends one node past the limit, so the
@@ -212,27 +245,16 @@ def _mitm_solutions(eq, values, distinct, budget):
     # order (every make_symmetric equation), the mate whose product index is
     # the scan tuple's own is its mirror x = x', countable in neither mode
     mirrored = [-c for c in scan_coeffs] == [coeffs[i] for i in table_idx]
-    table_back = table_idx[::-1]
-    assignment = [0] * len(coeffs)
     for own, tup in enumerate(product(values, repeat=len(scan_idx))):
         budget.spend()
         target = -sum(map(mul, scan_coeffs, tup))
         j = bisect_left(keys, target)
-        if j == size or keys[j] != target:
-            continue
-        for i, v in zip(scan_idx, tup):
-            assignment[i] = v
         while j < size and keys[j] == target:
             budget.spend()
             r = order[j]
             j += 1
-            if mirrored and r == own:
-                continue
-            for i in table_back:
-                r, d = divmod(r, n)
-                assignment[i] = values[d]
-            if _is_countable(eq, assignment, distinct):
-                yield tuple(assignment)
+            if r != own or not mirrored:
+                yield tup, r
 
 
 def _pick_engine(q: SolutionQuery, engine: str):
@@ -493,7 +515,7 @@ class ConflictMemory:
 
 def _learn_range_pays(eq: Equation, n: int, distinct: bool, budget: int) -> bool:
     """Whether an exact search over range(n) should list the range's
-    solutions (_mitm_solutions) and test on their closed tables rather
+    solutions (_mitm_pairs) and test on their closed tables rather
     than build a legality index's tables.
 
     The listing spends a node per table entry, scanned tuple and pairing
@@ -543,7 +565,8 @@ class IncrementalSolutionIndex:
       ``neg_subsets[S]``) holds the tuples of distinct held values on the
       side's positions in the bit set S, as parallel lists (sums, masks).
       Bit i of a mask is set when the tuple uses ``values[i]``.  For the
-      full position set it is a dict from sums to their masks;
+      full position set it is a dict from a sum to its mask, bare while
+      the sum has one tuple, else to the list of their masks;
     - tuples, otherwise: for each side of the equation a table
       (``pos_table``, ``neg_table``) mapping one-side sums to the value
       tuples achieving them.
@@ -574,9 +597,11 @@ class IncrementalSolutionIndex:
     as many as the piece before, so a rejection spends the entries of the
     pieces up to the one that holds its witness, never more than the whole
     chunk.  Only a sum met there costs pairings, one per mate, walked in
-    entry and mate order, and a pairing is a solution when the two masks
-    share no bit.  A symmetric equation tests one side: the tuples with x
-    on the other side mirror it.
+    entry and mate order and spent together at the piece's end or at the
+    witness; a pairing is a solution when the two masks share no bit.  A
+    symmetric equation tests one side: the tuples with x on the other side
+    mirror it.  ``pop`` rebuilds the full chunks of the value it drops
+    from the tables they were shifted from, and spends nothing.
 
     Tuple accounting (all mode): a tuple costs one node when it is built
     and a pairing of two tuples one node when it is tested.  New tuples are
@@ -655,7 +680,7 @@ class IncrementalSolutionIndex:
         spend = self.tracker.spend
         kept = []
         for coeffs, subsets, mates in self._mask_sides():
-            keys = mates.keys()
+            keys, get = mates.keys(), mates.get
             chunks = []
             for sums, masks, cx in _full_shifts(coeffs, subsets, x):
                 new = []
@@ -665,24 +690,32 @@ class IncrementalSolutionIndex:
                     piece = [s + cx for s in sums[lo:hi]]
                     spend(len(piece))
                     if not keys.isdisjoint(piece):
+                        pairs = 0
                         for s, m in zip(piece, masks[lo:hi]):
-                            for mate in mates.get(s, ()):
-                                spend()
+                            bucket = get(s)
+                            if bucket is None:
+                                continue
+                            for mate in ((bucket,) if bucket.__class__ is int
+                                         else bucket):
+                                pairs += 1
                                 if not m & mate:
+                                    spend(pairs)
                                     m |= mate
                                     return None, [v for i, v in enumerate(
                                         self.values) if m >> i & 1]
+                        spend(pairs)
                     new += piece
                     lo, size = hi, 2 * size
                 chunks.append(new)
             kept.append(chunks)
         return kept, None
 
-    def _add_masks(self, x, kept) -> list:
-        """Extend every position subset's table by the tuples that use x;
-        the full chunks' sums, per side, for pop."""
+    def _add_masks(self, x, kept) -> None:
+        """Extend every position subset's table by the tuples that use x.
+        A full table's sum holds its mask bare while it has one, else the
+        list of its masks."""
         bit = 1 << len(self.values)
-        rows, buckets, nodes, undo = [], [], 0, []
+        rows, buckets, nodes = [], [], 0
         for side, (coeffs, subsets, _) in enumerate(self._mask_sides()):
             full = len(subsets) - 1
             if kept is not None:
@@ -692,9 +725,9 @@ class IncrementalSolutionIndex:
                           for sums, _, cx in _full_shifts(coeffs, subsets, x)]
                 nodes += sum(map(len, chunks))
             for p, new in enumerate(chunks):
-                masks = subsets[full ^ (1 << p)][1]
-                buckets.append((subsets[full], new, [m | bit for m in masks]))
-            undo.append(chunks)
+                # zip stops at new's end, before the rows that extend masks
+                buckets.append((subsets[full], new,
+                                subsets[full ^ (1 << p)][1]))
             for S in range(1, full):
                 for q, c in enumerate(coeffs):
                     if S >> q & 1:
@@ -710,18 +743,34 @@ class IncrementalSolutionIndex:
             sums.extend(new_sums)
             masks.extend(new_masks)
         for table, sums, masks in buckets:
+            get = table.get
             for s, m in zip(sums, masks):
-                bucket = table.get(s)
+                m |= bit
+                bucket = get(s)
                 if bucket is None:
-                    table[s] = [m]
+                    table[s] = m
+                elif bucket.__class__ is int:
+                    table[s] = [bucket, m]
                 else:
                     bucket.append(m)
-        return undo
 
-    def _pop_masks(self, undo) -> None:
-        n = len(self.values) - 1
-        for (_, subsets, _), chunks in zip(self._mask_sides(), undo):
-            _unstore(subsets[-1], chunks)
+    def _pop_masks(self) -> None:
+        """Undo _add_masks of the last value x: the full chunks it filed
+        are rebuilt from the first perm(n, k-1) entries of the position
+        sets they shift, the tuples of the n values held before x."""
+        x, n = self.values[-1], len(self.values) - 1
+        for coeffs, subsets, _ in self._mask_sides():
+            table, size = subsets[-1], perm(n, len(coeffs) - 1)
+            for sums, _, cx in _full_shifts(coeffs, subsets, x):
+                for s in sums[:size]:
+                    s += cx
+                    bucket = table[s]
+                    if bucket.__class__ is int:
+                        del table[s]
+                    elif len(bucket) == 2:
+                        table[s] = bucket[0]
+                    else:
+                        bucket.pop()
             # a position set S holds the perm(n, |S|) tuples of n values
             for S in range(1, len(subsets) - 1):
                 sums, masks = subsets[S]
@@ -923,7 +972,7 @@ class IncrementalSolutionIndex:
                 stored |= new
             undo = stages
         elif self.distinct:
-            undo = self._add_masks(x, kept)
+            undo = self._add_masks(x, kept)     # None: pop rebuilds it
         else:
             if kept is not None:
                 pos_chunks, neg_chunks = kept
@@ -958,7 +1007,7 @@ class IncrementalSolutionIndex:
             for stored, new in zip(self.sums, undo):
                 stored.difference_update(new)
         elif self.distinct:
-            self._pop_masks(undo)
+            self._pop_masks()
         else:
             _unstore(self.pos_table, undo[0])
             _unstore(self.neg_table, undo[1])

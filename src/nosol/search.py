@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .certificates import Rate, tight_base
-from .equations import Equation
+from .equations import Equation, is_trivial
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -29,7 +29,9 @@ from .oracle import (
     IncrementalSolutionIndex,
     _Budget,
     _learn_range_pays,
-    _mitm_solutions,
+    _mitm_decoder,
+    _mitm_pairs,
+    _mitm_sides,
 )
 
 MODE_EXACT = "exact"
@@ -187,24 +189,37 @@ class _TableIndex:
     in ascending order: a test is one lookup, and it spends nothing.
 
     tables[x] has bit h set iff the values of the mask h, all below x, and
-    x hold a countable solution that uses x.  The value set of each
-    solution over range(n) (_mitm_solutions, spending its nodes on
-    budget) is filed under its largest value x as the bit of its other
-    values.  Each table is then closed upward by x shift-ORs, the i-th
-    setting bit h | 2**i wherever bit h is set and h lacks i: the
-    superset-sum (zeta) transform of Bjorklund, Husfeldt, Kaski and
-    Koivisto (STOC 2007).  The tables hold 2**n bits in all.
+    x hold a countable solution that uses x.  Each pairing of equal side
+    sums over range(n) (_mitm_pairs, spending its nodes on budget) has a
+    value set e, the OR of its scan tuple's bits and its table tuple's,
+    precomputed in product order.  When the pairing is countable, e is
+    filed under its largest value x as the bit of its other values.  In
+    distinct mode that is when e has m bits, one per variable; in all mode
+    a pairing with more than m/2 values is never trivial, and one with
+    fewer is decoded for is_trivial.  Each table is then closed upward by
+    x shift-ORs, the i-th setting bit h | 2**i wherever bit h is set and
+    h lacks i: the superset-sum (zeta) transform of Bjorklund, Husfeldt,
+    Kaski and Koivisto (STOC 2007).  The tables hold 2**n bits in all.
     """
 
     __slots__ = ("tables", "values", "held")
 
     def __init__(self, eq, n, distinct, budget):
         tables = [bytearray(1 << x >> 3 or 1) for x in range(n)]
-        value_bit = [1 << v for v in range(n)]
-        for solution in _mitm_solutions(eq, range(n), distinct, budget):
-            e = 0
-            for v in solution:
-                e |= value_bit[v]
+        m, decode = eq.num_vars, _mitm_decoder(eq, range(n))
+        table_masks = [0]
+        for _ in _mitm_sides(eq)[0]:
+            table_masks = [e | 1 << v for e in table_masks for v in range(n)]
+        last = None
+        for tup, r in _mitm_pairs(eq, range(n), budget):
+            if tup is not last:     # the scan tuple's value set
+                last, own = tup, sum({1 << v for v in tup})
+            e = own | table_masks[r]
+            if distinct:
+                if e.bit_count() < m:
+                    continue
+            elif 2 * e.bit_count() <= m and is_trivial(eq, decode(tup, r)):
+                continue
             x = e.bit_length() - 1
             h = e ^ 1 << x
             tables[x][h >> 3] |= 1 << (h & 7)

@@ -631,7 +631,12 @@ def test_exact_search_past_the_hypergraph_limit_runs_on_the_index(
     def never(*args, **kwargs):
         raise AssertionError("the candidate range was enumerated")
 
-    monkeypatch.setattr(search, "_mitm_solutions", never)
+    monkeypatch.setattr(search, "_mitm_pairs", never)
+    # the patch is live: a small range that pays is listed through it
+    with pytest.raises(AssertionError, match="enumerated"):
+        main(["search", "--sym", "43,69,70", "--exact", "--L", "2961",
+              "-o", str(tmp_path / "a.json")])
+    capsys.readouterr()
     code, report = run(capsys, "search", "--sym", "1,1", "--exact", "--L",
                        "5000", "--budget", "200000", "-o", str(tmp_path / "b.json"))
     assert code == 3

@@ -1,3 +1,4 @@
+import copy
 import math
 import operator
 import random
@@ -468,13 +469,57 @@ def test_distinct_index_pieces_differential(monkeypatch, eq):
             q = SolutionQuery(eq, key, distinct_variables=True)
             expected[key] = exhaustive_check(q, engine="mitm")[0] is None
         assert answer == expected[key], key
-    value_of = {b: v for v, b in memory.bits.items()}
-    for x, witnesses in memory.conflicts.items():
-        for w in witnesses:
-            values = sorted([v for b, v in value_of.items() if w & b] + [x])
-            q = SolutionQuery(eq, values, distinct_variables=True)
-            solution, _ = exhaustive_check(q, engine="mitm")
-            assert solution is not None and x in solution.assignment, (x, values)
+
+
+# sym(43,69,70)'s held sets here give no sum three tuples, [5,7,11,-23]'s
+# hundreds
+@pytest.mark.parametrize("eq,regrows", [(make_symmetric([43, 69, 70]), 0),
+                                        (make_equation([5, 7, 11, -23]), 100)])
+def test_distinct_index_budget_edge(eq, regrows):
+    """A distinct-mode test spends its pairings once per walked piece, or
+    at the witness.  On seeded held sets, legal(x) at every limit from its
+    unlimited cost - 40 to + 5 gives the unlimited answer when the cost
+    fits the limit, and otherwise raises BudgetExhausted with a count past
+    the limit and within the cost, leaving the tables and the memory as
+    they were.  Popped back value by value, the index holds a fresh
+    index's tables at every size, and a full-table sum that held three
+    masks or more holds one bare mask again."""
+    rng = random.Random(20261021)
+    idx = IncrementalSolutionIndex(eq, distinct=True)
+    memory, table = idx.memory, idx.pos_subsets[-1]
+    cut = 0
+    for _ in range(150):
+        x = rng.randrange(60)
+        state = copy.deepcopy((index_state(idx), memory.conflicts))
+
+        def probe(limit):
+            idx.memory = copy.deepcopy(memory)
+            idx.tracker = _Budget(limit)
+            return idx.legal(x)
+
+        answer = probe(10 ** 9)
+        cost = idx.nodes
+        for limit in range(max(cost - 40, 0), cost + 6):
+            if limit >= cost:
+                assert probe(limit) == answer and idx.nodes == cost
+                continue
+            with pytest.raises(BudgetExhausted) as raised:
+                probe(limit)
+            assert limit < raised.value.nodes <= cost
+            assert (index_state(idx), idx.memory.conflicts) == state
+            cut += 1
+        idx.memory, idx.tracker = memory, _Budget(10 ** 9)
+        if idx.legal(x) and len(idx.values) < 12:
+            idx.add(x)
+    assert len(idx.values) >= 9 and cut >= 2000
+    crowded = {s for s, b in table.items() if not isinstance(b, int)
+               and len(b) >= 3}
+    regrown = set()
+    while idx.values:
+        idx.pop()
+        assert index_state(idx) == fresh_index_state(idx)
+        regrown |= {s for s in crowded if isinstance(table.get(s), int)}
+    assert len(regrown) >= regrows
 
 
 def test_conflict_memory_serves_one_equation_and_mode():

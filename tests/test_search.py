@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations, product
@@ -5,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from nosol import search
+from nosol.cli import main
 from nosol.equations import make_equation, make_symmetric
 from nosol.oracle import (
     ConflictMemory,
@@ -326,6 +328,19 @@ def test_43_69_70_all_mode_rows():
         res = max_digit_set(eq, L, SearchConfig(budget=10 ** 9 // 8))
         rows.append((L, res.digits, res.best_rate_digits, res.exhausted))
     assert rows == ROWS_43_69_70_ALL
+
+
+def test_43_69_70_all_mode_grid_nodes(tmp_path, capsys):
+    """The same rows through cmd_search, whose bases share one conflict
+    memory, with each row's nodes pinned."""
+    assert main(["search", "--sym", "43,69,70", "--extended", "--budget",
+                 str(10 ** 9), "-o", str(tmp_path / "all.json")]) == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    assert [(row["L"], tuple(row["digits"]), row["exhausted"], row["nodes"])
+            for row in table] == [
+        (L, digits, exhausted, nodes) for (L, digits, _, exhausted), nodes
+        in zip(ROWS_43_69_70_ALL, [160, 675, 28820, 7415, 11047, 31910,
+                                   82811, 283817])]
 
 
 # (equation, distinct, M, budget) -> (digits, best_rate_digits, exhausted,
