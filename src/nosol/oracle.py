@@ -213,6 +213,15 @@ def _mitm_decoder(eq, values):
     return decode
 
 
+def _mitm_table_masks(eq, n) -> list[int]:
+    """The values of each table-side tuple of _mitm_pairs over range(n), as
+    bits, listed by the index r of its pairings."""
+    masks = [0]
+    for _ in _mitm_sides(eq)[0]:
+        masks = [e | 1 << v for e in masks for v in range(n)]
+    return masks
+
+
 def _mitm_pairs(eq, values, budget):
     """The pairs of a tuple of the scan side and a table-side tuple of
     equal sum, as (scan tuple, table tuple's index in product order).

@@ -31,7 +31,7 @@ from .oracle import (
     _learn_range_pays,
     _mitm_decoder,
     _mitm_pairs,
-    _mitm_sides,
+    _mitm_table_masks,
 )
 
 MODE_EXACT = "exact"
@@ -191,8 +191,8 @@ class _TableIndex:
     tables[x] has bit h set iff the values of the mask h, all below x, and
     x hold a countable solution that uses x.  Each pairing of equal side
     sums over range(n) (_mitm_pairs, spending its nodes on budget) has a
-    value set e, the OR of its scan tuple's bits and its table tuple's,
-    precomputed in product order.  When the pairing is countable, e is
+    value set e, the OR of its scan tuple's bits and its table tuple's
+    (_mitm_table_masks).  When the pairing is countable, e is
     filed under its largest value x as the bit of its other values.  In
     distinct mode that is when e has m bits, one per variable; in all mode
     a pairing with more than m/2 values is never trivial, and one with
@@ -207,9 +207,7 @@ class _TableIndex:
     def __init__(self, eq, n, distinct, budget):
         tables = [bytearray(1 << x >> 3 or 1) for x in range(n)]
         m, decode = eq.num_vars, _mitm_decoder(eq, range(n))
-        table_masks = [0]
-        for _ in _mitm_sides(eq)[0]:
-            table_masks = [e | 1 << v for e in table_masks for v in range(n)]
+        table_masks = _mitm_table_masks(eq, n)
         last = None
         for tup, r in _mitm_pairs(eq, range(n), budget):
             if tup is not last:     # the scan tuple's value set

@@ -469,11 +469,18 @@ def test_distinct_index_pieces_differential(monkeypatch, eq):
             q = SolutionQuery(eq, key, distinct_variables=True)
             expected[key] = exhaustive_check(q, engine="mitm")[0] is None
         assert answer == expected[key], key
+    value_of = {b: v for v, b in memory.bits.items()}
+    for x, witnesses in memory.conflicts.items():
+        for w in witnesses:
+            values = sorted([v for b, v in value_of.items() if w & b] + [x])
+            q = SolutionQuery(eq, values, distinct_variables=True)
+            solution, _ = exhaustive_check(q, engine="mitm")
+            assert solution is not None and x in solution.assignment, (x, values)
 
 
-# sym(43,69,70)'s held sets here give no sum three tuples, [5,7,11,-23]'s
-# hundreds
-@pytest.mark.parametrize("eq,regrows", [(make_symmetric([43, 69, 70]), 0),
+# sym(43,69,70)'s held sets here give no sum three tuples, so only
+# [5,7,11,-23]'s, hundreds of them, test the pop back to a bare mask
+@pytest.mark.parametrize("eq,regrows", [(make_symmetric([43, 69, 70]), None),
                                         (make_equation([5, 7, 11, -23]), 100)])
 def test_distinct_index_budget_edge(eq, regrows):
     """A distinct-mode test spends its pairings once per walked piece, or
@@ -519,7 +526,8 @@ def test_distinct_index_budget_edge(eq, regrows):
         idx.pop()
         assert index_state(idx) == fresh_index_state(idx)
         regrown |= {s for s in crowded if isinstance(table.get(s), int)}
-    assert len(regrown) >= regrows
+    if regrows is not None:
+        assert len(regrown) >= regrows
 
 
 def test_conflict_memory_serves_one_equation_and_mode():
@@ -1026,3 +1034,27 @@ def test_mitm_own_index_mate_counts_without_mirror():
     solutions = set(_mitm_solutions(eq, q.ground_set, False, _Budget(10 ** 6)))
     assert (1, 1, 0, 0, 2, 2) in solutions
     assert len(solutions) == count_nontrivial_solutions(q, "naive")
+
+
+@pytest.mark.parametrize("coeffs", [[1, 2, 3, -1, -2, -3],
+                                    [5, 2, 1, -3, -3, -2], [5, 7, 11, -23]])
+def test_mitm_table_masks_match_decoded_pairings(coeffs):
+    """_mitm_table_masks[r] is the bit set of the table-side values that
+    _mitm_decoder reads from a pairing's index r, so the search's closed
+    tables and the oracle agree on the index layout.  Every decoded
+    pairing solves the equation."""
+    eq = make_equation(coeffs)
+    n = 6
+    masks = oracle._mitm_table_masks(eq, n)
+    decode = oracle._mitm_decoder(eq, range(n))
+    table_idx, scan_idx = oracle._mitm_sides(eq)
+    assert len(masks) == n ** len(table_idx)
+    pairs = 0
+    for tup, r in oracle._mitm_pairs(eq, range(n), _Budget(10 ** 7)):
+        assignment = decode(tup, r)
+        assert sum(map(operator.mul, eq.coeffs, assignment)) == 0
+        assert [assignment[i] for i in scan_idx] == list(tup)
+        table_values = {assignment[i] for i in table_idx}
+        assert masks[r] == sum(1 << v for v in table_values), (tup, r)
+        pairs += 1
+    assert pairs >= 10
