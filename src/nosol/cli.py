@@ -106,19 +106,29 @@ def _emit(obj) -> None:
     sys.stdout.flush()
 
 
-def _write_manifest(cert_path: str, argv, budget: int, started: float,
-                    config: dict) -> None:
-    manifest = {
-        "schema": 1,
-        "command": ["nosol"] + list(argv),
-        "tool_version": __version__,
-        "wall_seconds": round(time.monotonic() - started, 3),
-        "budget": budget,
-        "config": config,
-        "certificates": [os.path.basename(cert_path)],
-    }
-    atomic_write_text(cert_path + ".manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _save_outputs(cert, path: str, argv, budget: int, started: float,
+                  config: dict, set_path=None, elements=None) -> None:
+    """Write cert to path, its manifest to path + ".manifest.json" and,
+    given set_path, the elements one a line.  A write that fails removes
+    the files written before it and is a usage error (exit 64)."""
+    written = []
+    try:
+        save_certificate(cert, path)
+        written.append(path)
+        manifest = {"schema": 1, "command": ["nosol"] + list(argv),
+                    "tool_version": __version__, "budget": budget,
+                    "wall_seconds": round(time.monotonic() - started, 3),
+                    "config": config, "certificates": [os.path.basename(path)]}
+        atomic_write_text(path + ".manifest.json",
+                          json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        written.append(path + ".manifest.json")
+        if set_path is not None:
+            atomic_write_text(set_path, "\n".join(map(str, elements)) + "\n")
+    except OSError as exc:
+        for name in written:
+            os.remove(name)
+        failed = [path, path + ".manifest.json", set_path][len(written)]
+        raise _UsageError(f"cannot write {failed}: {exc.strerror}") from None
 
 
 def _equation_from_args(args):
@@ -216,24 +226,19 @@ def cmd_construct(args, argv) -> int:
         j_shifts = [int(x) for x in args.j.split(",")]
         cert = shift_transfer(source, i_shifts, j_shifts, budget)
 
-    # a lift that fails, or that is too large to materialise, must leave
-    # no certificate behind, so it runs first
-    if args.N is not None:
-        lifted = lift(cert, args.N, budget)
-        elements = lifted.elements
     out = args.out or f"{args.recipe}.cert.json"
-    save_certificate(cert, out)
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
-    _write_manifest(out, argv, budget, started, config)
-
-    if args.N is None:
-        _emit({"certificate": out, "rate": cert.rate.to_json()})
-        return EXIT_OK
-    set_path = args.set_out or out + ".set"
-    atomic_write_text(set_path, "\n".join(str(x) for x in elements) + "\n")
-    _emit({"certificate": out, "rate": cert.rate.to_json(),
-           "lifted_size": lifted.size, "lifted_file": set_path})
+    report = {"certificate": out, "rate": cert.rate.to_json()}
+    set_path = elements = None
+    if args.N is not None:
+        # a lift that fails, or that is too large to materialise, must
+        # leave no certificate behind, so it runs first
+        lifted = lift(cert, args.N, budget)
+        set_path, elements = args.set_out or out + ".set", lifted.elements
+        report.update(lifted_size=lifted.size, lifted_file=set_path)
+    _save_outputs(cert, out, argv, budget, started, config, set_path, elements)
+    _emit(report)
     return EXIT_OK
 
 
@@ -294,9 +299,8 @@ def cmd_search(args, argv) -> int:
             meta={"kind": "search", "search_base": L,
                   "exhausted": result.exhausted})
         cert_path = args.out or "search.cert.json"
-        save_certificate(best_cert, cert_path)
-        _write_manifest(cert_path, argv, budget, started,
-                        {"grid": grid, "mode": mode, "distinct": args.distinct})
+        _save_outputs(best_cert, cert_path, argv, budget, started,
+                      {"grid": grid, "mode": mode, "distinct": args.distinct})
         out["best"] = {"certificate": cert_path,
                        "rate": best_cert.rate.to_json(),
                        "base": best_cert.digit_set.base,

@@ -11,8 +11,10 @@ for "verified absent".
 
 The digit searches' IncrementalSolutionIndex first scans the conflicts
 that its ConflictMemory remembers for a value.  An exact search over a
-small range tests on no index, but on closed tables of the value sets
-that _mitm_pairs pairs over the range (search._TableIndex).
+small range tests on no index, but on closed tables of the value sets of
+the range's solutions (search._TableIndex).  One meet-in-the-middle
+kernel, _mitm_pairs, lists solutions for those tables and for the mitm
+engine: it yields only countable pairings, judged by their value sets.
 """
 
 from __future__ import annotations
@@ -180,61 +182,47 @@ def _sides(eq: Equation) -> tuple[list[int], list[int]]:
             [i for i, c in enumerate(eq.coeffs) if c < 0])
 
 
-def _mitm_sides(eq: Equation) -> tuple[list[int], list[int]]:
-    """(table positions, scan positions) of _mitm_pairs: the shorter side
-    is tabled, the positive one on a tie."""
-    pos, neg = _sides(eq)
-    return (pos, neg) if len(pos) <= len(neg) else (neg, pos)
-
-
 def _mitm_solutions(eq, values, distinct, budget):
     """Meet in the middle over the equation's positive/negative sides: the
-    countable solutions among _mitm_pairs' pairings, decoded in their
-    order."""
-    decode = _mitm_decoder(eq, values)
-    for tup, r in _mitm_pairs(eq, values, budget):
-        assignment = decode(tup, r)
-        if _is_countable(eq, assignment, distinct):
-            yield assignment
+    countable pairings of _mitm_pairs, decoded in their order."""
+    for tup, r, _ in _mitm_pairs(eq, values, distinct, budget):
+        yield _mitm_assignment(eq, values, tup, r)
 
 
-def _mitm_decoder(eq, values):
-    """decode(tup, r), the assignment of a pairing of _mitm_pairs."""
-    table_idx, scan_idx = _mitm_sides(eq)
-    table_back, n, assignment = table_idx[::-1], len(values), [0] * eq.num_vars
-
-    def decode(tup, r) -> tuple[int, ...]:
-        for i, v in zip(scan_idx, tup):
-            assignment[i] = v
-        for i in table_back:
-            r, d = divmod(r, n)
-            assignment[i] = values[d]
-        return tuple(assignment)
-    return decode
-
-
-def _mitm_table_masks(eq, n) -> list[int]:
-    """The values of each table-side tuple of _mitm_pairs over range(n), as
-    bits, listed by the index r of its pairings."""
-    masks = [0]
-    for _ in _mitm_sides(eq)[0]:
-        masks = [e | 1 << v for e in masks for v in range(n)]
-    return masks
+def _mitm_assignment(eq, values, tup, r) -> tuple[int, ...]:
+    """The assignment of a pairing of _mitm_pairs: the scan tuple tup and
+    the table tuple of product index r (last table position least
+    significant)."""
+    table_idx, scan_idx = sorted(_sides(eq), key=len)
+    assignment = [0] * eq.num_vars
+    for i, v in zip(scan_idx, tup):
+        assignment[i] = v
+    for i in reversed(table_idx):
+        r, d = divmod(r, len(values))
+        assignment[i] = values[d]
+    return tuple(assignment)
 
 
-def _mitm_pairs(eq, values, budget):
-    """The pairs of a tuple of the scan side and a table-side tuple of
-    equal sum, as (scan tuple, table tuple's index in product order).
+def _mitm_pairs(eq, values, distinct, budget):
+    """The one meet-in-the-middle kernel: the countable pairings of a tuple
+    of the scan side and a table-side tuple of equal sum, as (scan tuple,
+    the table tuple's index r in product order, the bits of the indices in
+    values of the pairing's values).
 
-    The table side (_mitm_sides) is tabled as the sorted list of its sums
-    over values^p; the tuple behind a sum is its index in product order,
-    so no tuple is stored.  A table entry costs one node, paid before the
-    table is built, and so do each tuple of the other side, scanned in
-    product order, and each of its mates, tried in product order (a mirror
-    mate too, though it is not yielded).
+    The shorter side is tabled as the sorted list of its sums over
+    values^p; the tuple behind a sum is its index in product order, so no
+    tuple is stored.  A table entry costs one node, paid before the table
+    is built, and so do each tuple of the other side, scanned in product
+    order, and each of its mates, tried in product order.  The rule reads
+    a pairing's value sets once its mirror mate is dropped: in distinct
+    mode its m values must be distinct; in all mode it counts when some
+    value lies on one side only (that value's class sum mixes no signs,
+    so it is never zero), or else when is_trivial rejects it.
     """
     coeffs = eq.coeffs
-    table_idx, scan_idx = _mitm_sides(eq)
+    m = len(coeffs)
+    # the shorter side is tabled, the positive one on a tie
+    table_idx, scan_idx = sorted(_sides(eq), key=len)
     n = len(values)
     size = n ** len(table_idx)
     # a table that does not fit spends one node past the limit, so the
@@ -248,6 +236,14 @@ def _mitm_pairs(eq, values, budget):
     order = sorted(range(size), key=sums.__getitem__)
     keys = [sums[j] for j in order]
     del sums
+    # the table tuple of index r holds values[r // stride] at its first
+    # position and the values of bits rest[r % stride] at the others, a
+    # list a factor n shorter than the table
+    stride = size // n
+    rest = [0]
+    for _ in table_idx[1:]:
+        rest = [e | 1 << d for e in rest for d in range(n)]
+    index = {v: d for d, v in enumerate(values)}
 
     scan_coeffs = [coeffs[i] for i in scan_idx]
     # when the scan side's coefficients are the table side's negated, in
@@ -258,12 +254,25 @@ def _mitm_pairs(eq, values, budget):
         budget.spend()
         target = -sum(map(mul, scan_coeffs, tup))
         j = bisect_left(keys, target)
+        bits = 0        # the scan tuple's, built at its first non-mirror mate
         while j < size and keys[j] == target:
             budget.spend()
             r = order[j]
             j += 1
-            if r != own or not mirrored:
-                yield tup, r
+            if r == own and mirrored:
+                continue
+            if not bits:
+                for v in tup:
+                    bits |= 1 << index[v]
+            table = 1 << r // stride | rest[r % stride]
+            e = bits | table
+            if distinct:
+                if e.bit_count() < m:
+                    continue
+            elif bits == table and is_trivial(
+                    eq, _mitm_assignment(eq, values, tup, r)):
+                continue
+            yield tup, r, e
 
 
 def _pick_engine(q: SolutionQuery, engine: str):

@@ -6,8 +6,9 @@ pipeline under a node budget.  Every anytime phase is one greedy pass
 (IncrementalSolutionIndex.greedy) over a candidate order: the ascending
 range, two-level seeds built from coefficient-derived bases, and the rest
 of the range on top of the best seed sets.  Over a small range, the
-exact search files the value set of every solution in a table of its
-largest value, closes each table upward (_TableIndex), and tests a
+exact search files the value set of every countable solution that the
+oracle's one meet-in-the-middle kernel (_mitm_pairs) yields in a table of
+its largest value, closes each table upward (_TableIndex), and tests a
 value by one lookup; otherwise it tests on one IncrementalSolutionIndex
 as well.  The anytime phases' indexes share one ConflictMemory, which a
 search grid may pass from base to base (SearchConfig.memory): the digits
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .certificates import Rate, tight_base
-from .equations import Equation, is_trivial
+from .equations import Equation
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -29,9 +30,7 @@ from .oracle import (
     IncrementalSolutionIndex,
     _Budget,
     _learn_range_pays,
-    _mitm_decoder,
     _mitm_pairs,
-    _mitm_table_masks,
 )
 
 MODE_EXACT = "exact"
@@ -189,35 +188,21 @@ class _TableIndex:
     in ascending order: a test is one lookup, and it spends nothing.
 
     tables[x] has bit h set iff the values of the mask h, all below x, and
-    x hold a countable solution that uses x.  Each pairing of equal side
-    sums over range(n) (_mitm_pairs, spending its nodes on budget) has a
-    value set e, the OR of its scan tuple's bits and its table tuple's
-    (_mitm_table_masks).  When the pairing is countable, e is
-    filed under its largest value x as the bit of its other values.  In
-    distinct mode that is when e has m bits, one per variable; in all mode
-    a pairing with more than m/2 values is never trivial, and one with
-    fewer is decoded for is_trivial.  Each table is then closed upward by
-    x shift-ORs, the i-th setting bit h | 2**i wherever bit h is set and
-    h lacks i: the superset-sum (zeta) transform of Bjorklund, Husfeldt,
-    Kaski and Koivisto (STOC 2007).  The tables hold 2**n bits in all.
+    x hold a countable solution that uses x.  The one meet-in-the-middle
+    kernel, _mitm_pairs, yields the countable pairings of equal side sums
+    over range(n), spending its nodes on budget, each with its value set
+    e, filed under its largest value x as the bit of its other values.
+    Each table is then closed upward by x shift-ORs, the i-th setting bit
+    h | 2**i wherever bit h is set and h lacks i: the superset-sum (zeta)
+    transform of Bjorklund, Husfeldt, Kaski and Koivisto (STOC 2007).
+    The tables hold 2**n bits in all.
     """
 
     __slots__ = ("tables", "values", "held")
 
     def __init__(self, eq, n, distinct, budget):
         tables = [bytearray(1 << x >> 3 or 1) for x in range(n)]
-        m, decode = eq.num_vars, _mitm_decoder(eq, range(n))
-        table_masks = _mitm_table_masks(eq, n)
-        last = None
-        for tup, r in _mitm_pairs(eq, range(n), budget):
-            if tup is not last:     # the scan tuple's value set
-                last, own = tup, sum({1 << v for v in tup})
-            e = own | table_masks[r]
-            if distinct:
-                if e.bit_count() < m:
-                    continue
-            elif 2 * e.bit_count() <= m and is_trivial(eq, decode(tup, r)):
-                continue
+        for _, _, e in _mitm_pairs(eq, range(n), distinct, budget):
             x = e.bit_length() - 1
             h = e ^ 1 << x
             tables[x][h >> 3] |= 1 << (h & 7)

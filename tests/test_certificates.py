@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import os
 import random
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -12,6 +13,7 @@ from nosol.certificates import (
     DigitSet,
     Rate,
     _primitive_power,
+    atomic_write_text,
     integer_root,
     load_certificate,
     make_digit_set,
@@ -330,3 +332,20 @@ def test_two_var_floor_matches_exact_reference():
              for a in range(1, b) if math.gcd(a, b) == 1}
     want = min(rates, key=lambda ab: cmp_to_key(_reference_cmp)(rates[ab]))
     assert min(rates, key=rates.__getitem__) == want == (5, 6)
+
+
+def test_atomic_write_text_failed_replace_keeps_the_old_file(tmp_path,
+                                                             monkeypatch):
+    # the rename is the last step: when it fails, the file keeps its old
+    # text and the temporary file beside it is removed
+    path = tmp_path / "cert.json"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        atomic_write_text(str(path), "new\n")
+    assert path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["cert.json"]

@@ -429,6 +429,13 @@ BAD_INPUT = [
     # and wrote a certificate, with set_out in its manifest, but no set
     (["construct", "geometric", "--m", "2", "--k", "3", "--set-out",
       "lifted.txt"], {}, 64),
+    # an unwritable output once exited 65 in construct, 64 in search, and
+    # a failed set write left the certificate and its manifest behind
+    (["construct", "geometric", "--m", "2", "--k", "3", "--N", "64",
+      "-o", "g.json", "--set-out", "MISSING/g.set"], {}, 64),
+    (["construct", "two-var", "--a", "5", "--b", "6", "-o", "MISSING/x.json"],
+     {}, 64),
+    (["search", "--sym", "1,2", "--L", "7", "-o", "MISSING/s.json"], {}, 64),
 ]
 
 

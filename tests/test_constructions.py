@@ -441,6 +441,38 @@ def test_window_extract_identity():
     assert cert.digit_set.digits == tuple(range(6))
 
 
+def test_window_extract_slides_to_the_densest_window():
+    """Over Sidon sets spanning several windows, the window chosen is the
+    lowest-starting one of the most elements, against a scan of every
+    window that starts at an element."""
+    eq = make_equation([1, 1, -1, -1])
+    rng = random.Random(24)
+    moved = tied = 0
+    for _ in range(20):
+        values, sums = [], set()
+        for v in rng.sample(range(400), 80):
+            new = {v + a for a in values} | {2 * v}
+            if len(new) == len(values) + 1 and not new & sums:
+                values.append(v)
+                sums |= new
+        values.sort()
+        L = rng.choice((24, 40, 60))
+        width = L // 2
+        assert values[-1] - values[0] >= 3 * width
+        counts = {a: sum(a <= v < a + width for v in values) for a in values}
+        best = max(counts.values())
+        starts = [a for a in values if counts[a] == best]
+        start = starts[0]
+        cert = window_extract(values, L, eq)
+        assert cert.meta["window_start"] == start
+        assert cert.digit_set.digits == tuple(
+            v - start for v in values if start <= v < start + width)
+        assert len(cert.digit_set.digits) == best
+        moved += start > values[0]
+        tied += len(starts) > 1
+    assert moved >= 10 and tied >= 5
+
+
 def test_window_extract_rejects_solutions_in_window():
     eq = make_symmetric([1, 2])
     with pytest.raises(ConstructionError):

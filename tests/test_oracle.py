@@ -3,7 +3,6 @@ import math
 import operator
 import random
 import tracemalloc
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -358,6 +357,22 @@ def test_incremental_index_add_is_budget_atomic(eq, distinct, after_legal):
         idx.add(x)
     assert idx.values == held
     assert index_state(idx) == fresh_index_state(idx)
+
+
+@pytest.mark.parametrize("eq,distinct,kind", [
+    (make_symmetric([1, 2]), False, "sums"),
+    (make_symmetric([1, 2]), True, "pos_subsets"),
+    (make_equation([2, 2, -3, -1]), False, "pos_table"),
+])
+def test_incremental_index_add_refuses_a_held_value(eq, distinct, kind):
+    idx = IncrementalSolutionIndex(eq, distinct)
+    assert getattr(idx, kind) is not None
+    for x in (0, 1, 5):
+        idx.add(x)
+    before = index_state(idx)
+    with pytest.raises(ValueError, match="1 is already in the index"):
+        idx.add(1)
+    assert index_state(idx) == before
 
 
 def test_incremental_index_sums_add_refuses_a_solution():
@@ -897,6 +912,17 @@ def test_is_injective_map_over_budget_raises_at_once(B):
     assert exc.value.nodes == B
 
 
+@pytest.mark.parametrize("a,B,message", [
+    ([3], 5, "at least two coefficients"),
+    ([1, 0], 5, "coefficients must be positive"),
+    ([2, -1], 5, "coefficients must be positive"),
+    ([1, 2], 0, "B must be positive"),
+])
+def test_is_injective_map_input_checks(a, B, message):
+    with pytest.raises(ValueError, match=message):
+        is_injective_map(a, B)
+
+
 @pytest.mark.parametrize("B", [SCAN_SUMS_CAP + 1, 10 ** 8, 10 ** 20])
 def test_is_injective_map_past_the_scan_cap_is_a_value_error(B):
     # within the budget, but the scan would hold a first stage of B sums;
@@ -997,32 +1023,31 @@ def test_mitm_table_memory_per_entry():
 @pytest.mark.parametrize("lifted,distinct", [(True, False), (False, False),
                                              (False, True)])
 def test_mitm_skips_mirror_mates(monkeypatch, lifted, distinct):
-    # under x + 2y = z + 2w every scan tuple meets its mirror x = x', which
-    # is never countable, so _is_countable sees every mate but that one
+    # under x + 2y = z + 2w every scan tuple meets its mirror x = x', whose
+    # sides hold the same values, so a kernel that judged it would ask
+    # is_trivial; no other mate has equal value sets (z, w = y, x needs
+    # x = y), so is_trivial is never called when mirrors are dropped first
     cert = two_var_digits(1, 2)
     values = lift(cert, 4 ** 7).elements if lifted else tuple(range(20))
     eq = cert.digit_set.equation
-    mult = Counter(2 * x + y for x, y in product(values, repeat=2))
-    mates = sum(m * m for m in mult.values())
-    countable = oracle._is_countable
+    trivial = oracle.is_trivial
     calls = 0
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return countable(*args)
+        return trivial(*args)
 
-    monkeypatch.setattr(oracle, "_is_countable", counting)
+    monkeypatch.setattr(oracle, "is_trivial", counting)
     q = SolutionQuery(eq, values, distinct)
     count = count_nontrivial_solutions(q, "mitm")
     n = len(values)
-    assert calls == mates - n ** 2
+    assert calls == 0
     if lifted:       # a clean lift: the mirrors are its only mates
-        assert (n, count, calls) == (128, 0, 0)
+        assert (n, count) == (128, 0)
         assert exhaustive_check(q, "mitm") == (None, 3 * n ** 2)
     else:
-        monkeypatch.undo()
-        assert count == count_nontrivial_solutions(q, "naive") > 0
+        assert count == brute_count(eq, values, distinct) > 0
 
 
 def test_mitm_own_index_mate_counts_without_mirror():
@@ -1039,22 +1064,22 @@ def test_mitm_own_index_mate_counts_without_mirror():
 @pytest.mark.parametrize("coeffs", [[1, 2, 3, -1, -2, -3],
                                     [5, 2, 1, -3, -3, -2], [5, 7, 11, -23]])
 def test_mitm_table_masks_match_decoded_pairings(coeffs):
-    """_mitm_table_masks[r] is the bit set of the table-side values that
-    _mitm_decoder reads from a pairing's index r, so the search's closed
-    tables and the oracle agree on the index layout.  Every decoded
-    pairing solves the equation."""
+    """Every pairing _mitm_pairs yields over non-contiguous values decodes
+    to a countable solution, whose scan positions hold the scan tuple and
+    whose values' indices are the yielded bits; in both modes the decoded
+    pairings are the naive scan's solutions."""
     eq = make_equation(coeffs)
-    n = 6
-    masks = oracle._mitm_table_masks(eq, n)
-    decode = oracle._mitm_decoder(eq, range(n))
-    table_idx, scan_idx = oracle._mitm_sides(eq)
-    assert len(masks) == n ** len(table_idx)
-    pairs = 0
-    for tup, r in oracle._mitm_pairs(eq, range(n), _Budget(10 ** 7)):
-        assignment = decode(tup, r)
-        assert sum(map(operator.mul, eq.coeffs, assignment)) == 0
-        assert [assignment[i] for i in scan_idx] == list(tup)
-        table_values = {assignment[i] for i in table_idx}
-        assert masks[r] == sum(1 << v for v in table_values), (tup, r)
-        pairs += 1
-    assert pairs >= 10
+    values = (-2, 0, 1, 3, 4, 6, 9)
+    scan_idx = sorted(_sides(eq), key=len)[1]
+    for distinct in (False, True):
+        found = []
+        for tup, r, e in oracle._mitm_pairs(eq, values, distinct,
+                                            _Budget(10 ** 7)):
+            x = oracle._mitm_assignment(eq, values, tup, r)
+            assert countable_solution(eq, x, distinct), (tup, r)
+            assert tuple(x[i] for i in scan_idx) == tup
+            assert e == sum({1 << values.index(v) for v in x}), (tup, r)
+            found.append(x)
+        naive = oracle._naive_solutions(eq, values, distinct, _Budget(10 ** 7))
+        assert sorted(found) == sorted(naive)
+        assert len(found) >= 5, distinct

@@ -179,6 +179,28 @@ def test_dependency_validation():
     assert Dependency(2, 1, -1).magnitude == 2
 
 
+SYM12 = make_symmetric([1, 2])
+# (function, arguments, message) of input that each search entry point
+# refuses with a ValueError before any work
+SEARCH_INPUT_CHECKS = [
+    (SearchConfig, (0,), "budget must be at least 1"),
+    (SearchConfig, (10, "greedy"), "unknown search mode 'greedy'"),
+    (max_digit_set, (SYM12, 1), "base must be at least 2"),
+    (greedy_set, (SYM12, 0), "N must be positive"),
+    (small_dependency_search, (0, 2, 3, 5), "coefficients must be positive"),
+    (small_dependency_search, (4, -2, 3, 5), "coefficients must be positive"),
+    (small_dependency_search, (1, 2, 3, 0), "bound must be positive"),
+]
+
+
+@pytest.mark.parametrize("func,args,message", SEARCH_INPUT_CHECKS,
+                         ids=[f"{f.__name__}{a[-2:]}" for f, a, _
+                              in SEARCH_INPUT_CHECKS])
+def test_search_input_checks(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
 def test_search_result_has_best_rate_prefix():
     eq = make_symmetric([1, 2])
     res = max_digit_set(eq, 100, SearchConfig(budget=100_000))
