@@ -149,10 +149,6 @@ class Rate:
             "decimal": round(self.decimal, 12),
         }
 
-    @staticmethod
-    def from_json(obj) -> "Rate":
-        return Rate(int(obj["num_log"]), int(obj["den_log"]))
-
 
 def decimal_below(lhs, rhs) -> bool:
     """Whether lhs < rhs for two unequal, nonnegative products, each given

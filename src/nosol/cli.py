@@ -58,24 +58,21 @@ EXIT_BEST_EFFORT = 3
 EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 
-# the options each construct recipe needs, by argparse destination
-RECIPE_ARGS = {
-    "geometric": ("m", "k"),
-    "two-var": ("a", "b"),
-    "coprime-power": ("a", "b", "k"),
-    "spaced": ("gens", "s_factor"),
-    "thm3": ("a", "b", "c"),
-    "section5": ("d",),
-    "distinct-var": ("m",),
-    "shift": ("cert", "i", "j"),
-}
-
 AUTO_GRID = (4, 8, 16, 32, 64, 128)
 EXTENDED_GRID = AUTO_GRID + (256, 512)
 
 
 class _UsageError(Exception):
     """Malformed input found after argument parsing; main() exits 64."""
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type of every comma-separated integer option."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -132,11 +129,10 @@ def _save_outputs(cert, path: str, argv, budget: int, started: float,
 
 
 def _equation_from_args(args):
-    if getattr(args, "sym", None):
-        gens = normalize_generators(int(x) for x in args.sym.split(","))
-        return make_symmetric(gens)
-    if getattr(args, "eq", None):
-        return make_equation(int(x) for x in args.eq.split(","))
+    if args.sym is not None:
+        return make_symmetric(normalize_generators(args.sym))
+    if args.eq is not None:
+        return make_equation(args.eq)
     raise ValueError("specify an equation with --sym or --eq")
 
 
@@ -148,12 +144,13 @@ def _refuse(message, names) -> None:
 
 
 def _read_set(args) -> tuple[int, ...]:
-    if args.set is not None:
-        return tuple(sorted({int(x) for x in args.set.split(",")}))
-    if args.set_file is None:
+    values = args.set
+    if args.set_file is not None:
+        with open(args.set_file, encoding="utf-8") as fh:
+            values = [int(line) for line in fh if line.strip()]
+    if values is None:
         raise _UsageError("specify a set with --set or --set-file")
-    with open(args.set_file, encoding="utf-8") as fh:
-        return tuple(sorted({int(line) for line in fh if line.strip()}))
+    return tuple(sorted(set(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,47 +181,52 @@ def cmd_verify(args, argv) -> int:
     return EXIT_WITNESS
 
 
+def _thm3(args, budget):
+    """thm3's builder: its certificate, or None once it prints a plan."""
+    cfg = PipelineConfig(alpha=args.alpha, budget=budget,
+                         literal_constants=bool(args.literal_constants))
+    if args.alpha2 is not None:
+        cfg.alpha2_small = args.alpha2
+    result = three_coefficient_pipeline(args.a, args.b, args.c, cfg)
+    if result.status != "certified":
+        _emit({"status": result.status, "case": result.case, "plan": result.plan})
+        return None
+    return result.certificate
+
+
+# each construct recipe: the options it needs and the options it also
+# reads, by argparse destination, and its builder(options, budget)
+RECIPES = {
+    "geometric": (("m", "k"), (), lambda o, budget: geometric_digits(o.m, o.k, budget)),
+    "two-var": (("a", "b"), (), lambda o, budget: two_var_digits(o.a, o.b, budget)),
+    "coprime-power": (("a", "b", "k"), (), lambda o, budget:
+                      coprime_power_digits(o.a, o.b, o.k, budget)),
+    "spaced": (("gens", "s_factor"), (),
+               lambda o, budget: spaced_digits(o.gens, o.s_factor, budget)),
+    "thm3": (("a", "b", "c"), ("alpha", "alpha2", "literal_constants"), _thm3),
+    "section5": (("d",), (), lambda o, budget: double_progression_digits(o.d, budget)),
+    "distinct-var": (("m",), (), lambda o, budget: distinct_var_digits(o.m, budget)),
+    "shift": (("cert", "i", "j"), (), lambda o, budget: shift_transfer(
+        load_certificate(o.cert, budget), o.i, o.j, budget)),
+}
+
+
 def cmd_construct(args, argv) -> int:
     started = time.monotonic()
     budget = _budget(args)
+    needs, also, build = RECIPES[args.recipe]
     _refuse(f"recipe {args.recipe} needs ", [
-        name for name in RECIPE_ARGS[args.recipe] if getattr(args, name) is None])
-    tuning = ("alpha", "alpha2", "literal_constants")   # read by thm3 alone
-    reads = RECIPE_ARGS[args.recipe] + (tuning if args.recipe == "thm3" else ())
+        name for name in needs if getattr(args, name) is None])
+    # in flag order: every recipe's needs, then what some recipe also reads
+    names = [n for part in (0, 1) for entry in RECIPES.values() for n in entry[part]]
     _refuse(f"recipe {args.recipe} does not read ", [
-        name for name in dict.fromkeys(sum(RECIPE_ARGS.values(), ()) + tuning)
-        if name not in reads and getattr(args, name) is not None])
+        name for name in dict.fromkeys(names)
+        if name not in needs + also and getattr(args, name) is not None])
     if args.set_out is not None and args.N is None:
         raise _UsageError("--set-out needs --N")
-    if args.recipe == "geometric":
-        cert = geometric_digits(args.m, args.k, budget)
-    elif args.recipe == "two-var":
-        cert = two_var_digits(args.a, args.b, budget)
-    elif args.recipe == "coprime-power":
-        cert = coprime_power_digits(args.a, args.b, args.k, budget)
-    elif args.recipe == "spaced":
-        gens = [int(x) for x in args.gens.split(",")]
-        cert = spaced_digits(gens, args.s_factor, budget)
-    elif args.recipe == "thm3":
-        cfg = PipelineConfig(alpha=args.alpha, budget=budget,
-                             literal_constants=bool(args.literal_constants))
-        if args.alpha2 is not None:
-            cfg.alpha2_small = args.alpha2
-        result = three_coefficient_pipeline(args.a, args.b, args.c, cfg)
-        if result.status != "certified":
-            _emit({"status": result.status, "case": result.case,
-                   "plan": result.plan})
-            return EXIT_BUDGET
-        cert = result.certificate
-    elif args.recipe == "section5":
-        cert = double_progression_digits(args.d, budget)
-    elif args.recipe == "distinct-var":
-        cert = distinct_var_digits(args.m, budget)
-    elif args.recipe == "shift":
-        source = load_certificate(args.cert, budget)
-        i_shifts = [int(x) for x in args.i.split(",")]
-        j_shifts = [int(x) for x in args.j.split(",")]
-        cert = shift_transfer(source, i_shifts, j_shifts, budget)
+    cert = build(args, budget)
+    if cert is None:
+        return EXIT_BUDGET
 
     out = args.out or f"{args.recipe}.cert.json"
     config = {k: v for k, v in vars(args).items()
@@ -246,15 +248,10 @@ def cmd_search(args, argv) -> int:
     started = time.monotonic()
     budget = _budget(args)
     eq = _equation_from_args(args)
-    chosen = [flag for flag, given in (("--L", args.L is not None),
-                                       ("--L-grid", args.L_grid != "auto"),
-                                       ("--extended", args.extended)) if given]
-    if len(chosen) > 1:
-        raise _UsageError(f"{' and '.join(chosen)} cannot be combined")
     if args.L is not None:
         grid = [args.L]
-    elif args.L_grid != "auto":
-        grid = [int(x) for x in args.L_grid.split(",")]
+    elif args.L_grid not in (None, "auto"):
+        grid = args.L_grid
     else:
         factors = EXTENDED_GRID if args.extended else AUTO_GRID
         grid = [eq.side_sum * m + 1 for m in factors]
@@ -341,13 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_equation_args(p):
-        p.add_argument("--sym", help="comma-separated symmetric generators")
-        p.add_argument("--eq", help="comma-separated raw coefficients (sum 0)")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--sym", type=_int_list,
+                           help="comma-separated symmetric generators")
+        group.add_argument("--eq", type=_int_list,
+                           help="comma-separated raw coefficients (sum 0)")
 
     p = sub.add_parser("verify", help="exhaustively check a set or certificate")
     add_equation_args(p)
-    p.add_argument("--set", help="inline comma-separated integers")
-    p.add_argument("--set-file", help="file of decimal integers, one per line")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--set", type=_int_list, help="inline comma-separated integers")
+    group.add_argument("--set-file", help="file of decimal integers, one per line")
     p.add_argument("--cert", help="certificate JSON to re-verify")
     p.add_argument("--distinct", action="store_true",
                    help="require all variables pairwise distinct")
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="run a named construction")
-    p.add_argument("recipe", choices=list(RECIPE_ARGS))
+    p.add_argument("recipe", choices=list(RECIPES))
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=int)
@@ -363,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--s-factor", type=int, help="spacing factor for spaced")
-    p.add_argument("--gens", help="comma-separated generators for spaced")
+    p.add_argument("--gens", type=_int_list, help="comma-separated spaced generators")
     p.add_argument("--alpha", type=float)
     p.add_argument("--alpha2", type=float)
     p.add_argument("--literal-constants", action="store_true", default=None,
                    help="use the literal asymptotic thresholds in thm3")
     p.add_argument("--cert", help="source certificate for shift")
-    p.add_argument("--i", help="comma-separated left shifts for shift")
-    p.add_argument("--j", help="comma-separated right shifts for shift")
+    p.add_argument("--i", type=_int_list, help="comma-separated left shifts for shift")
+    p.add_argument("--j", type=_int_list, help="comma-separated right shifts for shift")
     p.add_argument("--N", type=_positive_int, help="also materialize the lift below N")
     p.add_argument("--set-out", help="path for the lifted set file")
     p.add_argument("-o", "--out", help="certificate output path")
@@ -379,11 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search digit alphabets over a base grid")
     add_equation_args(p)
-    p.add_argument("--L", type=int, help="single base instead of a grid")
-    p.add_argument("--L-grid", dest="L_grid", default="auto",
-                   help="'auto' or comma-separated explicit bases")
-    p.add_argument("--extended", action="store_true",
-                   help="extend the auto grid to s*512+1")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--L", type=int, help="single base instead of a grid")
+    group.add_argument("--L-grid", dest="L_grid", type=lambda text:
+                       text if text == "auto" else _int_list(text),
+                       help="'auto' (the default) or comma-separated bases")
+    group.add_argument("--extended", action="store_true",
+                       help="extend the auto grid to s*512+1")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--distinct", action="store_true")
     p.add_argument("--progress", action="store_true",

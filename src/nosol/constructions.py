@@ -613,8 +613,9 @@ def window_extract(values, L: int, eq: Equation,
                    budget: int = DEFAULT_BUDGET) -> Certificate:
     """Convert a solution-free set into a digit alphabet for base L.
 
-    Finds the window of width floor(L/s) holding the most elements, shifts
-    it to start at 0 (translation invariance), and certifies the result.
+    Finds the window of (L - 1) // s + 1 values, the widest under the
+    no-carry rule s*max < L, with the most elements, shifts it to start at
+    0 (translation invariance), and certifies the result.
     """
     values = sorted(set(int(v) for v in values))
     if not values:
@@ -622,7 +623,7 @@ def window_extract(values, L: int, eq: Equation,
     s = eq.side_sum
     if L < 2 * s:
         raise ValueError("base must be at least twice the side sum")
-    width = L // s
+    width = (L - 1) // s + 1
     best_count, best_at = 0, values[0]
     j = 0
     for i, v in enumerate(values):

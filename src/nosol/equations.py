@@ -279,7 +279,10 @@ def ints_from_json(values) -> list[int]:
     return [int_from_json(v) for v in values]
 
 
-def equation_from_json(obj: dict) -> Equation:
+def equation_from_json(obj) -> Equation:
+    """A JSON equation object; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an equation object, got {obj!r}")
     gen = obj.get("symmetric_gen")
     return make_equation(ints_from_json(obj["coeffs"]),
                          symmetric_gen=ints_from_json(gen) if gen else None)

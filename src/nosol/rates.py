@@ -105,10 +105,6 @@ class SweepReport:
     samples: int | None = None
     seed: int | None = None
 
-    @property
-    def bad_fraction(self) -> float:
-        return self.bad / self.total if self.total else 0.0
-
     def to_json(self) -> dict:
         return {
             "schema": 1,

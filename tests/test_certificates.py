@@ -188,6 +188,9 @@ def test_certificate_json_rejects_tampering():
     ("equation", {"coeffs": [True, -1]}), ("equation", {"coeffs": "2"}),
     ("equation", {"coeffs": [2, -1, "-1.0"]}),
     ("equation", {"coeffs": [1, 1, -1, -1], "symmetric_gen": ["1", 1.0]}),
+    # an equation that is not an object once raised AttributeError
+    ("equation", "2,-1,-1"), ("equation", ["2", "-1", "-1"]), ("equation", 2),
+    ("equation", None),
 ])
 def test_certificate_json_numbers_are_checked_not_coerced(key, value):
     obj = {"equation": {"coeffs": ["2", "-1", "-1"]}, "base": 7,

@@ -207,7 +207,7 @@ RECIPE_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("recipe", list(cli.RECIPE_ARGS))
+@pytest.mark.parametrize("recipe", list(cli.RECIPES))
 def test_every_recipe_certifies_by_oracle(tmp_path, capsys, recipe):
     source = tmp_path / "source.json"
     save_certificate(two_var_digits(1, 2), str(source))
@@ -325,6 +325,18 @@ def test_rate_cli(tmp_path, capsys):
     assert 0.445 < report["rate_decimal"] < 0.446
 
 
+def test_rate_cli_on_a_search_certificate(tmp_path, capsys):
+    # a search certificate records no analytic bound
+    path = tmp_path / "s.json"
+    code, _ = run(capsys, "search", "--sym", "1,2", "--L", "40", "-o", str(path))
+    assert code == 0
+    code, report = run(capsys, "rate", "--cert", str(path))
+    assert code == 0
+    assert (report["kind"], report["analytic_bound"], report["binding"]) == (
+        "search", None, "exact-rate")
+    assert report["rate"] == json.loads(path.read_text())["rate"]
+
+
 def test_tampered_certificate_is_not_trusted(tmp_path, capsys):
     # 1 + 2*1 = 3 + 2*0 solves sym(1,2) in {0,1,2,3}; base 10 is legal
     eq = make_symmetric([1, 2])
@@ -380,8 +392,8 @@ def test_env_budget_malformed_is_usage_error(capsys, monkeypatch):
 # bad input, each case of which once escaped main() as a traceback, ran
 # anyway, or wrote files before failing; ARRAY, NO_BASE and COERCED name
 # files holding a JSON array, a certificate without its base and one whose
-# base is a fraction and whose digits are a string, and ALL a clean
-# all-mode certificate
+# base is a fraction and whose digits are a string, ALL a clean all-mode
+# certificate, and SET the set 0..3, where 0 + 3 = 1 + 2
 BAD_INPUT = [
     (["search", "--sym", "1,2", "--L", "1"], {}, 64),
     (["search", "--sym", "1,2", "--L-grid", "1,0"], {}, 64),
@@ -436,6 +448,34 @@ BAD_INPUT = [
     (["construct", "two-var", "--a", "5", "--b", "6", "-o", "MISSING/x.json"],
      {}, 64),
     (["search", "--sym", "1,2", "--L", "7", "-o", "MISSING/s.json"], {}, 64),
+    # a non-integer in construct's lists once exited 65, not 64
+    (["construct", "spaced", "--gens", "1,x", "--s-factor", "2"], {}, 64),
+    (["construct", "shift", "--cert", "ALL", "--i", "1,x", "--j", "0,1"],
+     {}, 64),
+    # --sym once won over --eq, and --set over --set-file, unannounced
+    (["verify", "--sym", "1,2", "--eq", "1,1,-1,-1", "--set", "0,1"], {}, 64),
+    (["search", "--sym", "1,2", "--eq", "1,-1", "--L", "9"], {}, 64),
+    (["verify", "--eq", "1,1,-1,-1", "--set", "0,1", "--set-file", "SET"],
+     {}, 64),
+    # an explicit --L-grid auto chooses the grid too
+    (["search", "--sym", "1,2", "--L-grid", "auto", "--L", "9"], {}, 64),
+    # a certificate whose equation is not an object once raised
+    # AttributeError
+    (["verify", "--cert", "EQUATION"], {}, 64),
+    (["rate", "--cert", "EQUATION"], {}, 64),
+    (["construct", "shift", "--cert", "EQUATION", "--i", "1,0", "--j", "0,1"],
+     {}, 65),
+    # recipe, sweep and certificate checks that no other test reaches
+    (["construct", "geometric", "--m", "1", "--k", "2"], {}, 65),
+    (["construct", "geometric", "--m", "10", "--k", "13"], {}, 65),
+    (["construct", "coprime-power", "--a", "50", "--b", "7", "--k", "2"],
+     {}, 65),
+    (["construct", "spaced", "--gens", "1,2", "--s-factor", "1"], {}, 65),
+    (["construct", "section5", "--d", "0"], {}, 65),
+    (["construct", "distinct-var", "--m", "2"], {}, 65),
+    (["sweep", "--k", "1", "--C", "10", "--eps", "0.3"], {}, 64),
+    (["verify", "--cert", "BASE_1"], {}, 64),
+    (["verify", "--cert", "WRONG_GEN"], {}, 64),
 ]
 
 
@@ -458,12 +498,22 @@ def test_bad_input_gets_its_exit_code(tmp_path, capsys, monkeypatch,
     (tmp_path / "NO_BASE").write_text(json.dumps(no_base))
     (tmp_path / "COERCED").write_text(json.dumps(COERCED))
     save_certificate(two_var_digits(1, 2), str(tmp_path / "ALL"))
+    (tmp_path / "SET").write_text("0\n1\n2\n3\n")
+    # two_var_digits(1, 2) with its base, its equation or its generators
+    # spoiled
+    clean = two_var_digits(1, 2).to_json()
+    spoiled = {"BASE_1": {"base": 1},
+               "EQUATION": {"equation": "2,-2,1,-1"},
+               "WRONG_GEN": {"equation": {"coeffs": clean["equation"]["coeffs"],
+                                          "symmetric_gen": ["1", "3"]}}}
+    for name, change in spoiled.items():
+        (tmp_path / name).write_text(json.dumps({**clean, **change}))
+    files = sorted(os.listdir(tmp_path))
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
-    assert sorted(os.listdir(tmp_path)) == ["ALL", "ARRAY", "COERCED",
-                                            "NO_BASE"]
+    assert sorted(os.listdir(tmp_path)) == files
 
 
 @pytest.mark.parametrize("argv,flags", [

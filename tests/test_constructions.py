@@ -66,6 +66,8 @@ def test_two_var_rate_lower_bound():
         a = b - 1
         r = two_var_rate(a, b)
         assert r.decimal >= 0.5 - 1.0 / math.log(b)
+    with pytest.raises(ValueError, match="coprime"):
+        two_var_rate(2, 2)
 
 
 @pytest.mark.parametrize("build,nodes,proof,cap", [
@@ -200,6 +202,8 @@ def test_lift_rejects_bad_inputs():
     claimed = Certificate(make_digit_set(7, [0, 1, 2], eq), verified=True)
     with pytest.raises(ValueError, match="unverified"):
         lift(Certificate.from_json(claimed.to_json()), 343)
+    with pytest.raises(ValueError, match="positive"):
+        lift(two_var_digits(1, 2), 0)
 
 
 def test_lift_rate_degenerate():
@@ -350,6 +354,8 @@ def test_behrend_small():
     assert behrend_set(8) == (0, 1, 3, 4)
     assert len(behrend_set(8)) >= 4
     assert behrend_set(10) == (0, 1, 3, 4, 9, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        behrend_set(-1)
 
 
 def test_behrend_sizes_and_freeness():
@@ -441,6 +447,17 @@ def test_window_extract_identity():
     assert cert.digit_set.digits == tuple(range(6))
 
 
+def test_window_extract_takes_the_widest_no_carry_window():
+    # 2 does not divide 25: the window holds (25 - 1) // 2 + 1 = 13 values,
+    # and 2*12 < 25, where a width of 25 // 2 left out 12 at rate 0.4307
+    eq = make_equation([1, 1, -1, -1])
+    cert = window_extract([0, 1, 3, 7, 12], 25, eq)
+    assert cert.digit_set.digits == (0, 1, 3, 7, 12)
+    assert (cert.digit_set.base, cert.meta["width"]) == (25, 13)
+    assert cert.rate.decimal == 0.5
+    assert_solution_free(cert)
+
+
 def test_window_extract_slides_to_the_densest_window():
     """Over Sidon sets spanning several windows, the window chosen is the
     lowest-starting one of the most elements, against a scan of every
@@ -477,6 +494,10 @@ def test_window_extract_rejects_solutions_in_window():
     eq = make_symmetric([1, 2])
     with pytest.raises(ConstructionError):
         window_extract(range(5), 24, eq)   # 0 + 2*2 = 4 + 2*0
+    with pytest.raises(ValueError, match="empty"):
+        window_extract([], 24, eq)
+    with pytest.raises(ValueError, match="twice the side sum"):
+        window_extract([0, 1], 5, eq)
 
 
 # -- distinct-variable digits -------------------------------------------------

@@ -134,6 +134,8 @@ def test_classify_trivial_and_nontrivial():
     assert classify_solution(sym, (7, 7, 7, 7)).is_trivial
     with pytest.raises(ValueError):
         classify_solution(eq, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="length 3 != 4"):
+        classify_solution(eq, (1, 2, 3))
 
 
 @given(st.integers(min_value=-5, max_value=5),

@@ -53,6 +53,8 @@ def test_injectivity_threshold_values():
     assert injectivity_threshold(2, 1.0) == injectivity_threshold(2, 0.5)
     with pytest.raises(ValueError):
         injectivity_threshold(2, 0.0)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        injectivity_threshold(1, 0.1)
 
 
 def test_injectivity_threshold_lemma_below_theorem_and_monotone():
