@@ -251,7 +251,8 @@ def cmd_search(args, argv) -> int:
     if args.L is not None:
         grid = [args.L]
     elif args.L_grid not in (None, "auto"):
-        grid = args.L_grid
+        # each base once, so the budget splits over the distinct bases
+        grid = list(dict.fromkeys(args.L_grid))
     else:
         factors = EXTENDED_GRID if args.extended else AUTO_GRID
         grid = [eq.side_sum * m + 1 for m in factors]
@@ -292,8 +293,9 @@ def cmd_search(args, argv) -> int:
         best_cert = Certificate(
             make_digit_set(tight_base(eq, digits), digits, eq,
                            MODE_DISTINCT if args.distinct else MODE_ALL),
-            verified=True, oracle_nodes=result.nodes,
+            verified=True, oracle_nodes=0,
             meta={"kind": "search", "search_base": L,
+                  "proof": "legality-index", "search_nodes": result.nodes,
                   "exhausted": result.exhausted})
         cert_path = args.out or "search.cert.json"
         _save_outputs(best_cert, cert_path, argv, budget, started,

@@ -486,46 +486,20 @@ def _lift_below(digits, base, cap) -> list[int]:
 
 
 def behrend_set(m: int) -> tuple[int, ...]:
-    """A 3AP-free subset of {0..m}.
+    """A 3AP-free subset of {0..m}: the numbers up to m whose base-3 digits
+    are all 0 or 1.
 
-    Takes the better of the sphere-shell construction (dimension
-    ceil(sqrt(log2 m)), best shell by exhaustive count) and the ternary
-    {0,1}-digit baseline, which dominates at desk scale.
+    Behrend's sphere-shell construction (dimension ceil(sqrt(log2 m)), best
+    shell by exhaustive count) is shorter at every m from 2 to 2,999 and at
+    m = 10**4, 3*10**4, 10**5, 3*10**5, 10**6 and 10**7 (2,470 elements
+    against 32,768 at 10**7), so it is not built.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return (0,)
     ternary = tuple(_lift_below(range(2), 3, m))
-    shell = _behrend_shell(m) if m > 1 else (0,)
-    best = max((ternary, shell), key=len)
     if m <= 10 ** 5:
-        _assert_3ap_free(best)
-    return best
-
-
-def _behrend_shell(m: int) -> tuple[int, ...]:
-    d = max(1, math.ceil(math.sqrt(math.log2(m))))
-    # largest odd base B with (B**d - 1) / 2 <= m, so digit sums fit below m
-    B = 1
-    while ((B + 2) ** d - 1) // 2 <= m:
-        B += 2
-    n = (B + 1) // 2
-    if n < 2:
-        return (0,)
-    shells: dict[int, list[int]] = {}
-
-    def walk(depth, value, norm):
-        if depth == d:
-            shells.setdefault(norm, []).append(value)
-            return
-        for x in range(n):
-            walk(depth + 1, value * B + x, norm + x * x)
-
-    walk(0, 0, 0)
-    best_r = max(shells, key=lambda r: (len(shells[r]), -r))
-    vals = sorted(shells[best_r])
-    return tuple(v - vals[0] for v in vals)
+        _assert_3ap_free(ternary)
+    return ternary
 
 
 def _assert_3ap_free(values) -> None:

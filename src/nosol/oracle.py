@@ -3,8 +3,9 @@
 Three interchangeable enumeration engines (pruned DFS, naive product scan,
 meet-in-the-middle over the equation's sides) answer "does this finite set
 contain a non-trivial solution?" exactly.  For a symmetric equation with
-dissociated generators in all mode, the automatic choice first runs a scan
-of one-side sums, which certifies a clean set without storing any tuple.
+dissociated generators in all mode, the automatic choice answers by a scan
+of one-side sums alone: a clean scan stores no tuple, and a repeated sum
+is the witness.
 A search is only trusted when it ran to completion within its node budget;
 running out raises BudgetExhausted so callers can never mistake "unknown"
 for "verified absent".
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import compress, islice, product
 from math import perm
 from operator import eq, mul
 
@@ -289,10 +290,10 @@ def _pick_engine(q: SolutionQuery, engine: str):
     return _dfs_solutions
 
 
-def _sums_repeat(coeffs, values, budget) -> bool:
-    """Whether two different tuples x, x' in values^k (coeffs positive,
-    values distinct and ascending) have sum(c_j * x_j) == sum(c_j * x'_j),
-    for k = len(coeffs).
+def _sums_repeat(coeffs, values, budget):
+    """None when the sums sum(c_j * x_j) over x in values^k (coeffs
+    positive, values distinct and ascending, k = len(coeffs)) never repeat;
+    else two different k-tuples of equal sum.
 
     Builds the sums of j-tuples stage by stage, j = 1..k, spending one node
     per sum, and stops at the first stage whose sums repeat: equal values
@@ -301,16 +302,53 @@ def _sums_repeat(coeffs, values, budget) -> bool:
     one ascending run per value, which the sort merges, and a list takes
     less memory than a set.  The last stage, which holds a factor |values|
     more sums than the one before, is built one sum range at a time, each
-    as a bitset or sorted, at the same nodes (_last_stage_repeats).
+    as a bitset or sorted, at the same nodes (_last_stage_repeats).  A
+    repeat is decoded from the stage's least repeated sum once the stage
+    is freed (_repeat_tuples), so it does not depend on that build.
     """
     sums = [0]
-    for c in coeffs[:-1]:
+    for j, c in enumerate(coeffs[:-1], 1):
         budget.spend(len(sums) * len(values))
         sums = [s + cv for cv in [c * v for v in values] for s in sums]
         sums.sort()
-        if any(map(eq, sums, islice(sums, 1, None))):
-            return True
-    return _last_stage_repeats(sums, coeffs[-1], values, budget)
+        t = next(compress(sums, map(eq, sums, islice(sums, 1, None))), None)
+        if t is not None:
+            break
+    else:
+        j = len(coeffs)
+        t = _last_stage_repeats(sums, coeffs[-1], values, budget)
+    del sums
+    if t is None:
+        return None
+    pad = [values[0]] * (len(coeffs) - j)
+    return tuple(tuple(tup + pad)
+                 for tup in _repeat_tuples(t, coeffs[:j], values))
+
+
+def _repeat_tuples(t, coeffs, values) -> list[list[int]]:
+    """The two j-tuples over values of sum t, j = len(coeffs), whose last
+    values are least, where t repeats in stage j of _sums_repeat and stage
+    j-1 does not.  Stages 1..j-1 are rebuilt sorted, spending no node, and
+    each tuple is read from its last value down by bisection: below stage
+    j a sum has one tuple, so one value leaves a sum of the stage below."""
+    stages = [[0]]
+    for c in coeffs[:-1]:
+        stages.append(sorted(s + c * v for v in values for s in stages[-1]))
+
+    def lasts(s, j):
+        """The values v, ascending, for which stage j-1 holds s - c_j*v."""
+        stage, c = stages[j - 1], coeffs[j - 1]
+        return (v for v in values if (i := bisect_left(stage, s - c * v))
+                < len(stage) and stage[i] == s - c * v)
+
+    tuples = [[v] for v in islice(lasts(t, len(coeffs)), 2)]
+    for tup in tuples:
+        s = t
+        for j in range(len(coeffs), 1, -1):
+            s -= coeffs[j - 1] * tup[-1]
+            tup.append(next(lasts(s, j - 1)))
+        tup.reverse()
+    return tuples
 
 
 def _range_bitset_pays(span, prev_span, shifts, size) -> bool:
@@ -320,9 +358,9 @@ def _range_bitset_pays(span, prev_span, shifts, size) -> bool:
             and shifts * span <= 64 * BITSET_WORDS_PER_SUM * size)
 
 
-def _last_stage_repeats(prev, c, values, budget) -> bool:
-    """Whether the sums s + c*v, s in prev (sorted, repeat-free), v in
-    values, repeat; one node per sum.
+def _last_stage_repeats(prev, c, values, budget):
+    """The least sum s + c*v, s in prev (sorted, repeat-free), v in values,
+    that repeats, or None; one node per sum up to the range that holds it.
 
     Equal sums fall in the same range, so the stage is built one sum range
     [lo, hi) at a time, in ascending order, halved until it holds at most
@@ -332,7 +370,9 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
     int, the OR of prev's bitset shifted by each c*v of a non-empty slice,
     masked unless the slice is all of prev (the bit-parallel subset-sum
     step of Pisinger, Algorithmica 35, 2003); its sums repeat when it has
-    fewer bits than sums.  Any other range is sorted.
+    fewer bits than sums, and the least repeated one is found by bisection,
+    as the end of the shortest prefix of the range that holds more sums
+    than bits.  Any other range is sorted.
     """
     shifts = sorted(c * v for v in values)
     lo = prev[0] + shifts[0]
@@ -366,17 +406,29 @@ def _last_stage_repeats(prev, c, values, budget) -> bool:
                 else:
                     acc |= (stage << d if d >= 0 else stage >> -d) & (
                         (1 << hi - lo) - 1)
-            repeats = acc.bit_count() < size
+            if acc.bit_count() < size:
+                # [lo, a) holds no repeat and [lo, b) one; a prefix's sums
+                # from shift t are prev's below its end minus t
+                a, b, below = lo, hi, sum(start)
+                while b - a > 1:
+                    mid = (a + b) // 2
+                    count = sum(bisect_left(prev, mid - t) for t in shifts)
+                    if count - below > (acc & (1 << mid - lo) - 1).bit_count():
+                        b = mid
+                    else:
+                        a = mid
+                return a
         else:
             bucket = [s + t for t, a, b in reach
                       for s in (prev if b - a == len(prev) else prev[a:b])]
             bucket.sort()
-            repeats = any(map(eq, bucket, islice(bucket, 1, None)))
-        if repeats:
-            return True
+            repeat = next(compress(bucket, map(
+                eq, bucket, islice(bucket, 1, None))), None)
+            if repeat is not None:
+                return repeat
         acc = bucket = None     # freed before the next range
         lo, start = hi, end
-    return False
+    return None
 
 
 def _sums_decide(eq: Equation, distinct: bool) -> bool:
@@ -409,21 +461,26 @@ def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
     """(first countable solution or None, nodes spent).
 
     A None result certifies the whole space was enumerated.  With
-    engine="auto", a primitive symmetric equation in all mode whose sum scan
-    applies (_scan_applies) is certified clean by that scan, whose nodes are
-    its sums.  When the scan finds a repeat, the engine
-    _pick_engine chooses runs under a fresh budget, so witnesses and their
-    node counts do not depend on the scan.
+    engine="auto", a query whose sum scan applies (_scan_applies) gets the
+    scan's answer and nodes: clean, or its two tuples of equal sum laid out
+    as a solution, non-trivial since the generators are dissociated.  Any
+    other query runs the engine _pick_engine chooses.
     """
-    if engine == "auto" and _scan_applies(q):
-        budget = _Budget(q.budget)
-        if not _sums_repeat(q.equation.symmetric_gen, q.ground_set, budget):
-            return None, budget.nodes
-    run = _pick_engine(q, engine)
     budget = _Budget(q.budget)
-    for assignment in run(q.equation, q.ground_set, q.distinct_variables, budget):
-        return SolutionClass(assignment, SolutionKind.NONTRIVIAL), budget.nodes
-    return None, budget.nodes
+    if engine == "auto" and _scan_applies(q):
+        gens = q.equation.symmetric_gen
+        found = _sums_repeat(gens, q.ground_set, budget)
+        if found is not None:
+            side = {a: j for j, a in enumerate(gens)}
+            x, y = found
+            found = tuple(x[side[c]] if c > 0 else y[side[-c]]
+                          for c in q.equation.coeffs)
+    else:
+        found = next(_pick_engine(q, engine)(
+            q.equation, q.ground_set, q.distinct_variables, budget), None)
+    if found is None:
+        return None, budget.nodes
+    return SolutionClass(found, SolutionKind.NONTRIVIAL), budget.nodes
 
 
 def find_nontrivial_solution(q: SolutionQuery, engine: str = "auto"):
@@ -464,7 +521,7 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
         raise ValueError(f"B = {B} is too large: the injectivity scan "
                          f"would hold B**{len(a) - 1} sums, past its cap "
                          f"of {SCAN_SUMS_CAP}")
-    return not _sums_repeat(a, range(1, B + 1), _Budget(budget))
+    return _sums_repeat(a, range(1, B + 1), _Budget(budget)) is None
 
 
 def verify_certificate(cert, budget: int = DEFAULT_BUDGET) -> bool:

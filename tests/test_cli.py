@@ -228,6 +228,28 @@ def test_construct_past_the_budget_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "geom.json.manifest.json").exists()
 
 
+def test_verify_takes_the_scan_witness_past_the_mitm_cap(tmp_path, capsys,
+                                                       monkeypatch):
+    """A mixed-radix lift of 140 elements, {0..4} at base 177 under
+    {0..6} at base 370 under a top digit in {0..3}: its mitm table, 140**3
+    entries, is past MITM_TABLE_CAP, and the sum scan's repeat is the
+    witness, at the scan's nodes."""
+    values = sorted(a + 177 * (b + 370 * c) for a in range(5)
+                    for b in range(7) for c in range(4))
+    path = tmp_path / "mixed.txt"
+    path.write_text("".join(f"{v}\n" for v in values))
+    code, report = run(capsys, "verify", "--sym", "43,69,70",
+                       "--set-file", str(path))
+    assert code == 1
+    assert report == {"status": "witness", "witness": [4, 177, 178, 0, 0, 4],
+                      "nodes": 140 + 140 ** 2 + 140 ** 3}
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    from reference import is_witness, symmetric
+    assert is_witness(symmetric((43, 69, 70)), values, report["witness"],
+                      False)
+
+
 def test_search_tiny_grid(tmp_path, capsys):
     out = tmp_path / "best.json"
     code, report = run(capsys, "search", "--sym", "1,2", "--L", "4",
@@ -237,6 +259,28 @@ def test_search_tiny_grid(tmp_path, capsys):
     assert report["table"][0]["digits"] == [0, 1]
     cert = load_certificate(str(out))
     assert cert.digit_set.digits == (0, 1)
+    # no oracle ran: the legality index's answer backs it, at the
+    # search's nodes
+    raw = json.loads(out.read_text())
+    assert (raw["verified"], raw["oracle_nodes"]) == (True, 0)
+    assert raw["meta"]["proof"] == "legality-index"
+    assert raw["meta"]["search_nodes"] == report["table"][0]["nodes"]
+
+
+def test_search_grid_searches_a_repeated_base_once(tmp_path, capsys,
+                                                   monkeypatch):
+    budgets = []
+
+    def spy(eq, L, cfg, distinct=False):
+        budgets.append((L, cfg.budget))
+        return max_digit_set(eq, L, cfg, distinct=distinct)
+
+    monkeypatch.setattr(cli, "max_digit_set", spy)
+    code, report = run(capsys, "search", "--sym", "1,2", "--L-grid", "7,13,7",
+                       "--budget", "1000", "-o", str(tmp_path / "b.json"))
+    assert code == 0
+    assert [row["L"] for row in report["table"]] == [7, 13]
+    assert budgets == [(7, 500), (13, 500)]
 
 
 def test_search_progress_stream(tmp_path, capsys):

@@ -566,13 +566,33 @@ def test_injectivity_two_coefficients_closed_form():
         assert is_injective_map([a1, a2], B) == (not fails)
 
 
+def _scan_witness(coeffs, values):
+    """The repeat that _sums_repeat returns, from plain lists of all the
+    sums: at the first stage j whose j-tuple sums repeat, the two j-tuples
+    of its least repeated sum with the least last values, padded with
+    values[0]; None when no stage repeats."""
+    for j in range(1, len(coeffs) + 1):
+        by_sum = {}
+        for x in product(values, repeat=j):
+            by_sum.setdefault(sum(map(operator.mul, coeffs, x)), []).append(x)
+        repeated = [t for t, xs in by_sum.items() if len(xs) > 1]
+        if repeated:
+            pad = (values[0],) * (len(coeffs) - j)
+            return tuple(x + pad for x in sorted(by_sum[min(repeated)],
+                                                 key=lambda x: x[-1])[:2])
+    return None
+
+
 def test_bucketed_last_stage_matches_one_bucket(monkeypatch):
     """A last stage over SCAN_SUMS_CAP sums is built in sum-range buckets.
-    With a cap of a few sums, small inputs split; the answer must be that
-    of the whole-stage scan and of a plain set of all k-tuple sums, and a
-    clean scan must spend the same nodes."""
+    With a cap of a few sums, small inputs split, and BITSET_WORDS_PER_SUM
+    from 0 (every range sorted) to large (every range that spans few
+    enough bits a bitset); the repeat must be the one that plain lists of
+    all the sums give, whatever the split, and a clean scan must spend the
+    same nodes."""
     rng = random.Random(20261019)
     max_size = {1: 30, 2: 14, 3: 6, 4: 4}
+    default_words = oracle.BITSET_WORDS_PER_SUM
     outcomes = set()
     for _ in range(400):
         k = rng.randint(1, 4)
@@ -581,15 +601,17 @@ def test_bucketed_last_stage_matches_one_bucket(monkeypatch):
         lo = rng.randint(-60, 10)
         spread = rng.choice((size, 2 * size, 12 * size))
         values = sorted(rng.sample(range(lo, lo + spread), size))
-        repeats = len({sum(map(operator.mul, coeffs, x))
-                       for x in product(values, repeat=k)}) < size ** k
+        want = _scan_witness(coeffs, values)
+        repeats = want is not None
         answers = []
-        for cap in (10 ** 9, rng.randint(1, 7)):
+        for cap, words in ((10 ** 9, default_words),
+                           (rng.randint(1, 7), rng.choice((0, 1, 10 ** 6)))):
             monkeypatch.setattr(oracle, "SCAN_SUMS_CAP", cap)
+            monkeypatch.setattr(oracle, "BITSET_WORDS_PER_SUM", words)
             budget = _Budget(10 ** 9)
             answers.append((_sums_repeat(coeffs, values, budget), budget.nodes))
         (whole, whole_nodes), (split, split_nodes) = answers
-        assert whole == split == repeats, (coeffs, values)
+        assert whole == split == want, (coeffs, values)
         if not repeats:
             assert split_nodes == whole_nodes, (coeffs, values)
         split_up = size ** k > cap
@@ -625,8 +647,8 @@ def _forced_scan(monkeypatch, bitset, coeffs, values, limit):
 
 
 def test_bitset_last_stage_matches_the_sorted_scan(monkeypatch):
-    """The bitset and the sorted last stage give the answer of a plain set
-    of all k-tuple sums, spend one node per sum up to the first repeating
+    """The bitset and the sorted last stage give the repeat of plain lists
+    of all the sums, spend one node per sum up to the first repeating
     stage, and are cut by a small budget at the same node, whether the
     last stage is one sum range or, under a cap of a few sums, several."""
     rng = random.Random(20261020)
@@ -658,7 +680,7 @@ def test_bitset_last_stage_matches_the_sorted_scan(monkeypatch):
                                          10 ** 9) for bitset in (True, False)}
             assert runs[True] == runs[False], (coeffs, values, cap)
             answer, spent = runs[True]
-            assert answer == (first is not None), (coeffs, values)
+            assert answer == _scan_witness(coeffs, values), (coeffs, values)
             split = cap < size ** k
             if not split or first != k:
                 assert spent == nodes, (coeffs, values, cap)
@@ -757,11 +779,13 @@ def _auto_result(q):
 
 def test_auto_sum_scan_differential():
     """The automatic choice against the naive engine and the engine it
-    falls back to.  On a dissociated symmetric equation in all mode a clean
-    set costs the scan's sum_j |S|**j nodes, unless the scan exceeds the
-    budget; every other answer, witnesses included, is exactly that of the
-    engine _pick_engine selects.  Non-dissociated generators and distinct
-    mode never use the scan."""
+    falls back to.  On a dissociated symmetric equation in all mode, unless
+    the scan exceeds the budget, the scan answers: a clean set costs its
+    sum_j |S|**j nodes, and a witness is a non-trivial solution in the set
+    at the nodes of the stages up to the first that repeats.  Every other
+    answer, witnesses included, is exactly that of the engine _pick_engine
+    selects.  Non-dissociated generators and distinct mode never use the
+    scan."""
     rng = random.Random(20261018)
     dissociated = [(1, 2), (2, 5), (1, 2, 4), (1, 3, 9), (10, 11, 31),
                    (43, 69, 70), (1, 2, 4, 8)]
@@ -783,8 +807,12 @@ def test_auto_sum_scan_differential():
         direct = _picked_engine_result(q)
         uses_scan = (not distinct and is_dissociated(gens)
                      and budget >= scan_nodes)
-        if uses_scan and got[0] is None:
-            assert got == (None, scan_nodes), (gens, values)
+        if uses_scan:
+            first = _first_repeating_stage(gens, values) or k
+            assert got[1] == sum(size ** j for j in range(1, first + 1))
+            if got[0] is not None:
+                assert set(got[0]) <= set(values), (gens, values)
+                assert countable_solution(q.equation, got[0], False)
         else:
             assert got == direct, (gens, values, distinct, budget)
         if got[0] != "budget":
@@ -796,6 +824,37 @@ def test_auto_sum_scan_differential():
     # that runs out of budget
     assert {(True, True, False), (True, False, False), (False, True, False),
             (False, False, False), (False, False, True)} <= outcomes
+
+
+def test_scan_queries_run_no_other_engine(monkeypatch):
+    """Every query that _scan_applies accepts is answered by the scan
+    alone: with _pick_engine made to raise, exhaustive_check still answers
+    it, with a non-trivial solution in the set exactly when a plain product
+    scan finds one."""
+    def no_engine(*args):
+        raise AssertionError("the scan's query reached _pick_engine")
+
+    monkeypatch.setattr(oracle, "_pick_engine", no_engine)
+    rng = random.Random(20261020)
+    dissociated = [(1, 2), (2, 5), (1, 2, 4), (1, 3, 9), (43, 69, 70),
+                   (1, 2, 4, 8)]
+    max_size = {2: 12, 3: 5, 4: 3}
+    answers = set()
+    for _ in range(200):
+        gens = rng.choice(dissociated)
+        size = rng.randint(1, max_size[len(gens)])
+        lo = rng.randint(-60, 20)
+        spread = rng.choice((2 * size, 40 * size))
+        values = tuple(sorted(rng.sample(range(lo, lo + spread), size)))
+        q = SolutionQuery(make_symmetric(gens), values)
+        assert oracle._scan_applies(q)
+        solution, _ = exhaustive_check(q)
+        assert (solution is None) == (brute_count(q.equation, values) == 0)
+        if solution is not None:
+            assert set(solution.assignment) <= set(values)
+            assert countable_solution(q.equation, solution.assignment, False)
+        answers.add(solution is None)
+    assert answers == {True, False}
 
 
 def test_auto_certifies_geometric_lift_at_8_pow_7():
