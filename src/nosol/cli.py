@@ -47,6 +47,7 @@ from .oracle import (
     ConflictMemory,
     SolutionQuery,
     exhaustive_check,
+    query_engine,
 )
 from .rates import DEFAULT_Q, alpha_optimal, rate_report, random_tuple_sweep
 from .search import SearchConfig, max_digit_set, tight_rate
@@ -171,13 +172,16 @@ def cmd_verify(args, argv) -> int:
         eq = _equation_from_args(args)
         values = _read_set(args)
         distinct = args.distinct
-    solution, nodes = exhaustive_check(SolutionQuery(eq, values, distinct, budget))
+    q = SolutionQuery(eq, values, distinct, budget)
+    solution, nodes = exhaustive_check(q)
+    engine = query_engine(q)
     if solution is None:
         _emit({"status": "no-nontrivial-solution", "nodes": nodes,
-               "set_size": len(values), "mode": "distinct" if distinct else "all"})
+               "set_size": len(values), "mode": "distinct" if distinct else "all",
+               "engine": engine})
         return EXIT_OK
     _emit({"status": "witness", "witness": list(solution.assignment),
-           "nodes": nodes})
+           "nodes": nodes, "engine": engine})
     return EXIT_WITNESS
 
 

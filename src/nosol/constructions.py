@@ -194,6 +194,12 @@ def lift(cert: Certificate | DigitSet, N: int,
 # digit alphabet constructions
 
 
+def _guarantee(bound: float) -> float | None:
+    """An analytic rate bound as a certificate records it: None when it is
+    not positive, as such a bound guarantees nothing."""
+    return bound if bound > 0 else None
+
+
 def two_var_digits(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Alphabet {0..b-1} in base (a+b)(b-1)+1 for a*x1 + b*x2 symmetric.
 
@@ -207,7 +213,7 @@ def two_var_digits(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     eq = make_symmetric([a, b])
     meta = {
         "kind": "two-var", "a": a, "b": b,
-        "analytic_bound": 0.5 - 1.0 / math.log(b) if b > 2 else None,
+        "analytic_bound": _guarantee(0.5 - 1.0 / math.log(b)),
         "analytic_formula": "1/2 - 1/log(b)",
         "proof": "oracle+divisibility",
     }
@@ -245,7 +251,7 @@ def coprime_power_digits(a: int, b: int, k: int,
     gens = [a] + [b ** i for i in range(1, k)]
     eq = make_symmetric(gens)
     meta = {"kind": "coprime-power", "a": a, "b": b, "k": k,
-            "analytic_bound": 1.0 / k - 1.0 / math.log(b) if b > 2 else None,
+            "analytic_bound": _guarantee(1.0 / k - 1.0 / math.log(b)),
             "analytic_formula": "1/k - 1/log(b)"}
     return _certify_interval(b, eq, MODE_ALL, meta, budget)
 

@@ -42,8 +42,12 @@ MITM_TABLE_CAP = 2_000_000
 # each within this cap.  Under tracemalloc a sorted sum costs about 41 bytes
 # (int, list slot, sort buffer), a bitset range's sum at most 8, and a mitm
 # table entry about 90 (sum, product index, two list slots, sort buffers).
-# So a one-range scan peaks below mitm at MITM_TABLE_CAP (about 165 against
-# 180 MB), but a split one, which also holds stage k-1, up to about 310 MB
+# A range that cannot be a bitset is sorted in pieces no longer than stage
+# k-1 (for k = 2, the whole stage), so a scan peaks below mitm at
+# MITM_TABLE_CAP (about 165 against 180 MB) unless a range dense enough
+# for a bitset but of too many shifts is sorted whole, up to about 310 MB
+# with stage k-1.  The 512-element lift of {0..7} at base 552, depth 3,
+# is sorted in 912 ranges of at most 262,144 sums, at 39 MB of RSS
 SCAN_SUMS_CAP = 4_000_000
 # 64-bit words ORed per sum up to which the sum scan builds a range of its
 # last stage as a bitset.  Timed against the sorted last stage on random
@@ -276,18 +280,34 @@ def _mitm_pairs(eq, values, distinct, budget):
             yield tup, r, e
 
 
-def _pick_engine(q: SolutionQuery, engine: str):
-    if engine != "auto":
-        return {"dfs": _dfs_solutions, "naive": _naive_solutions,
-                "mitm": _mitm_solutions}[engine]
-    # meet in the middle whenever its table, the shorter side's sums,
-    # fits and the set is not tiny (the choice is per-query deterministic)
+def _auto_engine(q: SolutionQuery) -> str:
+    """The enumeration engine of the automatic choice: meet in the middle
+    whenever its table, the shorter side's sums, fits and the set is not
+    tiny, else the DFS (the choice is per-query deterministic)."""
     m = q.equation.num_vars
     size = len(q.ground_set)
     table = size ** min(map(len, _sides(q.equation)))
     if table <= min(q.budget, MITM_TABLE_CAP) and size ** (m // 2) > 10:
-        return _mitm_solutions
-    return _dfs_solutions
+        return "mitm"
+    return "dfs"
+
+
+def _pick_engine(q: SolutionQuery, engine: str):
+    if engine == "auto":
+        engine = _auto_engine(q)
+    return {"dfs": _dfs_solutions, "naive": _naive_solutions,
+            "mitm": _mitm_solutions}[engine]
+
+
+def query_engine(q: SolutionQuery, engine: str = "auto") -> str:
+    """The engine that exhaustive_check(q, engine) answers q with: the one
+    named, or with "auto", "scan" when the sum scan applies
+    (_scan_applies), else _auto_engine's choice."""
+    if engine == "auto":
+        return "scan" if _scan_applies(q) else _auto_engine(q)
+    if engine not in ("dfs", "naive", "mitm"):
+        raise ValueError(f"unknown engine {engine!r}")
+    return engine
 
 
 def _sums_repeat(coeffs, values, budget):
@@ -304,7 +324,8 @@ def _sums_repeat(coeffs, values, budget):
     more sums than the one before, is built one sum range at a time, each
     as a bitset or sorted, at the same nodes (_last_stage_repeats).  A
     repeat is decoded from the stage's least repeated sum once the stage
-    is freed (_repeat_tuples), so it does not depend on that build.
+    is freed (_repeat_tuples), so it does not depend on that build, and a
+    sparse last stage is sorted in ranges no longer than the stage before.
     """
     sums = [0]
     for j, c in enumerate(coeffs[:-1], 1):
@@ -351,10 +372,17 @@ def _repeat_tuples(t, coeffs, values) -> list[list[int]]:
     return tuples
 
 
+def _range_may_be_bitset(span, prev_span, size) -> bool:
+    """Whether a range of _last_stage_repeats may be a bitset for its span
+    and size: at most 64 bits a sum, and wider than prev's span."""
+    return prev_span < span <= 64 * size
+
+
 def _range_bitset_pays(span, prev_span, shifts, size) -> bool:
-    """Whether _last_stage_repeats builds a range as a bitset: at most 64 bits
-    and BITSET_WORDS_PER_SUM words ORed per sum, and prev spans less."""
-    return (prev_span < span <= 64 * size
+    """Whether _last_stage_repeats builds a range as a bitset: it may be one
+    (_range_may_be_bitset), and at most BITSET_WORDS_PER_SUM words are ORed
+    per sum."""
+    return (_range_may_be_bitset(span, prev_span, size)
             and shifts * span <= 64 * BITSET_WORDS_PER_SUM * size)
 
 
@@ -363,16 +391,21 @@ def _last_stage_repeats(prev, c, values, budget):
     that repeats, or None; one node per sum up to the range that holds it.
 
     Equal sums fall in the same range, so the stage is built one sum range
-    [lo, hi) at a time, in ascending order, halved until it holds at most
-    SCAN_SUMS_CAP sums or a single value, which at most len(prev) sums
-    reach.  For each shift c*v, a range's sums come from a slice of prev,
-    whose ends bisect finds.  A dense range (_range_bitset_pays) is one
-    int, the OR of prev's bitset shifted by each c*v of a non-empty slice,
-    masked unless the slice is all of prev (the bit-parallel subset-sum
-    step of Pisinger, Algorithmica 35, 2003); its sums repeat when it has
-    fewer bits than sums, and the least repeated one is found by bisection,
-    as the end of the shortest prefix of the range that holds more sums
-    than bits.  Any other range is sorted.
+    [lo, hi) at a time, in ascending order, halved until it holds a single
+    value, which at most len(prev) sums reach, or at most SCAN_SUMS_CAP
+    sums, or, when it may not be a bitset (_range_may_be_bitset), at most
+    max(len(prev), len(values)**2).  So past k = 2 a sparse stage is sorted
+    in pieces no longer than prev, and a k = 2 stage is never cut below the
+    cap.  The split reads only a range's size and span and prev, never which
+    build the range gets, so the nodes do not depend on the build.  For each
+    shift c*v, a range's sums come from a slice of prev, whose ends bisect
+    finds.  A dense range (_range_bitset_pays) is one int, the OR of prev's
+    bitset shifted by each c*v of a non-empty slice, masked unless the slice
+    is all of prev (the bit-parallel subset-sum step of Pisinger,
+    Algorithmica 35, 2003); its sums repeat when it has fewer bits than
+    sums, and the least repeated one is found by bisection, as the end of
+    the shortest prefix of the range that holds more sums than bits.  Any
+    other range is sorted.
     """
     shifts = sorted(c * v for v in values)
     lo = prev[0] + shifts[0]
@@ -381,10 +414,15 @@ def _last_stage_repeats(prev, c, values, budget):
     # each shift t, the number of sums in prev below the end minus t
     ends = [(prev[-1] + shifts[-1] + 1, [len(prev)] * len(shifts))]
     stage = None    # prev's bitset, built for the first bitset range
+    piece = min(SCAN_SUMS_CAP, max(len(prev), len(values) ** 2))
     while ends:
         hi, end = ends[-1]
         size = sum(end) - sum(start)
-        if size > SCAN_SUMS_CAP and hi - lo > 1:
+        if _range_may_be_bitset(hi - lo, prev[-1] - prev[0], size):
+            cap = SCAN_SUMS_CAP
+        else:
+            cap = piece
+        if size > cap and hi - lo > 1:
             mid = (lo + hi) // 2
             ends.append((mid, [bisect_left(prev, mid - t) for t in shifts]))
             continue
@@ -460,14 +498,14 @@ def _scan_applies(q: SolutionQuery) -> bool:
 def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
     """(first countable solution or None, nodes spent).
 
-    A None result certifies the whole space was enumerated.  With
-    engine="auto", a query whose sum scan applies (_scan_applies) gets the
-    scan's answer and nodes: clean, or its two tuples of equal sum laid out
-    as a solution, non-trivial since the generators are dissociated.  Any
-    other query runs the engine _pick_engine chooses.
+    A None result certifies the whole space was enumerated.  The engine is
+    query_engine's: the sum scan answers clean, or with its two tuples of
+    equal sum laid out as a solution, non-trivial since the generators are
+    dissociated; any other engine with its first countable solution.
     """
     budget = _Budget(q.budget)
-    if engine == "auto" and _scan_applies(q):
+    engine = query_engine(q, engine)
+    if engine == "scan":
         gens = q.equation.symmetric_gen
         found = _sums_repeat(gens, q.ground_set, budget)
         if found is not None:
@@ -502,7 +540,8 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
 
     Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
     injective, which holds stage k-1 and one sum range of the last (a dense
-    one as a bitset of at most 8 bytes per sum).  A B past the budget
+    one as a bitset of at most 8 bytes per sum, a sparse one sorted and no
+    longer than stage k-1).  A B past the budget
     raises BudgetExhausted(B), and a B whose stage k-1, B**(k-1) sums,
     exceeds SCAN_SUMS_CAP raises ValueError, before the scan runs.
     """

@@ -41,8 +41,8 @@ def alpha_optimal(beta: float, q: float) -> AlphaParams:
     Closed form (the "+" branch of the quadratic), polished by Newton so the
     residual stays below 1e-12 across the whole parameter box.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 < beta < math.inf:     # also rejects nan
+        raise ValueError(f"beta must be a positive finite number, got {beta}")
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     try:

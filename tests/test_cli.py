@@ -37,6 +37,19 @@ def test_verify_witness(capsys):
     assert witness[0] + witness[1] == witness[2] + witness[3]
 
 
+@pytest.mark.parametrize("argv,code,engine", [
+    # sym(1,2) is dissociated: all mode takes the sum scan, clean and not
+    (["--sym", "1,2", "--set", "0,1"], 0, "scan"),
+    (["--sym", "1,2", "--set", "0,1,2,3"], 1, "scan"),
+    # distinct mode and a repeated generator never do
+    (["--sym", "1,2", "--set", "0,1", "--distinct"], 0, "dfs"),
+    (["--sym", "1,1", "--set", "1,2,3,4"], 1, "mitm"),
+])
+def test_verify_names_the_engine_that_answered(capsys, argv, code, engine):
+    got, report = run(capsys, "verify", *argv)
+    assert (got, report["engine"]) == (code, engine)
+
+
 def test_verify_budget_exhausted(capsys):
     code, report = run(capsys, "verify", "--sym", "1,1",
                        "--set", ",".join(str(i) for i in range(1, 40)),
@@ -242,7 +255,7 @@ def test_verify_takes_the_scan_witness_past_the_mitm_cap(tmp_path, capsys,
                        "--set-file", str(path))
     assert code == 1
     assert report == {"status": "witness", "witness": [4, 177, 178, 0, 0, 4],
-                      "nodes": 140 + 140 ** 2 + 140 ** 3}
+                      "nodes": 140 + 140 ** 2 + 140 ** 3, "engine": "scan"}
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
                                              os.pardir, "bench"))
     from reference import is_witness, symmetric
@@ -361,6 +374,14 @@ def test_alpha_cli(capsys):
     assert abs(report["one_over_rate"] - 4.74) < 0.005
 
 
+@pytest.mark.parametrize("beta", ["0", "nan", "inf"])
+def test_alpha_cli_rejects_a_beta_that_is_not_positive_and_finite(capsys,
+                                                                  beta):
+    assert main(["alpha", "--beta", beta]) == 64
+    assert capsys.readouterr().err == (
+        f"error: beta must be a positive finite number, got {float(beta)}\n")
+
+
 def test_rate_cli(tmp_path, capsys):
     path = tmp_path / "c.json"
     save_certificate(two_var_digits(5, 6), str(path))
@@ -416,7 +437,8 @@ def test_python_m_nosol_exits_with_main(tmp_path):
     witness = run_module("verify", "--sym", "1,1", "--set", "1,2,3,4")
     assert witness.returncode == 1
     assert json.loads(witness.stdout) == {"nodes": 24, "status": "witness",
-                                          "witness": [2, 2, 1, 3]}
+                                          "witness": [2, 2, 1, 3],
+                                          "engine": "mitm"}
     usage = run_module("search", "--sym", "1,2", "--L", "1")
     assert (usage.returncode, usage.stdout) == (64, "")
     assert usage.stderr == "error: base must be at least 2, got 1\n"

@@ -107,6 +107,19 @@ def test_geometric():
         assert_solution_free(cert)
 
 
+@pytest.mark.parametrize("build,bound", [
+    # 1/2 - 1/log 6 and 1/3 - 1/log 3 are negative: no guarantee
+    (lambda: two_var_digits(5, 6), None),
+    (lambda: coprime_power_digits(2, 3, 3), None),
+    (lambda: two_var_digits(99, 100), 0.5 - 1 / math.log(100)),
+])
+def test_analytic_bound_is_recorded_only_when_positive(build, bound):
+    got = build().meta["analytic_bound"]
+    assert got == bound
+    if bound is not None:
+        assert round(got, 4) == 0.2829
+
+
 def test_coprime_power():
     cert = coprime_power_digits(3, 2, 3)
     assert sorted(cert.equation.symmetric_gen) == [2, 3, 4]

@@ -583,6 +583,45 @@ def _scan_witness(coeffs, values):
     return None
 
 
+def _scan_ranges(coeffs, values):
+    """The sums of each range of _sums_repeat's last stage, in order, from
+    a plain list of all its sums (stage k-1 repeat-free): a range [lo, hi)
+    is halved at (lo + hi) // 2 while it holds more than one value and more
+    sums than its cap: SCAN_SUMS_CAP when it spans at most 64 bits a sum
+    and more than stage k-1, else the least of SCAN_SUMS_CAP and
+    max(|S|**(k-1), |S|**2)."""
+    k = len(coeffs)
+    prev = sorted(sum(map(operator.mul, coeffs, x))
+                  for x in product(values, repeat=k - 1))
+    sums = sorted(s + coeffs[-1] * v for s in prev for v in values)
+    piece = min(oracle.SCAN_SUMS_CAP, max(len(prev), len(values) ** 2))
+    ranges = []
+
+    def build(lo, hi):
+        inside = [s for s in sums if lo <= s < hi]
+        dense = prev[-1] - prev[0] < hi - lo <= 64 * len(inside)
+        if (len(inside) > (oracle.SCAN_SUMS_CAP if dense else piece)
+                and hi - lo > 1):
+            build(lo, (lo + hi) // 2)
+            build((lo + hi) // 2, hi)
+        else:
+            ranges.append(inside)
+
+    build(sums[0], sums[-1] + 1)
+    return ranges
+
+
+def _last_stage_nodes(coeffs, values):
+    """The nodes _sums_repeat spends on its last stage: the sums of the
+    ranges (_scan_ranges) up to the first that holds a repeat, or all."""
+    nodes = 0
+    for sums in _scan_ranges(coeffs, values):
+        nodes += len(sums)
+        if len(set(sums)) < len(sums):
+            break
+    return nodes
+
+
 def test_bucketed_last_stage_matches_one_bucket(monkeypatch):
     """A last stage over SCAN_SUMS_CAP sums is built in sum-range buckets.
     With a cap of a few sums, small inputs split, and BITSET_WORDS_PER_SUM
@@ -681,14 +720,16 @@ def test_bitset_last_stage_matches_the_sorted_scan(monkeypatch):
             assert runs[True] == runs[False], (coeffs, values, cap)
             answer, spent = runs[True]
             assert answer == _scan_witness(coeffs, values), (coeffs, values)
-            split = cap < size ** k
-            if not split or first != k:
-                assert spent == nodes, (coeffs, values, cap)
-            else:
+            if first in (None, k):
                 # a last stage in several ranges stops at its first
                 # repeating range
-                assert spent <= nodes, (coeffs, values, cap)
-            splits.add((split, first is not None))
+                below = sum(size ** j for j in range(1, k))
+                assert spent == below + _last_stage_nodes(coeffs, values), (
+                    coeffs, values, cap)
+                split = len(_scan_ranges(coeffs, values)) > 1
+                splits.add((split, first is not None))
+            else:
+                assert spent == nodes, (coeffs, values, cap)
             for limit in {1, nodes - 1, rng.randint(1, nodes)} - {0}:
                 assert _forced_scan(monkeypatch, True, coeffs, values, limit) \
                     == _forced_scan(monkeypatch, False, coeffs, values,
@@ -716,19 +757,21 @@ def _range_paths(monkeypatch):
     return paths
 
 
-@pytest.mark.parametrize("build,N,path", [
-    # 64 elements of sum span 67.8 bits per last-stage sum: sorted
+@pytest.mark.parametrize("build,N,sorted_ranges,bitset_ranges", [
+    # 64 elements of sum span 67.8 bits per last-stage sum: too sparse for
+    # a bitset, so sorted in 110 ranges of at most 64**2 sums
     pytest.param(lambda: three_coefficient_pipeline(
         10, 11, 31, PipelineConfig(alpha=0.3, alpha2_small=0.03)).certificate,
-        261 ** 3, "sorted", id="thm3_10_11_31"),
-    # 1,024 and 128 elements whose sums fill their span: bitset
-    pytest.param(lambda: two_var_digits(1, 2), 10 ** 6, "bitset",
+        261 ** 3, 110, 0, id="thm3_10_11_31"),
+    # 1,024 and 128 elements whose sums fill their span: one bitset
+    pytest.param(lambda: two_var_digits(1, 2), 10 ** 6, 0, 1,
                  id="two_var_1e6"),
-    pytest.param(lambda: geometric_digits(2, 3), 8 ** 7, "bitset",
+    pytest.param(lambda: geometric_digits(2, 3), 8 ** 7, 0, 1,
                  id="geometric_8e7"),
 ])
 def test_lift_scan_takes_the_path_its_sums_call_for(monkeypatch, build, N,
-                                                    path):
+                                                    sorted_ranges,
+                                                    bitset_ranges):
     cert = build()
     q = SolutionQuery(cert.equation, lift(cert, N).elements)
     paths = _range_paths(monkeypatch)
@@ -736,7 +779,63 @@ def test_lift_scan_takes_the_path_its_sums_call_for(monkeypatch, build, N,
     size = len(q.ground_set)
     assert exhaustive_check(q) == (None, sum(size ** j
                                              for j in range(1, k + 1)))
-    assert paths == [path == "bitset"]
+    assert (paths.count(False), paths.count(True)) == (sorted_ranges,
+                                                        bitset_ranges)
+
+
+def test_sparse_lift_scan_holds_no_range_longer_than_stage_two():
+    # the 64-element 10/11/31 lift: its 64**3 last-stage sums, sorted in one
+    # range, peaked at 10.7 MiB traced; in ranges of at most 64**2 sums
+    # the check stays under 1 MiB
+    cert = three_coefficient_pipeline(
+        10, 11, 31, PipelineConfig(alpha=0.3, alpha2_small=0.03)).certificate
+    q = SolutionQuery(cert.equation, lift(cert, 261 ** 3).elements)
+    tracemalloc.start()
+    try:
+        result = exhaustive_check(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (None, 266304)
+    assert peak <= 2 ** 20
+
+
+def test_sparse_last_stage_differential(monkeypatch):
+    """Sparse sets (a spread of at least 40*|S|), k = 3 and 4, at the
+    default caps, whose last stages _scan_ranges cuts into several ranges.
+    The repeat is the one plain lists of all the sums give, a clean scan
+    spends sum_j |S|**j nodes and a repeating last stage the stages below
+    and the ranges up to the repeat, and the forced bitset and sorted
+    builds agree on answer and nodes at every budget limit."""
+    rng = random.Random(20261028)
+    max_size = {3: 6, 4: 4}
+    outcomes = set()
+    for _ in range(60):
+        k = rng.choice((3, 4))
+        size = rng.randint(2, max_size[k])
+        lo = rng.randint(-60, 10)
+        spread = rng.choice((40, 200)) * size
+        values = sorted(rng.sample(range(lo, lo + spread), size))
+        coeffs = [rng.randint(1, 60) for _ in range(k)]
+        first = _first_repeating_stage(coeffs, values)
+        if first in (None, k):
+            nodes = (sum(size ** j for j in range(1, k))
+                     + _last_stage_nodes(coeffs, values))
+            ranges = len(_scan_ranges(coeffs, values))
+        else:
+            nodes, ranges = sum(size ** j for j in range(1, first + 1)), 0
+        if first is None:
+            assert nodes == sum(size ** j for j in range(1, k + 1))
+        answer = _scan_witness(coeffs, values)
+        for limit in range(1, nodes + 1):
+            runs = [_forced_scan(monkeypatch, bitset, coeffs, values, limit)
+                    for bitset in (True, False)]
+            assert runs[0] == runs[1], (coeffs, values, limit)
+        assert runs[0] == (answer, nodes), (coeffs, values)
+        outcomes.add((k, ranges > 1, first))
+    # clean and repeating last stages, each cut into several ranges
+    assert {(k, True, first) for k in (3, 4) for first in (None, k)
+            } <= outcomes
 
 
 @pytest.mark.parametrize("build,nodes,ranges", [
@@ -782,10 +881,11 @@ def test_auto_sum_scan_differential():
     falls back to.  On a dissociated symmetric equation in all mode, unless
     the scan exceeds the budget, the scan answers: a clean set costs its
     sum_j |S|**j nodes, and a witness is a non-trivial solution in the set
-    at the nodes of the stages up to the first that repeats.  Every other
-    answer, witnesses included, is exactly that of the engine _pick_engine
-    selects.  Non-dissociated generators and distinct mode never use the
-    scan."""
+    at the nodes of the stages up to the first that repeats, of which a
+    last stage spends only its ranges up to the repeat (_last_stage_nodes).
+    Every other answer, witnesses included, is exactly that of the engine
+    _pick_engine selects.  Non-dissociated generators and distinct mode
+    never use the scan."""
     rng = random.Random(20261018)
     dissociated = [(1, 2), (2, 5), (1, 2, 4), (1, 3, 9), (10, 11, 31),
                    (43, 69, 70), (1, 2, 4, 8)]
@@ -808,8 +908,12 @@ def test_auto_sum_scan_differential():
         uses_scan = (not distinct and is_dissociated(gens)
                      and budget >= scan_nodes)
         if uses_scan:
+            # the stages below the first that repeats, and of a repeating
+            # last stage the ranges up to the one that holds the repeat
             first = _first_repeating_stage(gens, values) or k
-            assert got[1] == sum(size ** j for j in range(1, first + 1))
+            last = (_last_stage_nodes(gens, values) if first == k
+                    else size ** first)
+            assert got[1] == sum(size ** j for j in range(1, first)) + last
             if got[0] is not None:
                 assert set(got[0]) <= set(values), (gens, values)
                 assert countable_solution(q.equation, got[0], False)
@@ -855,6 +959,16 @@ def test_scan_queries_run_no_other_engine(monkeypatch):
             assert countable_solution(q.equation, solution.assignment, False)
         answers.add(solution is None)
     assert answers == {True, False}
+
+
+def test_query_engine_names_only_engines():
+    q = SolutionQuery(make_symmetric([1, 2]), (0, 1, 5))
+    assert oracle.query_engine(q) == "scan"
+    for engine in ("dfs", "naive", "mitm"):
+        assert oracle.query_engine(q, engine) == engine
+    # the scan is the automatic choice's alone
+    with pytest.raises(ValueError, match="unknown engine 'scan'"):
+        exhaustive_check(q, "scan")
 
 
 def test_auto_certifies_geometric_lift_at_8_pow_7():

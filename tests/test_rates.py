@@ -45,6 +45,14 @@ def test_alpha_optimal_validation():
         alpha_optimal(-0.5, 0.4)
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf])
+def test_alpha_optimal_rejects_a_beta_that_is_not_positive_and_finite(beta):
+    # 0, nan and inf once failed later, as a root that "escaped (0, 1)"
+    with pytest.raises(ValueError,
+                       match="beta must be a positive finite number"):
+        alpha_optimal(beta, 0.499)
+
+
 def test_injectivity_threshold_values():
     lemma, theorem = injectivity_threshold(2, 0.25)
     assert theorem == pytest.approx(1024.0)
