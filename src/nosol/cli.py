@@ -173,8 +173,13 @@ def cmd_verify(args, argv) -> int:
         values = _read_set(args)
         distinct = args.distinct
     q = SolutionQuery(eq, values, distinct, budget)
-    solution, nodes = exhaustive_check(q)
     engine = query_engine(q)
+    try:
+        solution, nodes = exhaustive_check(q)
+    except BudgetExhausted as exc:
+        _emit({"status": "budget-exhausted", "nodes": exc.nodes,
+               "engine": engine})
+        return EXIT_BUDGET
     if solution is None:
         _emit({"status": "no-nontrivial-solution", "nodes": nodes,
                "set_size": len(values), "mode": "distinct" if distinct else "all",
@@ -226,13 +231,19 @@ def cmd_construct(args, argv) -> int:
     _refuse(f"recipe {args.recipe} does not read ", [
         name for name in dict.fromkeys(names)
         if name not in needs + also and getattr(args, name) is not None])
-    if args.set_out is not None and args.N is None:
-        raise _UsageError("--set-out needs --N")
+    out = args.out or f"{args.recipe}.cert.json"
+    if args.set_out is not None:
+        if args.N is None:
+            raise _UsageError("--set-out needs --N")
+        # the set file would overwrite the certificate or its manifest
+        if os.path.abspath(args.set_out) in (
+                os.path.abspath(out), os.path.abspath(out + ".manifest.json")):
+            raise _UsageError(f"--set-out {args.set_out} is the path of the "
+                              "certificate or of its manifest")
     cert = build(args, budget)
     if cert is None:
         return EXIT_BUDGET
 
-    out = args.out or f"{args.recipe}.cert.json"
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
     report = {"certificate": out, "rate": cert.rate.to_json()}

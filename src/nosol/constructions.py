@@ -78,9 +78,8 @@ def _digits_of(x: int, L: int) -> list[int]:
 
 
 def _count_admissible_below(bound: int, L: int, digits) -> int:
-    """|{x : 0 <= x < bound, all base-L digits of x in digits}|."""
-    if bound <= 0:
-        return 0
+    """|{x : 0 <= x < bound, all base-L digits of x in digits}|, for
+    bound >= 1 and digits holding 0."""
     ordered = sorted(digits)
     digit_set = set(ordered)
     rep = _digits_of(bound - 1, L)  # count x <= bound-1
@@ -95,36 +94,28 @@ def _count_admissible_below(bound: int, L: int, digits) -> int:
     return total + (1 if prefix_ok else 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LiftedSet:
-    """Solution-free subset of [0, n) produced by the digit lift.
+    """The lift of a digit alphabet D at base L below n: x is in it iff
+    0 <= x < n and every base-L digit of x lies in D.
 
-    For a contiguous alphabet {0..m} the whole admissible range below n is
-    used; otherwise the enumeration stops at the largest power of the base
-    not exceeding n (the leading digit is pinned to zero), which keeps the
-    guaranteed size within a factor L of n**rate.
+    D must hold 0, so a number's leading zeros are digits of D too and
+    every element lies in the full-depth lift D + L*D + ... + L**(d-1)*D,
+    d the digit count of n - 1: the set is solution-free whenever that
+    lift is (lift() checks when it is).
     """
 
     n: int
     source: DigitSet
-    bound: int = field(init=False)
-    _elements: tuple[int, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        digits = self.source.digits
-        contiguous = digits == tuple(range(len(digits)))
-        if contiguous:
-            self.bound = self.n
-        else:
-            power = 1
-            while power * self.source.base <= self.n:
-                power *= self.source.base
-            self.bound = power
+        if 0 not in self.source.digits:
+            raise ValueError("digit alphabet must contain 0 to lift")
 
     def __contains__(self, x: int) -> bool:
-        if not 0 <= x < self.bound:
+        if not 0 <= x < self.n:
             return False
         allowed = set(self.source.digits)
         return all(d in allowed for d in _digits_of(x, self.source.base))
@@ -132,39 +123,31 @@ class LiftedSet:
     @property
     def size(self) -> int:
         """Exact element count via digit counting (no materialization)."""
-        return _count_admissible_below(self.bound, self.source.base,
+        return _count_admissible_below(self.n, self.source.base,
                                        self.source.digits)
-
-    def __len__(self) -> int:
-        return self.size
 
     @property
     def elements(self) -> tuple[int, ...]:
-        if self._elements is None:
-            if self.size > MATERIALIZE_LIMIT:
-                raise ValueError(
-                    f"{self.size} elements exceed the materialization limit; "
-                    "use membership tests instead")
-            found = _lift_below(self.source.digits, self.source.base,
-                                self.bound - 1)
-            self._elements = tuple(found)
-        return self._elements
-
-    @property
-    def rate(self) -> Rate:
-        return self.source.rate
+        if self.size > MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"{self.size} elements exceed the materialization limit; "
+                "use membership tests instead")
+        return tuple(_lift_below(self.source.digits, self.source.base,
+                                 self.n - 1))
 
 
 def lift(cert: Certificate | DigitSet, N: int,
          budget: int = DEFAULT_BUDGET) -> LiftedSet:
-    """Expand a certified digit alphabet to a solution-free subset of [0, N).
+    """Expand a certified digit alphabet to a solution-free subset of [0, N):
+    the LiftedSet of every number below N whose base-L digits lie in D.
 
     Requires a primitive equation (the digit-restriction argument needs it)
     and a verified certificate; a bare DigitSet is oracle-checked first.
-    Digit alphabets must contain 0 so shorter numbers stay admissible.
+    The alphabet must contain 0 (LiftedSet refuses it otherwise).
 
     For distinct-variables certificates the digit argument alone does not
-    transfer, so the materialized lift is re-verified by the oracle.
+    transfer, so the materialized lift is re-verified by the oracle, up to
+    5,000 elements.
     """
     if isinstance(cert, DigitSet):
         cert = _certify(cert.digits, cert.base, cert.equation, cert.mode, {},
@@ -172,8 +155,6 @@ def lift(cert: Certificate | DigitSet, N: int,
     if not cert.verified:
         raise ValueError("refusing to lift an unverified certificate")
     ds = cert.digit_set
-    if 0 not in ds.digits:
-        raise ValueError("digit alphabet must contain 0 to lift")
     if not is_primitive(ds.equation):
         raise ValueError("lift requires a primitive equation")
     lifted = LiftedSet(N, ds)
@@ -468,10 +449,9 @@ def _float_power(b: int, exponent: float) -> float:
 
 
 def _lift_below(digits, base, cap) -> list[int]:
-    """All values <= cap whose base-`base` representation uses only digits."""
+    """All values <= cap whose base-`base` representation uses only digits,
+    which must hold 0."""
     digits = sorted(set(digits))
-    if 0 not in digits:
-        raise ValueError("digit alphabet must contain 0")
     out = []
 
     def grow(value):

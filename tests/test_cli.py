@@ -55,7 +55,9 @@ def test_verify_budget_exhausted(capsys):
                        "--set", ",".join(str(i) for i in range(1, 40)),
                        "--budget", "10")
     assert code == 2
-    assert report["status"] == "budget-exhausted"
+    # the 1,521-entry mitm table does not fit a budget of 10
+    assert report == {"status": "budget-exhausted", "nodes": 11,
+                      "engine": "dfs"}
 
 
 def test_verify_malformed(capsys):
@@ -513,6 +515,12 @@ BAD_INPUT = [
       "-o", "g.json", "--set-out", "MISSING/g.set"], {}, 64),
     (["construct", "two-var", "--a", "5", "--b", "6", "-o", "MISSING/x.json"],
      {}, 64),
+    # a --set-out naming the certificate or its manifest once overwrote it
+    # with the lifted set, and exited 0
+    (["construct", "geometric", "--m", "2", "--k", "3", "--N", "64",
+      "-o", "x.json", "--set-out", "x.json"], {}, 64),
+    (["construct", "geometric", "--m", "2", "--k", "3", "--N", "64",
+      "-o", "x.json", "--set-out", "./x.json.manifest.json"], {}, 64),
     (["search", "--sym", "1,2", "--L", "7", "-o", "MISSING/s.json"], {}, 64),
     # a non-integer in construct's lists once exited 65, not 64
     (["construct", "spaced", "--gens", "1,x", "--s-factor", "2"], {}, 64),

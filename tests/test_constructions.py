@@ -1,11 +1,12 @@
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from nosol.certificates import Certificate, Rate, make_digit_set
+from nosol.certificates import Certificate, Rate, make_digit_set, tight_base
 from nosol.constructions import (
     ConstructionError,
     PipelineConfig,
@@ -24,7 +25,7 @@ from nosol.constructions import (
     two_var_rate,
     window_extract,
 )
-from nosol.equations import make_equation, make_symmetric
+from nosol.equations import is_primitive, make_equation, make_symmetric
 from nosol import oracle
 from nosol.oracle import SolutionQuery, find_nontrivial_solution, verify_certificate
 from nosol.search import Dependency
@@ -179,13 +180,73 @@ def test_lift_induction_bound_contiguous():
 
 
 def test_lift_noncontiguous_pins_leading_digit():
+    # a partial top digit: below 300 = (1, 39) in base 261 the leading
+    # digit is 0 or 1, as for an interval alphabet
     eq = make_symmetric([10, 11, 31])
     cert = Certificate(make_digit_set(261, [0, 1, 4, 5], eq), verified=True)
     lifted = lift(cert, 300)
-    assert lifted.bound == 261
-    assert lifted.elements == (0, 1, 4, 5)
+    assert lifted.elements == (0, 1, 4, 5, 261, 262, 265, 266)
+    assert lifted.size == 8
     big = lift(cert, 261 ** 2)
     assert big.size == 16
+
+
+def test_thm3_lift_below_a_million_keeps_every_admissible_number():
+    # 10**6 lies between 14 * 261**2 and 15 * 261**2, so the lift is the
+    # full depth-3 lift of {0, 1, 4, 5}: 64 elements
+    cert = three_coefficient_pipeline(
+        10, 11, 31, PipelineConfig(alpha=0.3, alpha2_small=0.03)).certificate
+    lifted = lift(cert, 10 ** 6)
+    assert lifted.size == len(lifted.elements) == 64
+    assert lifted.elements == lift(cert, 261 ** 3).elements
+    q = SolutionQuery(cert.equation, lifted.elements)
+    assert oracle.exhaustive_check(q) == (None, 266304)
+
+
+def test_lifted_set_refuses_an_alphabet_without_zero():
+    # below 10 in base 7 the numbers whose digits lie in {1, 2} are 1, 2, 8
+    # and 9, but the digit count, which reads leading zeros as digits,
+    # finds 2
+    from nosol.constructions import LiftedSet
+
+    ds = make_digit_set(7, [1, 2], make_symmetric([1, 2]))
+    with pytest.raises(ValueError, match="must contain 0"):
+        LiftedSet(10, ds)
+    with pytest.raises(ValueError, match="positive"):
+        LiftedSet(0, make_digit_set(7, [0, 2], make_symmetric([1, 2])))
+
+
+def test_noncontiguous_lift_differential(monkeypatch):
+    # seeded certified alphabets that are not intervals, each lifted at an N
+    # that is mostly not a power of the base: the elements are every number
+    # below N whose digits lie in the alphabet, and the lift is clean
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    from reference import digit_lift
+
+    rng = random.Random(29)
+    done = 0
+    while done < 80:
+        gens = rng.sample(range(1, 31), rng.randint(2, 3))
+        eq = make_symmetric(gens)
+        digits = sorted({0, *rng.sample(range(1, 12), rng.randint(1, 5))})
+        if digits == list(range(len(digits))) or not is_primitive(eq):
+            continue
+        ds = make_digit_set(tight_base(eq, digits), digits, eq)
+        if oracle.exhaustive_check(SolutionQuery(eq, ds.digits))[0] is not None:
+            continue
+        # N in (L, L**3) with a leading digit of at most max(D) + 1, so
+        # that most lifts stop inside the alphabet's top digit; at most
+        # 6**3 elements, which the oracle finishes
+        L, depth = ds.base, rng.randint(1, 2)
+        N = max(rng.randint(1, digits[-1] + 1) * L ** depth
+                + rng.randrange(L ** depth), L + 1)
+        lifted = lift(Certificate(ds, verified=True), N)
+        assert list(lifted.elements) == digit_lift(digits, L, N)
+        assert lifted.size == len(lifted.elements)
+        q = SolutionQuery(eq, lifted.elements)
+        assert oracle.exhaustive_check(q)[0] is None
+        done += 1
 
 
 def test_lift_accepts_bare_digit_set():
@@ -227,7 +288,7 @@ def test_lift_rate_degenerate():
 
 
 def test_lift_count_matches_enumeration():
-    # the digit-counting recurrence against a brute scan of [0, bound)
+    # the digit-counting recurrence against a brute scan of [0, n)
     from nosol.constructions import LiftedSet, _digits_of
 
     eq = make_symmetric([1, 2])
@@ -241,7 +302,7 @@ def test_lift_count_matches_enumeration():
         n = rng.randint(1, 4000)
         lifted = LiftedSet(n, ds)
         allowed = set(digits)
-        brute = sum(1 for x in range(lifted.bound)
+        brute = sum(1 for x in range(n)
                     if all(d in allowed for d in _digits_of(x, base)))
         assert lifted.size == brute
         assert len(lifted.elements) == brute
