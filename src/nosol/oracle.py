@@ -692,7 +692,9 @@ class IncrementalSolutionIndex:
     what it built, and an ``add(x)`` that follows on the same values stores
     it without building or spending again; ``pop`` and any other ``legal``
     or ``add`` drop it.  ``add`` spends its nodes before it changes any
-    table, so a BudgetExhausted leaves the index as it was.
+    table, so a BudgetExhausted leaves the index as it was.  ``copy``
+    returns an independent index holding the same values, for nothing: it
+    copies the tables and shares the budget and the ConflictMemory.
 
     Sums accounting: a sum costs one node when it is built.  The new sums
     are built stage by stage, each stage in chunks (x appended to the
@@ -1114,6 +1116,29 @@ class IncrementalSolutionIndex:
                 if on_gain is not None:
                     on_gain()
 
+    def copy(self) -> IncrementalSolutionIndex:
+        """An independent index holding the same values in the same order.
+        It spends on the same budget and shares the ConflictMemory; its
+        tables are copied, and copying spends nothing."""
+        twin = object.__new__(IncrementalSolutionIndex)
+        twin.__dict__.update(self.__dict__)
+        twin.values = self.values.copy()
+        twin._undo = self._undo.copy()     # the undo records are never changed
+        twin._kept = None
+        if self.sums is not None:
+            twin.sums = [set(stage) for stage in self.sums]
+        elif self.distinct:
+            twin.pos_subsets = _copy_subsets(self.pos_subsets)
+            twin.neg_subsets = (twin.pos_subsets if self.symmetric
+                                else _copy_subsets(self.neg_subsets))
+        else:
+            twin.pos_table = {s: bucket.copy()
+                              for s, bucket in self.pos_table.items()}
+            twin.neg_table = (twin.pos_table if self.symmetric
+                              else {s: bucket.copy()
+                                    for s, bucket in self.neg_table.items()})
+        return twin
+
     def pop(self) -> int:
         self._kept = None
         undo = self._undo.pop()
@@ -1134,6 +1159,16 @@ def _empty_subsets(k: int) -> list:
     """Mask tables of a side with k positions and no values: only the empty
     position set has a tuple, of sum 0 and mask 0."""
     return [([0], [0])] + [([], []) for _ in range(2 ** k - 2)] + [{}]
+
+
+def _copy_subsets(subsets) -> list:
+    """A copy of a side's mask tables: each position set's lists, and the
+    full table with its list buckets copied."""
+    full = dict(subsets[-1])
+    for s, bucket in full.items():
+        if bucket.__class__ is list:
+            full[s] = bucket.copy()
+    return [(sums.copy(), masks.copy()) for sums, masks in subsets[:-1]] + [full]
 
 
 def _full_shifts(coeffs, subsets, x):

@@ -5,12 +5,13 @@ exact branch-and-bound when the candidate range is small, or an anytime
 pipeline under a node budget.  Every anytime phase is one greedy pass
 (IncrementalSolutionIndex.greedy) over a candidate order: the ascending
 range, two-level seeds built from coefficient-derived bases, and the rest
-of the range on top of the best seed sets.  Over a small range, the
-exact search files the value set of every countable solution that the
-oracle's one meet-in-the-middle kernel (_mitm_pairs) yields in a table of
-its largest value, closes each table upward (_TableIndex), and tests a
-value by one lookup; otherwise it tests on one IncrementalSolutionIndex
-as well.  The anytime phases' indexes share one ConflictMemory, which a
+of the range on top of the best seed sets.  A seed phase starts from a
+copy of an index holding its alphabet, a prefix of the ascending phase's
+set.  Over a small range, the exact search files the value set of every
+countable solution that the oracle's one meet-in-the-middle kernel
+(_mitm_pairs) yields in a table of its largest value, closes each table
+upward (_TableIndex), and tests a value by one lookup; otherwise it tests
+on one IncrementalSolutionIndex as well.  The anytime phases' indexes share one ConflictMemory, which a
 search grid may pass from base to base (SearchConfig.memory): the digits
 found do not depend on it, only the nodes spent.  Everything is
 deterministic: rerunning a search reproduces the same sets bit for bit.
@@ -245,7 +246,12 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     budget of cfg.budget nodes, and every anytime phase's index shares one
     ConflictMemory (cfg.memory, else a fresh one), so a phase rejects at
     once a value whose solution an earlier test found among the values it
-    holds.  A cfg.memory of another equation or mode is a ValueError.
+    holds.  A seed phase's alphabet is a prefix of greedy's set, so the
+    phase starts from a copy (IncrementalSolutionIndex.copy, which shares
+    the budget and the memory) of one index grown along greedy's set, and
+    scans only the rows above its alphabet.  A cfg.memory of another
+    equation or mode is a ValueError.  A budget cut anywhere ends the
+    phase it falls in; BudgetExhausted never escapes.
     """
     cfg = cfg or SearchConfig()
     s = eq.side_sum
@@ -267,11 +273,10 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
 
     phases = []
 
-    def run_phase(name, order, start=()):
-        """One greedy pass over order in a fresh index holding start, a set
+    def run_phase(name, order, index, start=()):
+        """One greedy pass over order in index, a fresh index or a copy of
+        one on the search's budget and memory, after adding start, a set
         known to be solution-free; its values, sorted."""
-        index = IncrementalSolutionIndex(eq, distinct=distinct, budget=budget,
-                                         memory=memory)
         try:
             for x in start:
                 index.add(x)
@@ -282,8 +287,12 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
         phases.append((name, len(index.values)))
         return sorted(index.values)
 
+    def fresh():
+        return IncrementalSolutionIndex(eq, distinct=distinct, budget=budget,
+                                        memory=memory)
+
     # phase 1: plain ascending greedy
-    greedy = run_phase("greedy", candidates)
+    greedy = run_phase("greedy", candidates, fresh())
     greedy_nodes = budget.nodes
 
     # phase 2: structured two-level seeds.  The greedy scan is ascending, so
@@ -294,6 +303,29 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
     # phase: an exhausted one leaves no budget.
     accepted = set(greedy)
     first_rejected = next((x for x in candidates if x not in accepted), cap + 1)
+    # Both alphabets are prefixes of greedy's set, so a seed phase starts
+    # from a copy of one index that adds greedy's values in order, untested,
+    # as far as the phase's alphabet; on its way past first_rejected it pins
+    # a copy for the pseed phases.  These two are all that live beside the
+    # running phase.  A budget cut while it grows leaves the phase the
+    # values reached, and the phase's first test then ends it.
+    prefix_index, pinned = fresh(), None
+
+    def prefix_copy(n):
+        """A copy of an index holding greedy[:n], or the part of it that
+        the budget reaches."""
+        nonlocal pinned
+        if n == first_rejected and pinned is not None:
+            return pinned.copy()
+        try:
+            for x in greedy[len(prefix_index.values):n]:
+                if len(prefix_index.values) == first_rejected:
+                    pinned = prefix_index.copy()
+                prefix_index.add(x)
+        except BudgetExhausted:
+            pass
+        return prefix_index.copy()
+
     seed_results = []
     for base in _seed_bases(eq, cap):
         if budget.nodes >= budget.limit:
@@ -312,10 +344,16 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
                 filtered = greedy
                 phases.append((f"{label}[{base}]", len(greedy)))
             else:
-                seeds = (a + base * b for b in range(cap // base + 1)
+                # row b = 0 is the alphabet itself, which the copy holds
+                seeds = (a + base * b for b in range(1, cap // base + 1)
                          for a in alphabet if a + base * b <= cap)
-                filtered = run_phase(f"{label}[{base}]", seeds)
+                filtered = run_phase(f"{label}[{base}]", seeds,
+                                     prefix_copy(len(alphabet)))
             seed_results.append((len(filtered), -base, filtered))
+
+    # the extend phases start from fresh indexes; dropping the prefix's two
+    # keeps them off the search's peak memory
+    prefix_index = pinned = None
 
     # phase 3: greedy extension of the most promising seeds.  A seed phase's
     # set is solution-free, so it is added without legality tests; every
@@ -326,7 +364,7 @@ def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,
             break
         kept = set(filtered)
         run_phase(f"extend[{-negbase}]",
-                  (x for x in candidates if x not in kept), filtered)
+                  (x for x in candidates if x not in kept), fresh(), filtered)
 
     return SearchResult(tracker.best, False, budget.nodes,
                         tracker.best_rate_digits, phases=phases)

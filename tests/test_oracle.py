@@ -429,6 +429,83 @@ def test_conflict_memory_differential(eq, distinct, representation):
             assert solution is not None and x in solution.assignment, (x, values)
 
 
+@pytest.mark.parametrize("eq,distinct,representation", [
+    (make_symmetric([43, 69, 70]), False, "sums"),
+    (make_symmetric([43, 69, 70]), True, "masks"),
+    (make_equation([3, -1, -1, -1]), True, "masks"),
+    (make_equation([2, 2, -3, -1]), False, "tuples"),
+    (make_symmetric([1, 2, 3]), False, "tuples"),
+])
+def test_incremental_index_copy_is_independent(eq, distinct, representation):
+    """After a seeded add/pop/legal run, a copy answers as a fresh index
+    fed the same values, and adds and pops on the copy leave the
+    original's tables as they were and its answers and the nodes each
+    costs equal to those of a double that was never copied."""
+    rng = random.Random(20261020)
+
+    def fed(values):
+        fresh = IncrementalSolutionIndex(eq, distinct)
+        for v in values:
+            fresh.add(v)
+        return fresh
+
+    for _ in range(12):
+        memory = ConflictMemory()
+        original = IncrementalSolutionIndex(eq, distinct, memory=memory)
+        double = IncrementalSolutionIndex(eq, distinct)
+        assert getattr(original, {"sums": "sums", "masks": "pos_subsets",
+                                  "tuples": "pos_table"}[representation]
+                       ) is not None
+        for _ in range(rng.randrange(40)):
+            x = rng.randrange(16)
+            if rng.random() < 0.2 and original.values:
+                original.pop()
+                double.pop()
+                continue
+            answer = original.legal(x)
+            assert answer == double.legal(x)
+            if answer and len(original.values) < 7:
+                original.add(x)
+                double.add(x)
+        # an accepting test whose add comes after the copy's changes
+        pending = None
+        for x in range(16):
+            answer = original.legal(x)
+            assert answer == double.legal(x)
+            if answer:
+                pending = x
+                break
+        spent = original.nodes
+        twin = original.copy()
+        assert original.nodes == spent
+        assert (twin.tracker, twin.memory) == (original.tracker, memory)
+        assert twin.values == original.values and twin.held == original.held
+        assert index_state(twin) == index_state(original)
+        before = copy.deepcopy(index_state(original))
+        for _ in range(rng.randrange(1, 30)):
+            x = rng.randrange(24)
+            if rng.random() < 0.3 and twin.values:
+                twin.pop()
+            elif len(twin.values) < 8 and fed(twin.values).legal(x):
+                twin.add(x)
+        assert index_state(original) == before
+        for x in range(16):
+            start = (original.nodes, double.nodes)
+            assert original.legal(x) == double.legal(x)
+            assert original.nodes - start[0] == double.nodes - start[1]
+        if pending is not None:
+            assert original.legal(pending)
+            original.add(pending)
+            double.add(pending)
+            assert index_state(original) == index_state(double)
+        for x in range(24):
+            assert twin.legal(x) == fed(twin.values).legal(x)
+        assert index_state(twin) == fresh_index_state(twin)
+        while original.values:
+            original.pop()
+            assert index_state(original) == fresh_index_state(original)
+
+
 @pytest.mark.parametrize("eq", [make_symmetric([211, 347, 509]),
                                 make_equation([5, 7, 11, -23])])
 def test_distinct_index_pieces_differential(monkeypatch, eq):

@@ -1,14 +1,17 @@
+import importlib.util
 import json
 import math
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from nosol import search
 from nosol.cli import main
-from nosol.equations import make_equation, make_symmetric
+from nosol.equations import is_dissociated, make_equation, make_symmetric
 from nosol.oracle import (
+    BudgetExhausted,
     ConflictMemory,
     IncrementalSolutionIndex,
     SolutionQuery,
@@ -232,14 +235,97 @@ def test_seed_phase_that_repeats_greedy_reuses_it_within_budget():
     # the budget left covers greedy's nodes: reused, at no cost
     reused = run(2 * g)
     assert reused.phases[:2] == full.phases[:2] and len(reused.phases) > 2
-    # one node short: the phase runs, and its r nodes leave later phases less
+    # one node short: the phase runs, and its r nodes leave the last phase
+    # less
     short = run(2 * g - 1)
-    assert short.phases[:2] == full.phases[:2]
-    assert len(short.phases) < len(reused.phases)
-    # a budget of g + r covers greedy and the replay, and nothing after
+    assert short.phases[:-1] == reused.phases[:-1]
+    assert (short.phases[-1], reused.phases[-1]) == (("extend[8]", 6),
+                                                      ("extend[8]", 8))
+    # a budget of g + r covers greedy and the phase, and nothing after: the
+    # phase adds 0..7 to the prefix index untested, which spends what the
+    # replay's accepting tests of them do, and scans rows 8..32 as it does
     exact = run(g + r)
     assert (exact.phases, exact.nodes) == (full.phases[:2], g + r)
     assert run(g + r // 2).phases == [("greedy", 9), ("seed[8]", 7)]
+
+
+def _load_reference():
+    """bench/reference.py, the benchmark's checker that imports nothing
+    from nosol."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dissociated_triples(seed, count):
+    rng = random.Random(seed)
+    triples = []
+    while len(triples) < count:
+        gens = sorted(rng.sample(range(1, 31), 3))
+        if is_dissociated(gens) and gens not in triples:
+            triples.append(gens)
+    return triples
+
+
+def _rebuilt(index):
+    """A copy built as the seed phases once built their indexes: a fresh
+    index on the same budget and memory, fed the values one by one."""
+    twin = IncrementalSolutionIndex(index.eq, index.distinct,
+                                    budget=index.tracker, memory=index.memory)
+    for x in index.values:
+        twin.add(x)
+    return twin
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_seed_phases_from_copies_match_rebuilt_indexes(monkeypatch, distinct):
+    """Seed phases that start from copies of greedy's prefix index find
+    the digits, best-rate digits and phases of phases that rebuild it, and
+    two runs spend the same nodes."""
+    cases = ([(gens, 64) for gens in _dissociated_triples(20261021, 30)]
+             + [([43, 69, 70], 64), ([43, 69, 70], 128)])
+    searches = [(make_symmetric(gens), M) for gens, M in cases]
+
+    def run_all():
+        return [max_digit_set(eq, eq.side_sum * M + 1, distinct=distinct)
+                for eq, M in searches]
+
+    copied = run_all()
+    assert run_all() == copied
+    monkeypatch.setattr(IncrementalSolutionIndex, "copy", _rebuilt)
+    for (gens, M), new, old in zip(cases, copied, run_all()):
+        assert (new.digits, new.best_rate_digits, new.phases) == (
+            old.digits, old.best_rate_digits, old.phases), (gens, M)
+        assert new.nodes <= old.nodes
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_search_cut_anywhere_returns_clean_digits(monkeypatch, distinct):
+    """A budget cut at any node, while greedy's prefix index grows or
+    is copied or a phase runs, ends the search with digits that the
+    benchmark's reference checker finds clean; BudgetExhausted never
+    escapes."""
+    find_solution = _load_reference().find_solution
+    eq = make_symmetric([43, 69, 70])
+    L = eq.side_sum * 64 + 1
+    full = max_digit_set(eq, L, distinct=distinct).nodes
+    rng = random.Random(20261022)
+    budgets = sorted({1, full} | {rng.randint(1, full) for _ in range(198)})
+    clean = {}
+    for budget in budgets:
+        try:
+            res = max_digit_set(eq, L, SearchConfig(budget=budget),
+                                distinct=distinct)
+        except BudgetExhausted:
+            pytest.fail(f"BudgetExhausted escaped at budget {budget}")
+        for digits in (res.digits, res.best_rate_digits):
+            if digits and digits not in clean:
+                clean[digits] = find_solution(eq.coeffs, digits,
+                                              distinct) is None
+            assert not digits or clean[digits], (budget, digits)
+        assert res.exhausted is False
 
 
 @pytest.mark.parametrize("distinct", [False, True])
@@ -361,8 +447,8 @@ def test_43_69_70_all_mode_grid_nodes(tmp_path, capsys):
     assert [(row["L"], tuple(row["digits"]), row["exhausted"], row["nodes"])
             for row in table] == [
         (L, digits, exhausted, nodes) for (L, digits, _, exhausted), nodes
-        in zip(ROWS_43_69_70_ALL, [160, 675, 28820, 7415, 11047, 31910,
-                                   82811, 283817])]
+        in zip(ROWS_43_69_70_ALL, [160, 675, 28820, 5663, 8127, 21626,
+                                   66324, 267314])]
 
 
 # (equation, distinct, M, budget) -> (digits, best_rate_digits, exhausted,
@@ -374,7 +460,7 @@ SEARCH_TABLE = [
     (("sym", (3, 5, 17)), True, 8, 30000,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 4705, "exact"),
     (("sym", (3, 5, 17)), True, 64, 30000,
-     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 16503,
+     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 13618,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
      "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
      "extend[5] extend[6] extend[8]"),
@@ -384,7 +470,7 @@ SEARCH_TABLE = [
      (0, 1, 2, 3, 4, 5, 35, 45, 86), (0, 1, 2, 3, 4, 5), False, 30018,
      "greedy"),
     (("sym", (3, 5, 17)), True, 300, 10 ** 7,
-     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 143969,
+     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 139203,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
      "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
      "seed[128] pseed[128] seed[256] pseed[256] extend[8] extend[10] "
@@ -392,28 +478,28 @@ SEARCH_TABLE = [
     (("eq", (2, 2, -3, -1)), False, 8, 10 ** 7,
      (0, 1, 5, 6), (0, 1, 5, 6), True, 461, "exact"),
     (("eq", (2, 2, -3, -1)), False, 64, 3000,
-     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3005,
+     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 3001,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
-     "pseed[16] seed[32] pseed[32] seed[64] pseed[64]"),
+     "pseed[16] seed[32] pseed[32] seed[64] pseed[64] extend[5]"),
     (("eq", (2, 2, -3, -1)), False, 64, 30000,
-     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 4780,
+     (0, 1, 5, 6, 23, 25, 51, 61), (0, 1), False, 4523,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
      "pseed[16] seed[32] pseed[32] seed[64] pseed[64] extend[5] extend[6] "
      "extend[8]"),
     (("eq", (2, 2, -3, -1)), False, 300, 30000,
      (0, 1, 5, 6, 23, 25, 54, 66, 71, 133, 138, 221, 223, 252, 295, 300),
-     (0, 1), False, 30011,
+     (0, 1), False, 30007,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
      "pseed[16] seed[32] pseed[32] seed[64] pseed[64] seed[128] pseed[128] "
      "seed[256] pseed[256] extend[6]"),
     (("eq", (2, 2, -3, -1)), False, 300, 10 ** 7,
      (0, 1, 5, 6, 23, 25, 54, 66, 71, 133, 138, 221, 223, 252, 295, 300),
-     (0, 1), False, 35927,
+     (0, 1), False, 35167,
      "greedy seed[4] seed[5] seed[6] pseed[6] seed[8] pseed[8] seed[16] "
      "pseed[16] seed[32] pseed[32] seed[64] pseed[64] seed[128] pseed[128] "
      "seed[256] pseed[256] extend[6] extend[8] extend[256]"),
     (("sym", (1, 1)), False, 64, 30000,
-     (0, 1, 3, 7, 15, 24, 35, 40, 53), (0, 1), False, 2377,
+     (0, 1, 3, 7, 15, 24, 35, 40, 53), (0, 1), False, 2132,
      "greedy seed[8] pseed[8] seed[16] pseed[16] seed[32] pseed[32] seed[64] "
      "pseed[64] extend[8] extend[32] extend[64]"),
     (("sym", (1, 1)), False, 300, 3000,
@@ -421,7 +507,7 @@ SEARCH_TABLE = [
      False, 3013, "greedy"),
     (("sym", (1, 1)), False, 300, 10 ** 7,
      (0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122, 147, 181, 203, 251, 289),
-     (0, 1), False, 20476,
+     (0, 1), False, 19614,
      "greedy seed[8] pseed[8] seed[16] pseed[16] seed[32] pseed[32] seed[64] "
      "pseed[64] seed[128] pseed[128] seed[256] pseed[256] extend[256] "
      "extend[8] extend[16]"),
