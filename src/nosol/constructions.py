@@ -380,11 +380,11 @@ def three_coefficient_pipeline(
     def emit(digits, case, dep, alpha2, extra, greedy=False):
         # greedy: certify the solution-free subset that one greedy pass
         # keeps of digits; a budget blowup in either step leaves a plan.
-        # The pass stores up to a sum per node, about 120 bytes each in the
+        # The pass stores up to a sum per node, about 64 bytes each in the
         # sums index (mitm's table entry costs 90), until its last stage's
         # set doubles its table at about 1.26M sums.  So its nodes are
         # capped at 3/5 of MITM_TABLE_CAP whatever the budget, where it
-        # peaks at about 160 MB, below mitm's 180 MB at that cap
+        # peaks at about 90 MB, half of mitm's 180 MB at that cap
         meta = {"kind": "thm3", "a": a, "b": b, "c": c, "case": case,
                 "alpha": alpha, **extra}
         if dep is not None:

@@ -292,11 +292,9 @@ def _auto_engine(q: SolutionQuery) -> str:
     return "dfs"
 
 
-def _pick_engine(q: SolutionQuery, engine: str):
-    if engine == "auto":
-        engine = _auto_engine(q)
-    return {"dfs": _dfs_solutions, "naive": _naive_solutions,
-            "mitm": _mitm_solutions}[engine]
+# the enumeration engines by name: not the sum scan, which cannot count
+_ENGINES = {"dfs": _dfs_solutions, "naive": _naive_solutions,
+            "mitm": _mitm_solutions}
 
 
 def query_engine(q: SolutionQuery, engine: str = "auto") -> str:
@@ -305,7 +303,7 @@ def query_engine(q: SolutionQuery, engine: str = "auto") -> str:
     (_scan_applies), else _auto_engine's choice."""
     if engine == "auto":
         return "scan" if _scan_applies(q) else _auto_engine(q)
-    if engine not in ("dfs", "naive", "mitm"):
+    if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     return engine
 
@@ -514,7 +512,7 @@ def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
             found = tuple(x[side[c]] if c > 0 else y[side[-c]]
                           for c in q.equation.coeffs)
     else:
-        found = next(_pick_engine(q, engine)(
+        found = next(_ENGINES[engine](
             q.equation, q.ground_set, q.distinct_variables, budget), None)
     if found is None:
         return None, budget.nodes
@@ -527,12 +525,11 @@ def find_nontrivial_solution(q: SolutionQuery, engine: str = "auto"):
 
 
 def count_nontrivial_solutions(q: SolutionQuery, engine: str = "auto") -> int:
-    run = _pick_engine(q, engine)
-    budget = _Budget(q.budget)
-    n = 0
-    for _ in run(q.equation, q.ground_set, q.distinct_variables, budget):
-        n += 1
-    return n
+    """The number of countable solutions; the sum scan cannot count."""
+    run = _ENGINES[_auto_engine(q) if engine == "auto"
+                   else query_engine(q, engine)]
+    return sum(1 for _ in run(q.equation, q.ground_set, q.distinct_variables,
+                              _Budget(q.budget)))
 
 
 def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -692,9 +689,9 @@ class IncrementalSolutionIndex:
     what it built, and an ``add(x)`` that follows on the same values stores
     it without building or spending again; ``pop`` and any other ``legal``
     or ``add`` drop it.  ``add`` spends its nodes before it changes any
-    table, so a BudgetExhausted leaves the index as it was.  ``copy``
-    returns an independent index holding the same values, for nothing: it
-    copies the tables and shares the budget and the ConflictMemory.
+    table, so a BudgetExhausted leaves the index as it was, and it keeps
+    no undo record: ``pop`` rebuilds what the last ``add`` filed, spending
+    nothing, and removes it (recomputing, not trailing: Schulte, ICLP 1999).
 
     Sums accounting: a sum costs one node when it is built.  The new sums
     are built stage by stage, each stage in chunks (x appended to the
@@ -716,8 +713,7 @@ class IncrementalSolutionIndex:
     entry and mate order and spent together at the piece's end or at the
     witness; a pairing is a solution when the two masks share no bit.  A
     symmetric equation tests one side: the tuples with x on the other side
-    mirror it.  ``pop`` rebuilds the full chunks of the value it drops
-    from the tables they were shifted from, and spends nothing.
+    mirror it.
 
     Tuple accounting (all mode): a tuple costs one node when it is built
     and a pairing of two tuples one node when it is tested.  New tuples are
@@ -763,7 +759,6 @@ class IncrementalSolutionIndex:
         else:
             self.pos_table = {}
             self.neg_table = self.pos_table if self.symmetric else {}
-        self._undo: list = []
         # (x, what add(x) stores) of the last accepting legality test: the
         # new stages for sums, the full chunks per side for masks, (pos
         # chunks, neg chunks) for tuples
@@ -870,11 +865,11 @@ class IncrementalSolutionIndex:
                 else:
                     bucket.append(m)
 
-    def _pop_masks(self) -> None:
-        """Undo _add_masks of the last value x: the full chunks it filed
-        are rebuilt from the first perm(n, k-1) entries of the position
-        sets they shift, the tuples of the n values held before x."""
-        x, n = self.values[-1], len(self.values) - 1
+    def _pop_masks(self, x) -> None:
+        """Undo _add_masks of x, just popped from values: the full chunks it
+        filed are rebuilt from the first perm(n, k-1) entries of the
+        position sets they shift, the tuples of the n values held before x."""
+        n = len(self.values)
         for coeffs, subsets, _ in self._mask_sides():
             table, size = subsets[-1], perm(n, len(coeffs) - 1)
             for sums, _, cx in _full_shifts(coeffs, subsets, x):
@@ -897,13 +892,11 @@ class IncrementalSolutionIndex:
         """Chunks (tuples, sums) covering, in product order, every tuple over
         values+[x] that uses x.  A chunk's tuples differ only in the last
         position free to vary: the last one, or the one before when that
-        holds x."""
+        holds x.  Building them spends nothing (see _paid_tuples)."""
         old = self.values
         later = old + [x]
-        spend = self.tracker.spend
         k = len(coeffs)
         if k == 1:
-            spend()
             yield [(x,)], [coeffs[0] * x]
             return
         for first in range(k):
@@ -917,12 +910,17 @@ class IncrementalSolutionIndex:
                 continue
             for prefix in product(*pools):
                 partial = base + sum(map(mul, coeffs, prefix))
-                spend(len(tail))
                 if first < k - 1:
                     tups = [prefix + (v,) for v in tail]
                 else:
                     tups = [prefix + (v, x) for v in tail]
                 yield tups, [partial + c * v for v in tail]
+
+    def _paid_tuples(self, coeffs, x):
+        """The chunks of _new_tuples, each spent, a node a tuple, in turn."""
+        for chunk in self._new_tuples(coeffs, x):
+            self.tracker.spend(len(chunk[0]))
+            yield chunk
 
     def _new_sums(self, x):
         """(stages, None), stages being the sets, one per stage j, of sums
@@ -1025,7 +1023,7 @@ class IncrementalSolutionIndex:
         witness) when one of them completes a countable solution, the
         witness being the values of its two tuples."""
         pos_chunks = []
-        found = self._first_solution(self._new_tuples(self.pos_coeffs, x),
+        found = self._first_solution(self._paid_tuples(self.pos_coeffs, x),
                                      (self.neg_table,), True, pos_chunks)
         if found is not None:
             return None, found[0] + found[1]
@@ -1038,7 +1036,7 @@ class IncrementalSolutionIndex:
             found = self._first_solution(neg_chunks, (new_pos,), False)
         else:
             neg_chunks = []
-            found = self._first_solution(self._new_tuples(self.neg_coeffs, x),
+            found = self._first_solution(self._paid_tuples(self.neg_coeffs, x),
                                          (self.pos_table, new_pos), False,
                                          neg_chunks)
         if found is not None:
@@ -1086,25 +1084,20 @@ class IncrementalSolutionIndex:
                 raise ValueError(f"adding {x} creates a solution")
             for stored, new in zip(self.sums, stages):
                 stored |= new
-            undo = stages
         elif self.distinct:
-            undo = self._add_masks(x, kept)     # None: pop rebuilds it
+            self._add_masks(x, kept)
         else:
             if kept is not None:
                 pos_chunks, neg_chunks = kept
             else:
-                pos_chunks = list(self._new_tuples(self.pos_coeffs, x))
+                pos_chunks = list(self._paid_tuples(self.pos_coeffs, x))
                 neg_chunks = (pos_chunks if self.symmetric
-                              else list(self._new_tuples(self.neg_coeffs, x)))
+                              else list(self._paid_tuples(self.neg_coeffs, x)))
             _store(self.pos_table, pos_chunks)
-            neg_sums = []
             if not self.symmetric:
                 _store(self.neg_table, neg_chunks)
-                neg_sums = [s for _, s in neg_chunks]
-            undo = ([s for _, s in pos_chunks], neg_sums)
         self.values.append(x)
         self.held |= self.memory.bit(x)
-        self._undo.append(undo)
 
     def greedy(self, candidates, on_gain=None) -> None:
         """Add, in order, each candidate that keeps the set solution-free,
@@ -1123,7 +1116,6 @@ class IncrementalSolutionIndex:
         twin = object.__new__(IncrementalSolutionIndex)
         twin.__dict__.update(self.__dict__)
         twin.values = self.values.copy()
-        twin._undo = self._undo.copy()     # the undo records are never changed
         twin._kept = None
         if self.sums is not None:
             twin.sums = [set(stage) for stage in self.sums]
@@ -1140,18 +1132,24 @@ class IncrementalSolutionIndex:
         return twin
 
     def pop(self) -> int:
+        """Drop the last value added, and return it; see the class notes."""
         self._kept = None
-        undo = self._undo.pop()
-        if self.sums is not None:
-            for stored, new in zip(self.sums, undo):
-                stored.difference_update(new)
-        elif self.distinct:
-            self._pop_masks()
-        else:
-            _unstore(self.pos_table, undo[0])
-            _unstore(self.neg_table, undo[1])
         x = self.values.pop()
         self.held ^= self.memory.bits[x]
+        if self.sums is not None:
+            # x's stage-j sums: x on any (j-1)-sum, a value left on x's own
+            old_prev, new_prev = (0,), ()
+            for c, stage in zip(self.eq.symmetric_gen, self.sums):
+                new = {s + c * x for p in (old_prev, new_prev) for s in p}
+                new.update([s + c * v for v in self.values for s in new_prev])
+                stage -= new
+                old_prev, new_prev = stage, new
+        elif self.distinct:
+            self._pop_masks(x)
+        else:
+            _unstore(self.pos_table, self._new_tuples(self.pos_coeffs, x))
+            if not self.symmetric:
+                _unstore(self.neg_table, self._new_tuples(self.neg_coeffs, x))
         return x
 
 
@@ -1196,9 +1194,10 @@ def _store(table, chunks) -> None:
                 bucket.append(tup)
 
 
-def _unstore(table, chunk_sums) -> None:
-    for sums in reversed(chunk_sums):
-        for s in reversed(sums):
+def _unstore(table, chunks) -> None:
+    # the tuples of the table's last _store end their buckets
+    for _, sums in chunks:
+        for s in sums:
             bucket = table[s]
             bucket.pop()
             if not bucket:

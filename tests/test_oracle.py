@@ -31,7 +31,6 @@ from nosol.oracle import (
     SolutionQuery,
     _Budget,
     _mitm_solutions,
-    _pick_engine,
     _sides,
     _sums_repeat,
     count_nontrivial_solutions,
@@ -245,6 +244,13 @@ def index_state(idx):
             idx.pos_table, idx.neg_table)
 
 
+def pop_spending_nothing(idx):
+    """idx.pop(), which rebuilds what it removes without spending a node."""
+    nodes = idx.nodes
+    idx.pop()
+    assert idx.nodes == nodes
+
+
 def fresh_index_state(idx):
     """The state of a fresh index on the same equation fed idx.values."""
     fresh = IncrementalSolutionIndex(idx.eq, distinct=idx.distinct)
@@ -289,13 +295,33 @@ def test_incremental_index_random_operations():
                     assert idx.legal(x) == free_with(idx, x)
                     if free_with(idx, x) and len(idx.values) < cap:
                         if idx.values and rng.random() < 0.3:
-                            idx.pop()
+                            pop_spending_nothing(idx)
                         idx.add(x)
                 elif op == 1 and free_with(idx, x) and len(idx.values) < cap:
                     idx.add(x)
                 elif op == 2 and idx.values:
-                    idx.pop()
+                    pop_spending_nothing(idx)
             assert index_state(idx) == fresh_index_state(idx)
+
+
+def test_sums_index_holds_each_sum_once():
+    # the depth-3 lift of the thm3 10/11/31 alphabet {0, 1, 4, 5} at base
+    # 261: 64 values, 64 + 64**2 + 64**3 held sums.  Held once, a sum costs
+    # about 64 traced bytes; a second copy of each (an undo record) costs 124
+    eq = make_symmetric([10, 11, 31])
+    cert = Certificate(make_digit_set(261, [0, 1, 4, 5], eq), verified=True)
+    values = lift(cert, 261 ** 3).elements
+    tracemalloc.start()
+    try:
+        idx = IncrementalSolutionIndex(eq)
+        for x in values:
+            idx.add(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    sums = sum(map(len, idx.sums))
+    assert (len(values), sums) == (64, 266304)
+    assert held / sums < 96
 
 
 @pytest.mark.parametrize("eq,distinct,sums", [
@@ -459,8 +485,8 @@ def test_incremental_index_copy_is_independent(eq, distinct, representation):
         for _ in range(rng.randrange(40)):
             x = rng.randrange(16)
             if rng.random() < 0.2 and original.values:
-                original.pop()
-                double.pop()
+                pop_spending_nothing(original)
+                pop_spending_nothing(double)
                 continue
             answer = original.legal(x)
             assert answer == double.legal(x)
@@ -485,7 +511,7 @@ def test_incremental_index_copy_is_independent(eq, distinct, representation):
         for _ in range(rng.randrange(1, 30)):
             x = rng.randrange(24)
             if rng.random() < 0.3 and twin.values:
-                twin.pop()
+                pop_spending_nothing(twin)
             elif len(twin.values) < 8 and fed(twin.values).legal(x):
                 twin.add(x)
         assert index_state(original) == before
@@ -502,7 +528,7 @@ def test_incremental_index_copy_is_independent(eq, distinct, representation):
             assert twin.legal(x) == fed(twin.values).legal(x)
         assert index_state(twin) == fresh_index_state(twin)
         while original.values:
-            original.pop()
+            pop_spending_nothing(original)
             assert index_state(original) == fresh_index_state(original)
 
 
@@ -932,12 +958,12 @@ def test_scan_past_the_cap_builds_every_range_as_a_bitset(monkeypatch, build,
 
 
 def _picked_engine_result(q):
-    """(witness or None, nodes) of the engine _pick_engine(q, "auto")
+    """(witness or None, nodes) of the engine _auto_engine(q)
     chooses, run directly under a fresh budget; ("budget", nodes) when it
     runs out."""
     budget = _Budget(q.budget)
     try:
-        for assignment in _pick_engine(q, "auto")(
+        for assignment in oracle._ENGINES[oracle._auto_engine(q)](
                 q.equation, q.ground_set, q.distinct_variables, budget):
             return assignment, budget.nodes
     except BudgetExhausted as exc:
@@ -961,7 +987,7 @@ def test_auto_sum_scan_differential():
     at the nodes of the stages up to the first that repeats, of which a
     last stage spends only its ranges up to the repeat (_last_stage_nodes).
     Every other answer, witnesses included, is exactly that of the engine
-    _pick_engine selects.  Non-dissociated generators and distinct mode
+    _auto_engine selects.  Non-dissociated generators and distinct mode
     never use the scan."""
     rng = random.Random(20261018)
     dissociated = [(1, 2), (2, 5), (1, 2, 4), (1, 3, 9), (10, 11, 31),
@@ -1009,13 +1035,14 @@ def test_auto_sum_scan_differential():
 
 def test_scan_queries_run_no_other_engine(monkeypatch):
     """Every query that _scan_applies accepts is answered by the scan
-    alone: with _pick_engine made to raise, exhaustive_check still answers
-    it, with a non-trivial solution in the set exactly when a plain product
-    scan finds one."""
+    alone: with every enumeration engine made to raise, exhaustive_check
+    still answers it, with a non-trivial solution in the set exactly when a
+    plain product scan finds one."""
     def no_engine(*args):
-        raise AssertionError("the scan's query reached _pick_engine")
+        raise AssertionError("the scan's query reached an enumeration engine")
 
-    monkeypatch.setattr(oracle, "_pick_engine", no_engine)
+    monkeypatch.setattr(oracle, "_ENGINES",
+                        dict.fromkeys(oracle._ENGINES, no_engine))
     rng = random.Random(20261020)
     dissociated = [(1, 2), (2, 5), (1, 2, 4), (1, 3, 9), (43, 69, 70),
                    (1, 2, 4, 8)]
@@ -1048,6 +1075,15 @@ def test_query_engine_names_only_engines():
         exhaustive_check(q, "scan")
 
 
+@pytest.mark.parametrize("entry", [exhaustive_check, count_nontrivial_solutions])
+@pytest.mark.parametrize("engine", ["bogus", "scan"])
+def test_entry_points_refuse_unknown_engines(entry, engine):
+    # only the automatic choice takes the sum scan, and it cannot count
+    q = SolutionQuery(make_symmetric([1, 2]), (0, 1, 5))
+    with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+        entry(q, engine)
+
+
 def test_auto_certifies_geometric_lift_at_8_pow_7():
     # 128 elements: the mitm table (128**3) is over MITM_TABLE_CAP, and the
     # depth-first engine runs out of this budget
@@ -1067,7 +1103,7 @@ def test_pick_engine_tables_the_shorter_side():
     # table holds 2,049 tuples, not 2,049**2 (over MITM_TABLE_CAP)
     assert len(TERNARY_3AP_FREE) == 2049
     q = SolutionQuery(THREE_AP, TERNARY_3AP_FREE, budget=10 ** 8)
-    assert _pick_engine(q, "auto") is _mitm_solutions
+    assert oracle._auto_engine(q) == "mitm"
 
 
 def test_auto_mitm_under_a_small_table_cap(monkeypatch):
@@ -1075,13 +1111,13 @@ def test_auto_mitm_under_a_small_table_cap(monkeypatch):
     values = TERNARY_3AP_FREE[:40]
     q = SolutionQuery(THREE_AP, values)
     # 40 tabled tuples fit the cap; 40**2, the larger half, would not
-    assert _pick_engine(q, "auto") is _mitm_solutions
+    assert oracle._auto_engine(q) == "mitm"
     assert exhaustive_check(q) == exhaustive_check(q, "mitm")
     assert exhaustive_check(q)[0] is None
     assert find_nontrivial_solution(q, engine="naive") is None
     # 2 completes the 3AP 0, 1, 2
     planted = SolutionQuery(THREE_AP, tuple(sorted(values + (2,))))
-    assert _pick_engine(planted, "auto") is _mitm_solutions
+    assert oracle._auto_engine(planted) == "mitm"
     witness = find_nontrivial_solution(planted)
     assert witness is not None
     assert not classify_solution(THREE_AP, witness.assignment).is_trivial
@@ -1143,7 +1179,7 @@ def test_pick_engine_changes_only_where_the_shorter_side_fits():
                           max(budget, 1))
         old_table = size ** ((m + 1) // 2)
         old = old_table <= min(q.budget, cap) and size ** m > 10 * old_table
-        new = _pick_engine(q, "auto") is _mitm_solutions
+        new = oracle._auto_engine(q) == "mitm"
         band = size ** short <= min(q.budget, cap) < old_table
         assert (new != old) == (band and size ** (m // 2) > 10), (
             eq, size, q.budget)
