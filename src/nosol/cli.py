@@ -174,12 +174,7 @@ def cmd_verify(args, argv) -> int:
         distinct = args.distinct
     q = SolutionQuery(eq, values, distinct, budget)
     engine = query_engine(q)
-    try:
-        solution, nodes = exhaustive_check(q)
-    except BudgetExhausted as exc:
-        _emit({"status": "budget-exhausted", "nodes": exc.nodes,
-               "engine": engine})
-        return EXIT_BUDGET
+    solution, nodes = exhaustive_check(q)
     if solution is None:
         _emit({"status": "no-nontrivial-solution", "nodes": nodes,
                "set_size": len(values), "mode": "distinct" if distinct else "all",
@@ -444,7 +439,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args, argv)
     except BudgetExhausted as exc:
-        _emit({"status": "budget-exhausted", "nodes": exc.nodes})
+        line = {"status": "budget-exhausted", "nodes": exc.nodes}
+        if exc.engine is not None:
+            line["engine"] = exc.engine
+        _emit(line)
         return EXIT_BUDGET
     except (_UsageError, ValueError, OSError) as exc:
         # a recipe's rejected input is a precondition violation

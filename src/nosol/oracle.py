@@ -11,11 +11,9 @@ running out raises BudgetExhausted so callers can never mistake "unknown"
 for "verified absent".
 
 The digit searches' IncrementalSolutionIndex first scans the conflicts
-that its ConflictMemory remembers for a value.  An exact search over a
-small range tests on no index, but on closed tables of the value sets of
-the range's solutions (search._TableIndex).  One meet-in-the-middle
-kernel, _mitm_pairs, lists solutions for those tables and for the mitm
-engine: it yields only countable pairings, judged by their value sets.
+that its ConflictMemory remembers for a value.  One meet-in-the-middle
+kernel, _mitm_pairs, yields only countable pairings, judged by their
+value sets; the mitm engine decodes them into solutions.
 """
 
 from __future__ import annotations
@@ -54,25 +52,6 @@ SCAN_SUMS_CAP = 4_000_000
 # inputs of 4,096 to 2,048,000 sums, the bitset took 0.16-0.57 of the
 # sort's time at about 32 words per sum and 0.29-1.14 at about 64
 BITSET_WORDS_PER_SUM = 32
-# expected solutions over its range past which an exact search's closed
-# tables (search._TableIndex) may cost more than the legality index's.
-# Timed at 9 and 17 candidates, sym(43,69,70) at 17 (about 8,300) ran 3
-# times faster on the tables in all mode and 10 in distinct mode,
-# sym(1,2,3) at 9 (about 10,800) 12 times slower in all mode and 4 in
-# distinct mode.  Past the cap, at 17 candidates, the tables lost 3 to 15
-# times in all mode on sym(5,11,21), sym(2,8,18) and sym(1,5,18) (about
-# 41,000 to 63,000), but in distinct mode they ran 3 to 6 times faster
-HYPERGRAPH_SOLUTION_CAP = 10_000
-# values a side's sum takes over range(n), s*(n-1) + 1, below which the
-# sums index (_sums_decide) keeps an exact search: its stage sets hold at
-# most that many sums, so its tests stay cheap, while the tables pay for
-# every solution first.  Timed in all mode on 30 seeded dissociated
-# triples with entries <= 100 at 7 to 17 candidates, the tables lost on
-# 67 of 76 ranges below 1,500 values and won on 34 of 53 from 2,000; the
-# 165 ranges took 2.46 s on the index, 2.06 s on the tables and 1.82 s
-# split here.  sym(43,69,70) lost at 9 candidates (1,457 values) and won
-# at 13 and 17
-SUMS_INDEX_SPAN = 2_000
 # entries in the first piece of a full chunk that a distinct-mode legality
 # test builds (IncrementalSolutionIndex._new_full_sums); each next piece is
 # twice as long.  A rejection's witness mostly lies in the first few dozen
@@ -82,11 +61,14 @@ FIRST_PIECE = 32
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when an enumeration hits its node budget before finishing."""
+    """Raised when an enumeration hits its node budget before finishing.
+    engine names the oracle engine that ran out, where exhaustive_check
+    ran one, else None."""
 
     def __init__(self, nodes: int):
         super().__init__(f"enumeration budget exhausted after {nodes} nodes")
         self.nodes = nodes
+        self.engine = None
 
 
 class _Budget:
@@ -503,17 +485,21 @@ def exhaustive_check(q: SolutionQuery, engine: str = "auto"):
     """
     budget = _Budget(q.budget)
     engine = query_engine(q, engine)
-    if engine == "scan":
-        gens = q.equation.symmetric_gen
-        found = _sums_repeat(gens, q.ground_set, budget)
-        if found is not None:
-            side = {a: j for j, a in enumerate(gens)}
-            x, y = found
-            found = tuple(x[side[c]] if c > 0 else y[side[-c]]
-                          for c in q.equation.coeffs)
-    else:
-        found = next(_ENGINES[engine](
-            q.equation, q.ground_set, q.distinct_variables, budget), None)
+    try:
+        if engine == "scan":
+            gens = q.equation.symmetric_gen
+            found = _sums_repeat(gens, q.ground_set, budget)
+            if found is not None:
+                side = {a: j for j, a in enumerate(gens)}
+                x, y = found
+                found = tuple(x[side[c]] if c > 0 else y[side[-c]]
+                              for c in q.equation.coeffs)
+        else:
+            found = next(_ENGINES[engine](
+                q.equation, q.ground_set, q.distinct_variables, budget), None)
+    except BudgetExhausted as exc:
+        exc.engine = engine
+        raise
     if found is None:
         return None, budget.nodes
     return SolutionClass(found, SolutionKind.NONTRIVIAL), budget.nodes
@@ -622,44 +608,6 @@ class ConflictMemory:
         for v in solution:
             w |= bit(v)
         self.conflicts.setdefault(x, []).append(w & ~bit(x))
-
-
-def _learn_range_pays(eq: Equation, n: int, distinct: bool, budget: int) -> bool:
-    """Whether an exact search over range(n) should list the range's
-    solutions (_mitm_pairs) and test on their closed tables rather
-    than build a legality index's tables.
-
-    The listing spends a node per table entry, scanned tuple and pairing
-    of equal side sums, whatever the answer; the index's tables cost in
-    proportion to the sets held.  So the solutions must be few, about
-    n**m / (s*(n-1) + 1) for m variables and side sum s (the assignments
-    over the values a side's sum takes), and where the sums index would
-    test, those values must reach SUMS_INDEX_SPAN.  The listing must fit
-    the budget, as a cut one leaves no set found, and MITM_TABLE_CAP: its
-    pairings are counted exactly from the two sides' sums (_side_sums),
-    as the estimate leaves out the mirror and trivial pairings.
-    """
-    span = eq.side_sum * (n - 1) + 1
-    cap = min(budget, MITM_TABLE_CAP)
-    nodes = sum(n ** len(side) for side in _sides(eq))
-    if (n ** eq.num_vars // span > HYPERGRAPH_SOLUTION_CAP or nodes > cap
-            or span < SUMS_INDEX_SPAN and _sums_decide(eq, distinct)):
-        return False
-    pos, neg = (_side_sums([abs(eq.coeffs[i]) for i in side], n)
-                for side in _sides(eq))
-    return nodes + sum(k * neg.get(t, 0) for t, k in pos.items()) <= cap
-
-
-def _side_sums(coeffs: list[int], n: int) -> dict[int, int]:
-    """How many tuples over range(n) give each sum of coeffs times them."""
-    counts = {0: 1}
-    for c in coeffs:
-        step = {}
-        for t, k in counts.items():
-            for u in range(t, t + c * n, c):
-                step[u] = step.get(u, 0) + k
-        counts = step
-    return counts
 
 
 class IncrementalSolutionIndex:

@@ -10,11 +10,13 @@ copy of an index holding its alphabet, a prefix of the ascending phase's
 set.  Over a small range, the exact search files the value set of every
 countable solution that the oracle's one meet-in-the-middle kernel
 (_mitm_pairs) yields in a table of its largest value, closes each table
-upward (_TableIndex), and tests a value by one lookup; otherwise it tests
-on one IncrementalSolutionIndex as well.  The anytime phases' indexes share one ConflictMemory, which a
-search grid may pass from base to base (SearchConfig.memory): the digits
-found do not depend on it, only the nodes spent.  Everything is
-deterministic: rerunning a search reproduces the same sets bit for bit.
+upward (_TableIndex), and tests a value by one lookup; where they do not
+pay, or their listing runs out of its trial budget, it tests on one
+IncrementalSolutionIndex as well.  The anytime phases' indexes share one
+ConflictMemory, which a search grid may pass from base to base
+(SearchConfig.memory): the digits found do not depend on it, only the
+nodes spent.  Everything is deterministic: rerunning a search reproduces
+the same sets bit for bit.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .certificates import Rate, tight_base
 from .equations import Equation
 from .oracle import (
     DEFAULT_BUDGET,
+    MITM_TABLE_CAP,
     BudgetExhausted,
     ConflictMemory,
     IncrementalSolutionIndex,
     _Budget,
-    _learn_range_pays,
     _mitm_pairs,
+    _sides,
+    _sums_decide,
 )
 
 MODE_EXACT = "exact"
@@ -147,22 +151,18 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
 def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     """Full include-first DFS over the candidates 0..n-1 in increasing order,
     on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
-    branch of i for its exclude branch; each branch costs one node.  Over
-    at most EXACT_AUTO_LIMIT candidates, when _learn_range_pays, a test is
-    one lookup in the range's closed solution tables (_TableIndex); else
-    one IncrementalSolutionIndex tests legality, whose work grows with the
-    values held, so that a budget cut still leaves the sets found.  Returns
-    whether the whole tree was enumerated within budget, the search's
-    _Budget."""
+    branch of i for its exclude branch; each branch costs one node.  Where
+    the range's closed solution tables pay (_TableIndex.trial), a test is
+    one lookup in them; else one IncrementalSolutionIndex tests legality,
+    whose work grows with the values held, so that a budget cut still
+    leaves the sets found.  Returns whether the whole tree was enumerated
+    within budget, the search's _Budget."""
     best_here = 0
     stack = [0]
     try:
-        if (n <= EXACT_AUTO_LIMIT
-                and _learn_range_pays(eq, n, distinct, budget.limit)):
-            index = _TableIndex(eq, n, distinct, budget)
-        else:
-            index = IncrementalSolutionIndex(eq, distinct=distinct,
-                                             budget=budget)
+        index = (_TableIndex.trial(eq, n, distinct, budget)
+                 or IncrementalSolutionIndex(eq, distinct=distinct,
+                                             budget=budget))
         while stack:
             i = stack.pop()
             if i < 0:
@@ -184,6 +184,27 @@ def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     return True
 
 
+# expected solutions over its range past which an exact search's closed
+# tables may cost more than the legality index's.  Timed at 9 and 17
+# candidates, sym(43,69,70) at 17 (about 8,300) ran 3 times faster on the
+# tables in all mode and 10 in distinct mode, sym(1,2,3) at 9 (about
+# 10,800) 12 times slower in all mode and 4 in distinct mode.  Past the
+# cap, at 17 candidates, the tables lost 3 to 15 times in all mode on
+# sym(5,11,21), sym(2,8,18) and sym(1,5,18) (about 41,000 to 63,000), but
+# in distinct mode they ran 3 to 6 times faster
+HYPERGRAPH_SOLUTION_CAP = 10_000
+# values a side's sum takes over range(n), s*(n-1) + 1, below which the
+# sums index (_sums_decide) keeps an exact search: its stage sets hold at
+# most that many sums, so its tests stay cheap, while the tables pay for
+# every solution first.  Timed in all mode on 30 seeded dissociated
+# triples with entries <= 100 at 7 to 17 candidates, the tables lost on
+# 67 of 76 ranges below 1,500 values and won on 34 of 53 from 2,000; the
+# 165 ranges took 2.46 s on the index, 2.06 s on the tables and 1.82 s
+# split here.  sym(43,69,70) lost at 9 candidates (1,457 values) and won
+# at 13 and 17
+SUMS_INDEX_SPAN = 2_000
+
+
 class _TableIndex:
     """Legality over range(n) on closed solution tables, for values added
     in ascending order: a test is one lookup, and it spends nothing.
@@ -191,8 +212,9 @@ class _TableIndex:
     tables[x] has bit h set iff the values of the mask h, all below x, and
     x hold a countable solution that uses x.  The one meet-in-the-middle
     kernel, _mitm_pairs, yields the countable pairings of equal side sums
-    over range(n), spending its nodes on budget, each with its value set
-    e, filed under its largest value x as the bit of its other values.
+    over range(n), spending its nodes on budget (trial's own), each with
+    its value set e, filed under its largest value x as the bit of its
+    other values.
     Each table is then closed upward by x shift-ORs, the i-th setting bit
     h | 2**i wherever bit h is set and h lacks i: the superset-sum (zeta)
     transform of Bjorklund, Husfeldt, Kaski and Koivisto (STOC 2007).
@@ -200,6 +222,34 @@ class _TableIndex:
     """
 
     __slots__ = ("tables", "values", "held")
+
+    @classmethod
+    def trial(cls, eq, n, distinct, budget):
+        """The closed tables over range(n), or None where they do not pay.
+
+        The listing spends a node per table entry, scanned tuple and
+        pairing of equal side sums, whatever the answer, while the index's
+        tables cost in proportion to the sets held.  So it needs at most
+        EXACT_AUTO_LIMIT candidates, few solutions (about n**m /
+        (s*(n-1) + 1) for m variables and side sum s) and, where the sums
+        index would test, SUMS_INDEX_SPAN values of a side's sum.  It runs
+        on a budget of its own, what budget has left but at most
+        MITM_TABLE_CAP: one that finishes charges its nodes to budget, and
+        one that runs out, which leaves no set found, charges nothing.
+        """
+        span = eq.side_sum * (n - 1) + 1
+        own = _Budget(min(budget.limit - budget.nodes, MITM_TABLE_CAP))
+        if (n > EXACT_AUTO_LIMIT
+                or n ** eq.num_vars // span > HYPERGRAPH_SOLUTION_CAP
+                or sum(n ** len(side) for side in _sides(eq)) > own.limit
+                or span < SUMS_INDEX_SPAN and _sums_decide(eq, distinct)):
+            return None
+        try:
+            index = cls(eq, n, distinct, own)
+        except BudgetExhausted:
+            return None
+        budget.spend(own.nodes)
+        return index
 
     def __init__(self, eq, n, distinct, budget):
         tables = [bytearray(1 << x >> 3 or 1) for x in range(n)]

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from nosol import oracle
+from nosol import oracle, search
 from nosol.certificates import Certificate, make_digit_set
 from nosol.constructions import (
     PipelineConfig,
@@ -1136,24 +1136,30 @@ def _random_equation(rng):
 
 @pytest.mark.parametrize("distinct", [False, True])
 def test_learn_range_gate_admits_only_listings_that_fit(distinct):
-    """_learn_range_pays counts the nodes of the whole _mitm_solutions
-    listing over range(n): a range it admits at all, it admits at exactly
-    that budget and at none below, so an admitted listing is never cut."""
+    """_TableIndex.trial lists range(n) on a budget of what the search's
+    has left: a range it admits at all, it admits with exactly the
+    listing's nodes left and charges them, and with one node fewer it
+    refuses and charges nothing."""
     rng = random.Random(21)
     eqs = [make_symmetric([43, 69, 70]), make_symmetric([5, 11, 21]),
            make_symmetric([1, 1, 2]), make_equation([2, 2, -3, -1])]
     while len(eqs) < 11:
         eqs.append(make_symmetric(rng.sample(range(1, 13), rng.randint(2, 3)))
                    if len(eqs) % 2 else _random_equation(rng))
+    trial = search._TableIndex.trial
     admitted = 0
     for eq, n in product(eqs, (3, 6, 9, 12, 17)):
-        budget = _Budget(10 ** 8)
-        for _ in _mitm_solutions(eq, range(n), distinct, budget):
+        listing = _Budget(10 ** 8)
+        for _ in _mitm_solutions(eq, range(n), distinct, listing):
             pass
-        pays = oracle._learn_range_pays(eq, n, distinct, 10 ** 8)
-        assert oracle._learn_range_pays(eq, n, distinct, budget.nodes) == pays
-        assert not oracle._learn_range_pays(eq, n, distinct,
-                                            budget.nodes - 1), (eq, n)
+        need = listing.nodes
+        pays = trial(eq, n, distinct, _Budget(10 ** 8)) is not None
+        for left, fits in ((need, pays), (need - 1, False)):
+            budget = _Budget(10 ** 8)
+            budget.nodes = 10 ** 8 - left
+            assert (trial(eq, n, distinct, budget) is not None) == fits, (
+                eq, n, left)
+            assert budget.nodes == 10 ** 8 - left + (need if fits else 0)
         admitted += pays
     assert admitted >= 25
 

@@ -570,14 +570,56 @@ def test_hypergraph_exact_search_matches_the_index(monkeypatch, distinct):
         L = eq.side_sum * rng.randint(3, 11) + 1
         runs = []
         for hypergraph in (True, False):
-            monkeypatch.setattr(search, "_learn_range_pays",
-                                lambda *args: hypergraph)
+            monkeypatch.setattr(search._TableIndex, "trial", classmethod(
+                lambda cls, eq, n, distinct, budget:
+                cls(eq, n, distinct, budget) if hypergraph else None))
             offers.clear()
             res = max_digit_set(eq, L, SearchConfig(mode="exact"),
                                 distinct=distinct)
             assert res.exhausted
             runs.append((list(offers), res.digits, res.best_rate_digits))
         assert runs[0] == runs[1], (eq, L)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_refused_table_trial_charges_nothing(monkeypatch, distinct):
+    """A search whose table listing ran out of its trial budget ends with
+    the nodes, digits, best-rate digits and phases of one that never tried
+    the tables: exact and anytime searches over 5 to 17 candidates, at
+    budgets of 200, 3,000 and 30,000 nodes."""
+    trial = search._TableIndex.trial
+    mitm_pairs = search._mitm_pairs
+    seen = {}       # this search's: whether the listing ran, the answer
+
+    def listing(*args):
+        seen["listed"] = True
+        return mitm_pairs(*args)
+
+    def recorded(cls, *args):
+        seen["index"] = trial(*args)
+        return seen["index"]
+
+    def run(tried):
+        monkeypatch.setattr(search._TableIndex, "trial", classmethod(tried))
+        res = max_digit_set(eq, L, SearchConfig(budget=budget, mode=mode),
+                            distinct=distinct)
+        return (res.nodes, res.exhausted, res.digits, res.best_rate_digits,
+                res.phases)
+
+    monkeypatch.setattr(search, "_mitm_pairs", listing)
+    rng = random.Random(32)
+    eqs = _random_equations(rng, 16) + [make_symmetric([43, 69, 70]),
+                                        make_symmetric([5, 11, 21])]
+    refused = 0
+    for eq, mode, budget, n in product(eqs, ("exact", "anytime"),
+                                       (200, 3000, 30000), (5, 8, 11, 14, 17)):
+        L = eq.side_sum * (n - 1) + 1
+        seen.clear()
+        tried = run(recorded)
+        if seen == {"listed": True, "index": None}:
+            refused += 1
+            assert tried == run(lambda cls, *args: None), (eq, mode, budget, n)
+    assert refused >= 10
 
 
 @pytest.mark.parametrize("distinct", [False, True])
