@@ -18,9 +18,9 @@ value sets; the mitm engine decodes them into solutions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice, product
+from itertools import compress, count, islice, product
 from math import perm
 from operator import eq, mul
 
@@ -45,7 +45,11 @@ MITM_TABLE_CAP = 2_000_000
 # MITM_TABLE_CAP (about 165 against 180 MB) unless a range dense enough
 # for a bitset but of too many shifts is sorted whole, up to about 310 MB
 # with stage k-1.  The 512-element lift of {0..7} at base 552, depth 3,
-# is sorted in 912 ranges of at most 262,144 sums, at 39 MB of RSS
+# is sorted in 912 ranges of at most 262,144 sums, at 39 MB of RSS.  The
+# cap prices the sums only: _last_stage_repeats also holds lists as long
+# as the value set (shifts, start, and one cut list per range end still to
+# build), which for k = 2, where stage k-1 is the value set itself, cost
+# several times the sums' bytes
 SCAN_SUMS_CAP = 4_000_000
 # 64-bit words ORed per sum up to which the sum scan builds a range of its
 # last stage as a bitset.  Timed against the sorted last stage on random
@@ -169,42 +173,59 @@ def _sides(eq: Equation) -> tuple[list[int], list[int]]:
             [i for i, c in enumerate(eq.coeffs) if c < 0])
 
 
+def _mirrored(eq: Equation) -> bool:
+    """Whether eq's negative side holds its positive side's coefficients
+    negated, in order, as every make_symmetric equation does: its sides'
+    tuples are then the same, and a pairing's mirror, its sides swapped, is
+    a solution too."""
+    pos, neg = _sides(eq)
+    return [eq.coeffs[i] for i in pos] == [-eq.coeffs[i] for i in neg]
+
+
 def _mitm_solutions(eq, values, distinct, budget):
     """Meet in the middle over the equation's positive/negative sides: the
-    countable pairings of _mitm_pairs, decoded in their order."""
-    for tup, r, _ in _mitm_pairs(eq, values, distinct, budget):
-        yield _mitm_assignment(eq, values, tup, r)
+    countable pairings of _mitm_pairs, decoded in their order, each
+    followed by its mirror on a mirrored equation (_mirrored)."""
+    mirrored = _mirrored(eq)
+    for own, r, _ in _mitm_pairs(eq, values, distinct, budget):
+        yield _mitm_assignment(eq, values, own, r)
+        if mirrored:
+            yield _mitm_assignment(eq, values, r, own)
 
 
-def _mitm_assignment(eq, values, tup, r) -> tuple[int, ...]:
-    """The assignment of a pairing of _mitm_pairs: the scan tuple tup and
-    the table tuple of product index r (last table position least
-    significant)."""
-    table_idx, scan_idx = sorted(_sides(eq), key=len)
+def _mitm_assignment(eq, values, own, r) -> tuple[int, ...]:
+    """The assignment of a pairing of _mitm_pairs: the scan tuple of
+    product index own and the table tuple of product index r (last
+    position least significant)."""
     assignment = [0] * eq.num_vars
-    for i, v in zip(scan_idx, tup):
-        assignment[i] = v
-    for i in reversed(table_idx):
-        r, d = divmod(r, len(values))
-        assignment[i] = values[d]
+    for idx, k in zip(sorted(_sides(eq), key=len), (r, own)):
+        for i in reversed(idx):
+            k, d = divmod(k, len(values))
+            assignment[i] = values[d]
     return tuple(assignment)
 
 
 def _mitm_pairs(eq, values, distinct, budget):
     """The one meet-in-the-middle kernel: the countable pairings of a tuple
-    of the scan side and a table-side tuple of equal sum, as (scan tuple,
-    the table tuple's index r in product order, the bits of the indices in
-    values of the pairing's values).
+    of the scan side and a table-side tuple of equal sum, as (the scan
+    tuple's index own and the table tuple's index r, both in product
+    order, the bits of the indices in values of the pairing's values).
 
     The shorter side is tabled as the sorted list of its sums over
     values^p; the tuple behind a sum is its index in product order, so no
     tuple is stored.  A table entry costs one node, paid before the table
-    is built, and so do each tuple of the other side, scanned in product
-    order, and each of its mates, tried in product order.  The rule reads
-    a pairing's value sets once its mirror mate is dropped: in distinct
-    mode its m values must be distinct; in all mode it counts when some
-    value lies on one side only (that value's class sum mixes no signs,
-    so it is never zero), or else when is_trivial rejects it.
+    is built.  On a mirrored equation (_mirrored) the scan side's tuples
+    are the table's own entries, and a tuple's mates are the other entries
+    of its run of equal sums: each unordered pair own < r of a run is
+    tried once, a node each, paid before the run is walked, and its mirror
+    is left to the caller.  Otherwise each tuple of the other side, scanned
+    in product order, costs one node, and so does each of its mates, found
+    by bisection and tried in product order.  The rule reads a pairing's
+    value sets: in distinct mode its m values must be distinct; in all mode
+    it counts when some value lies on one side only (that value's class sum
+    mixes no signs, so it is never zero), or else when is_trivial rejects
+    it.  So the pairing x = x' of a mirrored equation, which counts in
+    neither mode, is never tried.
     """
     coeffs = eq.coeffs
     m = len(coeffs)
@@ -223,31 +244,51 @@ def _mitm_pairs(eq, values, distinct, budget):
     order = sorted(range(size), key=sums.__getitem__)
     keys = [sums[j] for j in order]
     del sums
-    # the table tuple of index r holds values[r // stride] at its first
-    # position and the values of bits rest[r % stride] at the others, a
-    # list a factor n shorter than the table
+    # the tuple of index r holds values[r // stride] at its first position
+    # and the values of bits rest[r % stride] at the others, a list a
+    # factor n shorter than the table
     stride = size // n
     rest = [0]
     for _ in table_idx[1:]:
         rest = [e | 1 << d for e in rest for d in range(n)]
-    index = {v: d for d, v in enumerate(values)}
 
+    if _mirrored(eq):
+        end = 0
+        # lo starts a run where keys[lo] == keys[lo + 1] past the last run
+        for lo in compress(range(size - 1), map(
+                int.__eq__, keys, islice(keys, 1, None))):
+            if lo < end:
+                continue
+            end = bisect_right(keys, keys[lo], lo)
+            run = order[lo:end]
+            # capped as the table's spend is
+            budget.spend(min(len(run) * (len(run) - 1) // 2,
+                             budget.limit - budget.nodes + 1))
+            for a, own in enumerate(run, 1):
+                bits = 1 << own // stride | rest[own % stride]
+                for r in run[a:]:
+                    table = 1 << r // stride | rest[r % stride]
+                    e = bits | table
+                    if distinct:
+                        if e.bit_count() < m:
+                            continue
+                    elif bits == table and is_trivial(
+                            eq, _mitm_assignment(eq, values, own, r)):
+                        continue
+                    yield own, r, e
+        return
+
+    index = {v: d for d, v in enumerate(values)}
     scan_coeffs = [coeffs[i] for i in scan_idx]
-    # when the scan side's coefficients are the table side's negated, in
-    # order (every make_symmetric equation), the mate whose product index is
-    # the scan tuple's own is its mirror x = x', countable in neither mode
-    mirrored = [-c for c in scan_coeffs] == [coeffs[i] for i in table_idx]
     for own, tup in enumerate(product(values, repeat=len(scan_idx))):
         budget.spend()
         target = -sum(map(mul, scan_coeffs, tup))
         j = bisect_left(keys, target)
-        bits = 0        # the scan tuple's, built at its first non-mirror mate
+        bits = 0        # the scan tuple's, built at its first mate
         while j < size and keys[j] == target:
             budget.spend()
             r = order[j]
             j += 1
-            if r == own and mirrored:
-                continue
             if not bits:
                 for v in tup:
                     bits |= 1 << index[v]
@@ -257,9 +298,9 @@ def _mitm_pairs(eq, values, distinct, budget):
                 if e.bit_count() < m:
                     continue
             elif bits == table and is_trivial(
-                    eq, _mitm_assignment(eq, values, tup, r)):
+                    eq, _mitm_assignment(eq, values, own, r)):
                 continue
-            yield tup, r, e
+            yield own, r, e
 
 
 def _auto_engine(q: SolutionQuery) -> str:
@@ -646,7 +687,8 @@ class IncrementalSolutionIndex:
     stored tuples, then each value appended to the new ones), and a test
     rejects at the first chunk whose sums meet the stored ones or an
     earlier chunk's: equal values appended to both j-tuples extend the
-    repeat to k-tuples.
+    repeat to k-tuples.  The one-sum chunks of stage 2 are tested in one
+    pass that spends as the chunk walk would, up to the rejecting chunk.
 
     Mask accounting: an entry costs one node when it is built and a pairing
     of two entries one node when it is tested.  A solution that uses x
@@ -881,16 +923,22 @@ class IncrementalSolutionIndex:
         A stage is built in chunks, each spent before it is tested: x
         appended to the stored (j-1)-tuples, then each value appended to
         the new ones.  A chunk's sums are distinct, so a repeat pairs two
-        chunks, and each sum's tuple is its chunk's prefix and value."""
+        chunks, and each sum's tuple is its chunk's prefix and value.
+        Where the new (j-1)-tuples have one sum, as at j = 2, every chunk
+        after the first is that sum plus c_j*v, distinct from the others,
+        and one pass finds the first that meets the stored sums or the
+        first chunk's; it spends the nodes of the chunks up to that one,
+        or up to the limit + 1 where the chunks would have run out."""
         values = self.values + [x]
-        spend = self.tracker.spend
+        tracker = self.tracker
+        spend = tracker.spend
         old_prev, new_prev = (0,), ()
         stages = []
         for j, (c, old) in enumerate(zip(self.eq.symmetric_gen, self.sums), 1):
             new = set()
             built = []
             for prev, v in [(old_prev, x)] + [(new_prev, v) for v in values
-                                              if new_prev]:
+                                              if len(new_prev) > 1]:
                 cv = c * v
                 chunk = [s + cv for s in prev]
                 spend(len(chunk))
@@ -906,6 +954,22 @@ class IncrementalSolutionIndex:
                     return None, (self._tuple(t - c * w, j - 1, x, stages) + [w]
                                   + self._tuple(t - cv, j - 1, x, stages) + [v])
                 built.append((prev, v))
+            if len(new_prev) == 1:
+                p = next(iter(new_prev))
+                chunk = [p + c * v for v in values]
+                i = min(next(compress(count(), map(sums.__contains__, chunk)),
+                             len(chunk)) for sums in (old, new))
+                spend(min(i + 1, len(chunk),
+                          tracker.limit - tracker.nodes + 1))
+                if i < len(chunk):
+                    t, v = chunk[i], values[i]
+                    if t in old:
+                        return None, (self._tuple(t, j, x, stages)
+                                      + self._tuple(p, j - 1, x, stages) + [v])
+                    return None, (self._tuple(t - c * x, j - 1, x, stages)
+                                  + [x] + self._tuple(p, j - 1, x, stages)
+                                  + [v])
+                new.update(chunk)
             stages.append(new)
             old_prev, new_prev = old, new
         return stages, None

@@ -33,6 +33,7 @@ from .oracle import (
     ConflictMemory,
     IncrementalSolutionIndex,
     _Budget,
+    _mirrored,
     _mitm_pairs,
     _sides,
     _sums_decide,
@@ -227,21 +228,26 @@ class _TableIndex:
     def trial(cls, eq, n, distinct, budget):
         """The closed tables over range(n), or None where they do not pay.
 
-        The listing spends a node per table entry, scanned tuple and
-        pairing of equal side sums, whatever the answer, while the index's
-        tables cost in proportion to the sets held.  So it needs at most
-        EXACT_AUTO_LIMIT candidates, few solutions (about n**m /
-        (s*(n-1) + 1) for m variables and side sum s) and, where the sums
-        index would test, SUMS_INDEX_SPAN values of a side's sum.  It runs
-        on a budget of its own, what budget has left but at most
-        MITM_TABLE_CAP: one that finishes charges its nodes to budget, and
-        one that runs out, which leaves no set found, charges nothing.
+        The listing spends a node per table entry and pairing of equal
+        side sums, and per scanned tuple unless the equation is mirrored
+        (_mirrored), whatever the answer, while the index's tables cost in
+        proportion to the sets held.  So it needs at most EXACT_AUTO_LIMIT
+        candidates, few solutions (about n**m / (s*(n-1) + 1) for m
+        variables and side sum s) and, where the sums index would test,
+        SUMS_INDEX_SPAN values of a side's sum.  It runs on a budget of its
+        own, what budget has left but at most MITM_TABLE_CAP, and is not
+        begun when that cannot hold its table and scan: one that finishes
+        charges its nodes to budget, and one that runs out, which leaves no
+        set found, charges nothing.
         """
         span = eq.side_sum * (n - 1) + 1
         own = _Budget(min(budget.limit - budget.nodes, MITM_TABLE_CAP))
+        sides = _sides(eq)
+        if _mirrored(eq):   # the scan side's tuples are the table's
+            sides = sides[:1]
         if (n > EXACT_AUTO_LIMIT
                 or n ** eq.num_vars // span > HYPERGRAPH_SOLUTION_CAP
-                or sum(n ** len(side) for side in _sides(eq)) > own.limit
+                or sum(n ** len(side) for side in sides) > own.limit
                 or span < SUMS_INDEX_SPAN and _sums_decide(eq, distinct)):
             return None
         try:

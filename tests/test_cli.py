@@ -438,7 +438,7 @@ def test_python_m_nosol_exits_with_main(tmp_path):
     assert (version.returncode, version.stdout) == (0, nosol.__version__ + "\n")
     witness = run_module("verify", "--sym", "1,1", "--set", "1,2,3,4")
     assert witness.returncode == 1
-    assert json.loads(witness.stdout) == {"nodes": 24, "status": "witness",
+    assert json.loads(witness.stdout) == {"nodes": 20, "status": "witness",
                                           "witness": [2, 2, 1, 3],
                                           "engine": "mitm"}
     usage = run_module("search", "--sym", "1,2", "--L", "1")

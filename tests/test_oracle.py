@@ -1,9 +1,10 @@
 import copy
 import math
+from collections import Counter
 import operator
 import random
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -1234,14 +1235,16 @@ def test_is_injective_map_scan_cap_bounds_stage_k_minus_1(monkeypatch):
 
 # forced mitm: (coefficients, set, distinct, first witness, nodes spent,
 # countable solutions), recorded on the per-tuple table the sorted sums
-# replaced.  Balanced and unbalanced equations, tables on the positive and
-# the negative side, and one-position sides
+# replaced; the mirrored equations' rows (the first five and the last) as
+# their listing pairs equal-sum runs (_mirrored).  Balanced and unbalanced
+# equations, tables on the positive and the negative side, and
+# one-position sides
 MITM_PINNED = [
-    ((1, 1, -1, -1), (1, 2, 3, 5, 8), False, (2, 2, 1, 3), 33, 12),
-    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, None, 107, 0),
-    ((1, 1, -1, -1), (1, 2, 5, 11), False, None, 60, 0),
-    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, (1, 0, 1, 3), 56, 38),
-    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), True, (4, 0, 1, 9), 62, 24),
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), False, (2, 2, 1, 3), 29, 12),
+    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, None, 41, 0),
+    ((1, 1, -1, -1), (1, 2, 5, 11), False, None, 22, 0),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, (1, 0, 1, 3), 50, 38),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), True, (3, 1, 0, 4), 51, 24),
     ((1, 1, 1, -3), (0, 1, 2, 4, 7), False, (1, 0, 1, 2), 15, 21),
     ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, None, 156, 0),
     ((1, -2, 1), (0, 1, 3, 4, 9, 10), False, None, 48, 0),
@@ -1249,7 +1252,7 @@ MITM_PINNED = [
     ((3, -1, -1, -1), (0, 2, 3, 7, 11), False, (3, 0, 2, 7), 16, 15),
     ((2, 3, -1, -1, -3), (0, 1, 4, 6), False, (1, 0, 1, 1, 4), 26, 12),
     ((2, 3, -1, -1, -3), (0, 1, 4, 6, 9), True, None, 211, 0),
-    ((5, -5), (1, 2, 3, 9), False, None, 12, 0),
+    ((5, -5), (1, 2, 3, 9), False, None, 4, 0),
 ]
 
 
@@ -1266,15 +1269,17 @@ def test_mitm_pinned_witnesses_and_nodes(coeffs, values, distinct, witness,
 
 
 # (coefficients, set, distinct, budget, solutions found before the raise);
-# the budget's next node falls where the last field says
+# the budget's next node falls where the last field says.  On a mirrored
+# equation (the first five rows) a mate run is a run of equal table sums,
+# whose pairs are paid before it is walked
 MITM_LIMITS = [
     ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 24, 0, "table"),
-    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 51, 0, "mate run"),
-    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 66, 4, "scan"),
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 49, 0, "mate run"),
+    # two pairings and their mirrors before the run that runs out
+    ((1, 2, -1, -2), (0, 1, 3, 4, 9, 10, 12), False, 51, 4, "mate run"),
     ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 12, 0, "table"),
+    # every pair of the runs walked repeats a value, so none counts
     ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 32, 0, "mate run"),
-    # the scan tuple repeats a value, so none of its mates counts
-    ((1, 1, -1, -1), (1, 2, 3, 5, 8), True, 46, 0, "uncountable mate run"),
     ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, 2, 0, "table"),
     ((1, 1, 1, -3), (0, 1, 2, 4, 7), True, 9, 0, "scan"),
 ]
@@ -1308,17 +1313,18 @@ def test_mitm_table_memory_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(values), solution, nodes) == (128, None, 3 * 128 ** 2)
+    assert (len(values), solution, nodes) == (128, None, 128 ** 2)
     assert peak < 130 * 128 ** 2
 
 
 @pytest.mark.parametrize("lifted,distinct", [(True, False), (False, False),
                                              (False, True)])
 def test_mitm_skips_mirror_mates(monkeypatch, lifted, distinct):
-    # under x + 2y = z + 2w every scan tuple meets its mirror x = x', whose
-    # sides hold the same values, so a kernel that judged it would ask
-    # is_trivial; no other mate has equal value sets (z, w = y, x needs
-    # x = y), so is_trivial is never called when mirrors are dropped first
+    # under x + 2y = z + 2w every tabled tuple pairs with itself, the mirror
+    # x = x', whose sides hold the same values, so a kernel that judged it
+    # would ask is_trivial; no other pair has equal value sets (z, w = y, x
+    # needs x = y), so is_trivial is never called when mirrors are never
+    # tried
     cert = two_var_digits(1, 2)
     values = lift(cert, 4 ** 7).elements if lifted else tuple(range(20))
     eq = cert.digit_set.equation
@@ -1337,7 +1343,7 @@ def test_mitm_skips_mirror_mates(monkeypatch, lifted, distinct):
     assert calls == 0
     if lifted:       # a clean lift: the mirrors are its only mates
         assert (n, count) == (128, 0)
-        assert exhaustive_check(q, "mitm") == (None, 3 * n ** 2)
+        assert exhaustive_check(q, "mitm") == (None, n ** 2)
     else:
         assert count == brute_count(eq, values, distinct) > 0
 
@@ -1357,21 +1363,175 @@ def test_mitm_own_index_mate_counts_without_mirror():
                                     [5, 2, 1, -3, -3, -2], [5, 7, 11, -23]])
 def test_mitm_table_masks_match_decoded_pairings(coeffs):
     """Every pairing _mitm_pairs yields over non-contiguous values decodes
-    to a countable solution, whose scan positions hold the scan tuple and
-    whose values' indices are the yielded bits; in both modes the decoded
-    pairings are the naive scan's solutions."""
+    to a countable solution, whose sides hold the tuples of the yielded
+    product indices and whose values' indices are the yielded bits; in both
+    modes the decoded pairings, each with its mirror on a mirrored
+    equation, are the naive scan's solutions."""
     eq = make_equation(coeffs)
     values = (-2, 0, 1, 3, 4, 6, 9)
-    scan_idx = sorted(_sides(eq), key=len)[1]
+    table_idx, scan_idx = sorted(_sides(eq), key=len)
+    mirrored = oracle._mirrored(eq)
+    assert mirrored == (coeffs == [1, 2, 3, -1, -2, -3])
     for distinct in (False, True):
         found = []
-        for tup, r, e in oracle._mitm_pairs(eq, values, distinct,
+        for own, r, e in oracle._mitm_pairs(eq, values, distinct,
                                             _Budget(10 ** 7)):
-            x = oracle._mitm_assignment(eq, values, tup, r)
-            assert countable_solution(eq, x, distinct), (tup, r)
-            assert tuple(x[i] for i in scan_idx) == tup
-            assert e == sum({1 << values.index(v) for v in x}), (tup, r)
-            found.append(x)
+            for scan, table in [(own, r)] + [(r, own)] * mirrored:
+                x = oracle._mitm_assignment(eq, values, scan, table)
+                assert countable_solution(eq, x, distinct), (scan, table)
+                for idx, k in ((scan_idx, scan), (table_idx, table)):
+                    assert tuple(x[i] for i in idx) == next(islice(product(
+                        values, repeat=len(idx)), k, None))
+                assert e == sum({1 << values.index(v) for v in x}), (scan, table)
+                found.append(x)
         naive = oracle._naive_solutions(eq, values, distinct, _Budget(10 ** 7))
         assert sorted(found) == sorted(naive)
         assert len(found) >= 5, distinct
+
+
+def _naive_closed_tables(eq, n, distinct):
+    """_TableIndex's closed tables over range(n), from the value sets of
+    the naive engine's solutions: bit h of table x is set iff the values
+    of some solution that uses x lie among those of h and x."""
+    sets = {sum({1 << v for v in solution}) for solution in
+            oracle._naive_solutions(eq, range(n), distinct, _Budget(10 ** 8))}
+    tables = []
+    for x in range(n):
+        bits = 0
+        for h in range(2 ** x):
+            if any(e >> x & 1 and not e & ~(h | 1 << x) for e in sets):
+                bits |= 1 << h
+        tables.append(bits.to_bytes(max(1, 2 ** x // 8), "little"))
+    return tables
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_mirrored_listing_matches_the_naive_engine(distinct):
+    """The listing of mirrored equations, seeded make_symmetric ones of 2
+    to 4 generators: its closed tables over range(n) are those of the
+    naive engine's value sets; over non-contiguous values, negative ones
+    among them, the mitm engine yields the naive engine's solutions as a
+    multiset; and at every budget below the listing's nodes it raises
+    with limit + 1 nodes."""
+    rng = random.Random(33)
+    listed = 0
+    for k in (2, 2, 2, 3, 3, 3, 4, 4):
+        eq = make_symmetric([rng.randint(1, 9) for _ in range(k)])
+        assert oracle._mirrored(eq)
+        n = {2: 8, 3: 6, 4: 4}[k]
+        tables = search._TableIndex(eq, n, distinct, _Budget(10 ** 8)).tables
+        assert tables == _naive_closed_tables(eq, n, distinct), eq
+        values = tuple(sorted(rng.sample(range(-9, 12), n)))
+        full = _Budget(10 ** 8)
+        solutions = Counter(_mitm_solutions(eq, values, distinct, full))
+        assert solutions == Counter(oracle._naive_solutions(
+            eq, values, distinct, _Budget(10 ** 8))), (eq, values)
+        listed += sum(solutions.values())
+        for limit in range(1, full.nodes):
+            with pytest.raises(BudgetExhausted) as exc:
+                for _ in _mitm_solutions(eq, values, distinct, _Budget(limit)):
+                    pass
+            assert exc.value.nodes == limit + 1, (eq, values, limit)
+    assert listed >= 50
+
+
+def _chunk_walk_new_sums(self, x):
+    """IncrementalSolutionIndex._new_sums as it walked every chunk, one
+    spend and one test each, the one-sum chunks too: the reference for the
+    one pass over those chunks."""
+    values = self.values + [x]
+    spend = self.tracker.spend
+    old_prev, new_prev = (0,), ()
+    stages = []
+    for j, (c, old) in enumerate(zip(self.eq.symmetric_gen, self.sums), 1):
+        new = set()
+        built = []
+        for prev, v in [(old_prev, x)] + [(new_prev, v) for v in values
+                                          if new_prev]:
+            cv = c * v
+            chunk = [s + cv for s in prev]
+            spend(len(chunk))
+            if not old.isdisjoint(chunk):
+                t = next(s for s in chunk if s in old)
+                return None, (self._tuple(t, j, x, stages)
+                              + self._tuple(t - cv, j - 1, x, stages) + [v])
+            size = len(new)
+            new.update(chunk)
+            if len(new) < size + len(chunk):
+                t, w = next((s, w) for s in chunk for p, w in built
+                            if s - c * w in p)
+                return None, (self._tuple(t - c * w, j - 1, x, stages) + [w]
+                              + self._tuple(t - cv, j - 1, x, stages) + [v])
+            built.append((prev, v))
+        stages.append(new)
+        old_prev, new_prev = old, new
+    return stages, None
+
+
+class _ChunkWalkIndex(IncrementalSolutionIndex):
+    _new_sums = _chunk_walk_new_sums
+
+
+def _cut_twin(idx, limit):
+    """A copy of idx, of its class, with what its last legal kept and its
+    own copy of the memory, on a budget of limit nodes of which idx's are
+    spent."""
+    twin = idx.copy()
+    twin.__class__ = idx.__class__
+    twin._kept = idx._kept
+    twin.memory = copy.deepcopy(idx.memory)
+    twin.tracker = _Budget(limit)
+    twin.tracker.nodes = idx.nodes
+    return twin
+
+
+def _index_call(idx, op, x):
+    """The outcome of one legal, add or pop call on idx."""
+    if op == "legal":
+        return idx.legal(x)
+    if op == "pop":
+        return idx.pop()
+    try:
+        idx.add(x)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("gens", [[43, 69, 70], [10, 11, 31], [1, 2],
+                                  [1, 2, 4, 8]])
+def test_sums_index_one_pass_matches_the_chunk_walk(gens):
+    """The one pass over the one-sum chunks of the sums index against the
+    chunk walk it replaced, on seeded legal/add/pop sequences over values
+    that include negative ones: after each call the same answer, the same
+    tracker.nodes and the same witnesses in the memory; and at every budget
+    from 1 to the full run's nodes, the call the budget falls in raises
+    with the same nodes on both."""
+    eq = make_symmetric(gens)
+    rng = random.Random(33)
+    new, walk = IncrementalSolutionIndex(eq), _ChunkWalkIndex(eq)
+    assert new.sums is not None
+    rejected = 0
+    for _ in range(120):
+        x, r = rng.randrange(-6, 30), rng.random()
+        op = ("pop" if r < 0.1 and new.values else "add" if r < 0.2
+              else "legal")
+        twins = [_cut_twin(idx, None) for idx in (new, walk)]
+        before = new.nodes
+        outcome = _index_call(new, op, x)
+        assert outcome == _index_call(walk, op, x), (op, x, new.values)
+        assert new.nodes == walk.nodes
+        assert (new.memory.bits, new.memory.conflicts) == (
+            walk.memory.bits, walk.memory.conflicts)
+        rejected += outcome is False
+        for limit in range(before, new.nodes):
+            cuts = []
+            for twin in twins:
+                cut = _cut_twin(twin, limit)
+                with pytest.raises(BudgetExhausted) as exc:
+                    _index_call(cut, op, x)
+                cuts.append((exc.value.nodes, cut.nodes))
+            assert cuts[0] == cuts[1], (op, x, limit)
+        if op == "legal" and outcome and len(new.values) < 7:
+            assert _index_call(new, "add", x) == _index_call(walk, "add", x)
+    assert rejected >= 20
