@@ -254,7 +254,7 @@ def _mitm_pairs(eq, values, distinct, budget):
 
     if _mirrored(eq):
         end = 0
-        # lo starts a run where keys[lo] == keys[lo + 1] past the last run
+        # keys[lo] == keys[lo + 1]: a run starts at lo past the last one
         for lo in compress(range(size - 1), map(
                 int.__eq__, keys, islice(keys, 1, None))):
             if lo < end:
@@ -955,7 +955,7 @@ class IncrementalSolutionIndex:
                                   + self._tuple(t - cv, j - 1, x, stages) + [v])
                 built.append((prev, v))
             if len(new_prev) == 1:
-                p = next(iter(new_prev))
+                (p,) = new_prev
                 chunk = [p + c * v for v in values]
                 i = min(next(compress(count(), map(sums.__contains__, chunk)),
                              len(chunk)) for sums in (old, new))

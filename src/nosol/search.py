@@ -187,12 +187,14 @@ def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
 
 # expected solutions over its range past which an exact search's closed
 # tables may cost more than the legality index's.  Timed at 9 and 17
-# candidates, sym(43,69,70) at 17 (about 8,300) ran 3 times faster on the
-# tables in all mode and 10 in distinct mode, sym(1,2,3) at 9 (about
-# 10,800) 12 times slower in all mode and 4 in distinct mode.  Past the
-# cap, at 17 candidates, the tables lost 3 to 15 times in all mode on
-# sym(5,11,21), sym(2,8,18) and sym(1,5,18) (about 41,000 to 63,000), but
-# in distinct mode they ran 3 to 6 times faster
+# candidates (exact searches, medians of 5 in one process), sym(43,69,70)
+# at 17 (about 8,300) ran 9.6 times faster on the tables in all mode and
+# 24 in distinct mode; sym(1,2,3) at 9 (about 10,800) 1.5 times slower in
+# all mode and 3 times faster in distinct mode.  Past the cap, at 17
+# candidates, the tables lost 3 to 15 times in all mode on sym(5,11,21),
+# sym(2,8,18) and sym(1,5,18) (about 41,000 to 63,000), but in distinct
+# mode they ran 3 to 6 times faster (timed when the listing still scanned
+# a symmetric equation's other side)
 HYPERGRAPH_SOLUTION_CAP = 10_000
 # values a side's sum takes over range(n), s*(n-1) + 1, below which the
 # sums index (_sums_decide) keeps an exact search: its stage sets hold at
@@ -201,8 +203,10 @@ HYPERGRAPH_SOLUTION_CAP = 10_000
 # triples with entries <= 100 at 7 to 17 candidates, the tables lost on
 # 67 of 76 ranges below 1,500 values and won on 34 of 53 from 2,000; the
 # 165 ranges took 2.46 s on the index, 2.06 s on the tables and 1.82 s
-# split here.  sym(43,69,70) lost at 9 candidates (1,457 values) and won
-# at 13 and 17
+# split here (timed when the listing still scanned a symmetric equation's
+# other side).  With the run-pairing listing, sym(43,69,70) ran 1.2 times
+# faster on the tables at 9 candidates (1,457 values, under a millisecond
+# either way), 5.7 at 13 and 9.6 at 17
 SUMS_INDEX_SPAN = 2_000
 
 
