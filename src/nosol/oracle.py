@@ -565,9 +565,11 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
     Runs the staged sum scan of exhaustive_check, sum_j B**j nodes when
     injective, which holds stage k-1 and one sum range of the last (a dense
     one as a bitset of at most 8 bytes per sum, a sparse one sorted and no
-    longer than stage k-1).  A B past the budget
-    raises BudgetExhausted(B), and a B whose stage k-1, B**(k-1) sums,
-    exceeds SCAN_SUMS_CAP raises ValueError, before the scan runs.
+    longer than stage k-1).  Before the scan runs, in this order: a B past
+    the budget raises BudgetExhausted(B); a B whose stage k-1, B**(k-1)
+    sums, exceeds SCAN_SUMS_CAP raises ValueError; and a scan whose sum_j
+    B**j nodes exceed the budget raises BudgetExhausted with that total, as
+    _scan_applies sizes a scan, even where a repeat would be met sooner.
     """
     a = [int(v) for v in a]
     if len(a) < 2:
@@ -584,6 +586,9 @@ def is_injective_map(a, B: int, budget: int = DEFAULT_BUDGET) -> bool:
         raise ValueError(f"B = {B} is too large: the injectivity scan "
                          f"would hold B**{len(a) - 1} sums, past its cap "
                          f"of {SCAN_SUMS_CAP}")
+    nodes = sum(B ** j for j in range(1, len(a) + 1))
+    if nodes > budget:
+        raise BudgetExhausted(nodes)
     return _sums_repeat(a, range(1, B + 1), _Budget(budget)) is None
 
 
@@ -736,7 +741,7 @@ class IncrementalSolutionIndex:
         self.neg_coeffs = [-eq.coeffs[i] for i in self.neg_idx]
         self.values: list[int] = []
         self.held = 0       # the memory's bits of the values
-        self.symmetric = self.pos_coeffs == self.neg_coeffs
+        self.symmetric = _mirrored(eq)
         self.sums: list[set[int]] | None = None
         self.pos_subsets = self.neg_subsets = None
         self.pos_table = self.neg_table = None

@@ -11,7 +11,8 @@ set.  Over a small range, the exact search files the value set of every
 countable solution that the oracle's one meet-in-the-middle kernel
 (_mitm_pairs) yields in a table of its largest value, closes each table
 upward (_TableIndex), and tests a value by one lookup; where they do not
-pay, or their listing runs out of its trial budget, it tests on one
+pay (more expected solutions than its mode's cap allows), or their
+listing runs out of its trial budget, it tests on one
 IncrementalSolutionIndex as well.  The anytime phases' indexes share one
 ConflictMemory, which a search grid may pass from base to base
 (SearchConfig.memory): the digits found do not depend on it, only the
@@ -36,7 +37,6 @@ from .oracle import (
     _mirrored,
     _mitm_pairs,
     _sides,
-    _sums_decide,
 )
 
 MODE_EXACT = "exact"
@@ -185,29 +185,16 @@ def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     return True
 
 
-# expected solutions over its range past which an exact search's closed
-# tables may cost more than the legality index's.  Timed at 9 and 17
-# candidates (exact searches, medians of 5 in one process), sym(43,69,70)
-# at 17 (about 8,300) ran 9.6 times faster on the tables in all mode and
-# 24 in distinct mode; sym(1,2,3) at 9 (about 10,800) 1.5 times slower in
-# all mode and 3 times faster in distinct mode.  Past the cap, at 17
-# candidates, the tables lost 3 to 15 times in all mode on sym(5,11,21),
-# sym(2,8,18) and sym(1,5,18) (about 41,000 to 63,000), but in distinct
-# mode they ran 3 to 6 times faster (timed when the listing still scanned
-# a symmetric equation's other side)
+# expected solutions over its range past which an all-mode exact search's
+# closed tables may cost more than the legality index's; distinct mode
+# refuses only past MITM_TABLE_CAP.  All-mode exact searches with the
+# tables forced off and on (medians of 3 in one process, index -> tables):
+# sym(43,69,70) at 17 candidates (about 8,300 expected) 92 -> 7.5 ms and
+# sym(1,2,3) at 9 (about 10,800) 2.0 -> 2.8 ms; past the cap, at 17
+# candidates (about 41,000 to 63,000), sym(5,11,21) 51 -> 24 ms,
+# sym(2,8,18) 18 -> 28 ms and sym(1,5,18) 15 -> 15 ms; and sym(1,2,3,4)
+# at 9 (about 531,000) 4.7 -> 159 ms
 HYPERGRAPH_SOLUTION_CAP = 10_000
-# values a side's sum takes over range(n), s*(n-1) + 1, below which the
-# sums index (_sums_decide) keeps an exact search: its stage sets hold at
-# most that many sums, so its tests stay cheap, while the tables pay for
-# every solution first.  Timed in all mode on 30 seeded dissociated
-# triples with entries <= 100 at 7 to 17 candidates, the tables lost on
-# 67 of 76 ranges below 1,500 values and won on 34 of 53 from 2,000; the
-# 165 ranges took 2.46 s on the index, 2.06 s on the tables and 1.82 s
-# split here (timed when the listing still scanned a symmetric equation's
-# other side).  With the run-pairing listing, sym(43,69,70) ran 1.2 times
-# faster on the tables at 9 candidates (1,457 values, under a millisecond
-# either way), 5.7 at 13 and 9.6 at 17
-SUMS_INDEX_SPAN = 2_000
 
 
 class _TableIndex:
@@ -236,23 +223,25 @@ class _TableIndex:
         side sums, and per scanned tuple unless the equation is mirrored
         (_mirrored), whatever the answer, while the index's tables cost in
         proportion to the sets held.  So it needs at most EXACT_AUTO_LIMIT
-        candidates, few solutions (about n**m / (s*(n-1) + 1) for m
-        variables and side sum s) and, where the sums index would test,
-        SUMS_INDEX_SPAN values of a side's sum.  It runs on a budget of its
-        own, what budget has left but at most MITM_TABLE_CAP, and is not
-        begun when that cannot hold its table and scan: one that finishes
-        charges its nodes to budget, and one that runs out, which leaves no
-        set found, charges nothing.
+        candidates and few expected solutions, n**m // (s*(n-1) + 1) for m
+        variables and side sum s: at most HYPERGRAPH_SOLUTION_CAP in all
+        mode, where the index's tests stay cheap, and at most
+        MITM_TABLE_CAP, the most a trial may spend, in distinct mode, where
+        the tables ran 3 to 60 times faster past the all-mode cap.  It runs
+        on a budget of its own, what budget has left but at most
+        MITM_TABLE_CAP, and is not begun when that cannot hold its table
+        and scan: one that finishes charges its nodes to budget, and one
+        that runs out, which leaves no set found, charges nothing.
         """
-        span = eq.side_sum * (n - 1) + 1
         own = _Budget(min(budget.limit - budget.nodes, MITM_TABLE_CAP))
         sides = _sides(eq)
         if _mirrored(eq):   # the scan side's tuples are the table's
             sides = sides[:1]
+        solutions = n ** eq.num_vars // (eq.side_sum * (n - 1) + 1)
         if (n > EXACT_AUTO_LIMIT
-                or n ** eq.num_vars // span > HYPERGRAPH_SOLUTION_CAP
-                or sum(n ** len(side) for side in sides) > own.limit
-                or span < SUMS_INDEX_SPAN and _sums_decide(eq, distinct)):
+                or solutions > (MITM_TABLE_CAP if distinct
+                                else HYPERGRAPH_SOLUTION_CAP)
+                or sum(n ** len(side) for side in sides) > own.limit):
             return None
         try:
             index = cls(eq, n, distinct, own)

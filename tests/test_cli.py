@@ -686,6 +686,20 @@ def test_sweep_huge_c_gets_its_exit_code(capsys, C, code):
                                    "nodes": 10 ** 20}
 
 
+def test_sweep_scan_past_the_budget_exits_before_it_starts(
+        capsys, monkeypatch):
+    # B = 10**4: the sample's scan would spend B + B**2 nodes, past the
+    # default budget; it once ran 30 s and 214 MB before it ran out
+    def scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(oracle, "_sums_repeat", scan)
+    assert main(["sweep", "--k", "2", "--C", str(10 ** 20), "--eps", "0.3",
+                 "--samples", "1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "budget-exhausted", "nodes": 100_010_000}
+
+
 @pytest.mark.parametrize("C,B", [(10 ** 40, 10 ** 8), (10 ** 100, 10 ** 20)])
 def test_sweep_b_past_the_scan_cap_is_usage_error(capsys, C, B):
     # B fits the budget but its scan's first stage, B sums, does not fit

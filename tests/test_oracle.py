@@ -1205,6 +1205,20 @@ def test_is_injective_map_over_budget_raises_at_once(B):
     assert exc.value.nodes == B
 
 
+def test_is_injective_map_sizes_its_scan_before_it_starts(monkeypatch):
+    """B = 10**4 fits the budget and the scan cap, but the scan's B + B**2
+    nodes do not fit the default 10**8: the map raises with that total
+    before the scan starts.  The scan once ran 30 s and 214 MB to that
+    count."""
+    def scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(oracle, "_sums_repeat", scan)
+    with pytest.raises(BudgetExhausted) as exc:
+        is_injective_map([10 ** 20 + 39, 10 ** 20 + 7], 10 ** 4)
+    assert exc.value.nodes == 100_010_000
+
+
 @pytest.mark.parametrize("a,B,message", [
     ([3], 5, "at least two coefficients"),
     ([1, 0], 5, "coefficients must be positive"),

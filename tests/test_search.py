@@ -447,7 +447,7 @@ def test_43_69_70_all_mode_grid_nodes(tmp_path, capsys):
     assert [(row["L"], tuple(row["digits"]), row["exhausted"], row["nodes"])
             for row in table] == [
         (L, digits, exhausted, nodes) for (L, digits, _, exhausted), nodes
-        in zip(ROWS_43_69_70_ALL, [160, 675, 14678, 5663, 8127, 21626,
+        in zip(ROWS_43_69_70_ALL, [130, 778, 14678, 5663, 8127, 21626,
                                    66324, 267314])]
 
 
@@ -511,11 +511,12 @@ SEARCH_TABLE = [
      "greedy seed[8] pseed[8] seed[16] pseed[16] seed[32] pseed[32] seed[64] "
      "pseed[64] seed[128] pseed[128] seed[256] pseed[256] extend[256] "
      "extend[8] extend[16]"),
-    # ranges that run on the index: the sums index keeps a narrow range,
-    # and a listing that would not fit the budget is not begun
-    (("sym", (5, 11, 21)), False, 3, 200, (0, 1), (0, 1), True, 118, "exact"),
+    # all-mode ranges of a dissociated equation on the closed tables, at
+    # any span of its side sums; and a range on the index: a listing that
+    # would not fit the budget is not begun
+    (("sym", (5, 11, 21)), False, 3, 200, (0, 1), (0, 1), True, 91, "exact"),
     (("sym", (43, 69, 70)), False, 8, 10 ** 9 // 8,
-     tuple(range(8)), tuple(range(8)), True, 675, "exact"),
+     tuple(range(8)), tuple(range(8)), True, 778, "exact"),
     (("sym", (12, 14, 27)), True, 8, 700,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), False, 715, "exact"),
 ]
@@ -566,8 +567,16 @@ def test_hypergraph_exact_search_matches_the_index(monkeypatch, distinct):
 
     monkeypatch.setattr(search._Tracker, "offer", recorded)
     rng = random.Random(16)
-    for eq in _random_equations(rng, 24):
-        L = eq.side_sum * rng.randint(3, 11) + 1
+    cases = [(eq, eq.side_sum * rng.randint(3, 11) + 1)
+             for eq in _random_equations(rng, 24)]
+    if distinct:    # 18 to 22 candidates, where only distinct mode lists
+        cases += [(eq, eq.side_sum * (n - 1) + 1) for eq, n in (
+            (make_symmetric([43, 69, 70]), 18),
+            (make_equation([2, 2, -3, -1]), 19),
+            (make_equation([4, -1, -1, -2]), 20),
+            (make_equation([6, -5, -3, 2]), 21),
+            (make_equation([3, -1, -1, -1]), 22))]
+    for eq, L in cases:
         runs = []
         for hypergraph in (True, False):
             monkeypatch.setattr(search._TableIndex, "trial", classmethod(
@@ -620,6 +629,32 @@ def test_refused_table_trial_charges_nothing(monkeypatch, distinct):
             refused += 1
             assert tried == run(lambda cls, *args: None), (eq, mode, budget, n)
     assert refused >= 10
+
+
+def test_table_trial_caps_expected_solutions_by_mode(monkeypatch):
+    """At a budget of 10**8, _TableIndex.trial lists a distinct-mode range
+    whose expected solutions fit MITM_TABLE_CAP and an all-mode one under
+    HYPERGRAPH_SOLUTION_CAP, at any span of its side sums, and refuses a
+    range past its mode's cap before any listing begins."""
+    trial = search._TableIndex.trial
+    for gens, distinct, n in [
+            ((5, 11, 21), True, 17), ((5, 11, 21), True, 22),
+            *[((43, 69, 70), True, n) for n in range(18, 23)],
+            ((1, 2, 3), True, 9),
+            ((43, 69, 70), False, 5), ((43, 69, 70), False, 9)]:
+        budget = _Budget(10 ** 8)
+        assert trial(make_symmetric(gens), n, distinct, budget) is not None, (
+            gens, distinct, n)
+        assert budget.nodes > 0
+
+    def listing(*args):
+        raise AssertionError("a refused range began its listing")
+
+    monkeypatch.setattr(search, "_mitm_pairs", listing)
+    for distinct, n in ((True, 17), (False, 9)):
+        budget = _Budget(10 ** 8)
+        assert trial(make_symmetric([1, 2, 3, 4]), n, distinct, budget) is None
+        assert budget.nodes == 0
 
 
 @pytest.mark.parametrize("distinct", [False, True])
