@@ -56,11 +56,12 @@ SCAN_SUMS_CAP = 4_000_000
 # inputs of 4,096 to 2,048,000 sums, the bitset took 0.16-0.57 of the
 # sort's time at about 32 words per sum and 0.29-1.14 at about 64
 BITSET_WORDS_PER_SUM = 32
-# entries in the first piece of a full chunk that a distinct-mode legality
-# test builds (IncrementalSolutionIndex._new_full_sums); each next piece is
-# twice as long.  A rejection's witness mostly lies in the first few dozen
-# of a chunk's entries, n(n-1) of them for three positions a side and n
-# values, about 1,500 at n = 39
+# entries in the first piece of each full chunk that a distinct-mode
+# legality test builds (IncrementalSolutionIndex._new_full_sums); each next
+# piece is twice as long, and round r tests piece r of every chunk.  A
+# rejection's witness mostly lies in the first few dozen of its chunk's
+# entries, n(n-1) of them for three positions a side and n values, about
+# 1,500 at n = 39
 FIRST_PIECE = 32
 
 
@@ -700,15 +701,18 @@ class IncrementalSolutionIndex:
     holds it once, on one side, and only old values on the other side.  So
     ``legal(x)`` builds, for each position p of a side, the full tuples
     with x at p as one chunk (the tuples on the other positions, shifted by
-    c_p*x), and tests its sums against the other side's full table.  The
-    chunk is built and tested in pieces, FIRST_PIECE entries and then twice
-    as many as the piece before, so a rejection spends the entries of the
-    pieces up to the one that holds its witness, never more than the whole
-    chunk.  Only a sum met there costs pairings, one per mate, walked in
-    entry and mate order and spent together at the piece's end or at the
-    witness; a pairing is a solution when the two masks share no bit.  A
-    symmetric equation tests one side: the tuples with x on the other side
-    mirror it.
+    c_p*x), and tests its sums against the other side's full table.  Each
+    chunk is cut into pieces, FIRST_PIECE entries and then twice as many as
+    the piece before, and the chunks are walked in rounds: round r builds
+    and tests piece r of every chunk, sides then positions, before piece
+    r + 1 of any.  So a rejection spends the entries of the pieces walked
+    up to the one that holds its witness, wherever its chunk comes, never
+    more than the whole chunks.  Only a sum met there costs pairings, one
+    per mate, walked in entry and mate order and spent together at the
+    piece's end or at the witness; a pairing is a solution when the two
+    masks share no bit.  The order moves the witness found, not the
+    answer.  A symmetric equation tests one side: the tuples with x on the
+    other side mirror it.
 
     Tuple accounting (all mode): a tuple costs one node when it is built
     and a pairing of two tuples one node when it is tested.  New tuples are
@@ -779,41 +783,45 @@ class IncrementalSolutionIndex:
         one of them meets a mate of equal sum on the other side that shares
         no value with it, the witness being the values of both.
 
-        Each list is built in pieces, the first FIRST_PIECE sums long and
-        each next one twice as long, and each piece is spent and tested
-        before the next is built, so a rejection stops after the piece
-        that holds its witness."""
+        Each (side, position) list is a lane, built in pieces, the first
+        FIRST_PIECE sums long and each next one twice as long.  Round r
+        builds, spends and tests piece r of every lane, sides then
+        positions, before piece r + 1 of any lane, so a rejection stops
+        after the piece that holds its witness, whichever lane it is in."""
         spend = self.tracker.spend
-        kept = []
+        kept, lanes = [], []
         for coeffs, subsets, mates in self._mask_sides():
-            keys, get = mates.keys(), mates.get
             chunks = []
             for sums, masks, cx in _full_shifts(coeffs, subsets, x):
-                new = []
-                lo, size = 0, FIRST_PIECE
-                while lo < len(sums):
-                    hi = lo + size
-                    piece = [s + cx for s in sums[lo:hi]]
-                    spend(len(piece))
-                    if not keys.isdisjoint(piece):
-                        pairs = 0
-                        for s, m in zip(piece, masks[lo:hi]):
-                            bucket = get(s)
-                            if bucket is None:
-                                continue
-                            for mate in ((bucket,) if bucket.__class__ is int
-                                         else bucket):
-                                pairs += 1
-                                if not m & mate:
-                                    spend(pairs)
-                                    m |= mate
-                                    return None, [v for i, v in enumerate(
-                                        self.values) if m >> i & 1]
-                        spend(pairs)
-                    new += piece
-                    lo, size = hi, 2 * size
-                chunks.append(new)
+                chunks.append([])
+                if sums:
+                    lanes.append((sums, masks, cx, chunks[-1], mates.keys(),
+                                  mates.get))
             kept.append(chunks)
+        lo, size = 0, FIRST_PIECE
+        while lanes:
+            hi = lo + size
+            for sums, masks, cx, new, keys, get in lanes:
+                piece = [s + cx for s in sums[lo:hi]]
+                spend(len(piece))
+                if not keys.isdisjoint(piece):
+                    pairs = 0
+                    for s, m in zip(piece, masks[lo:hi]):
+                        bucket = get(s)
+                        if bucket is None:
+                            continue
+                        for mate in ((bucket,) if bucket.__class__ is int
+                                     else bucket):
+                            pairs += 1
+                            if not m & mate:
+                                spend(pairs)
+                                m |= mate
+                                return None, [v for i, v in enumerate(
+                                    self.values) if m >> i & 1]
+                    spend(pairs)
+                new += piece
+            lanes = [lane for lane in lanes if hi < len(lane[0])]
+            lo, size = hi, 2 * size
         return kept, None
 
     def _add_masks(self, x, kept) -> None:

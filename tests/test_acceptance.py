@@ -135,7 +135,7 @@ ROWS_43_69_70 = [
 ]
 # each row's nodes, pinned too: the grid's bases share one conflict memory,
 # so a row's count depends on the rows before it
-NODES_43_69_70 = [130, 778, 18963, 7652, 17009, 67103, 296176, 952451]
+NODES_43_69_70 = [130, 778, 18963, 6993, 14907, 63929, 270418, 656180]
 
 
 def test_criterion_05_43_69_70_computer_check(search_43_69_70):

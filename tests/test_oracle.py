@@ -533,53 +533,89 @@ def test_incremental_index_copy_is_independent(eq, distinct, representation):
             assert index_state(original) == fresh_index_state(original)
 
 
+def rounds_reference(idx, x):
+    """(answer, witness mask, nodes, round, lane) of idx.legal(x) in
+    distinct mode, walked over whole chunks: each lane, a side's full
+    tuples with x at one position, is cut into pieces of FIRST_PIECE
+    entries and then twice as many, and round r tests piece r of every
+    lane in turn.  A piece's entries cost a node each, and each mate of
+    an entry's sum a node; remembered conflicts are scanned first.
+    witness is the memory's bits of the held values of the solution."""
+    memory = idx.memory
+    if idx.held & memory.bits.get(x, 0):
+        return False, None, 0, None, None
+    conflicts = memory.conflicts.get(x, [])
+    for i, w in enumerate(conflicts, 1):
+        if w & idx.held == w:
+            return False, None, i, None, None
+    nodes = len(conflicts)
+    lanes = []
+    for coeffs, subsets, mates in idx._mask_sides():
+        full = len(subsets) - 1
+        for p, c in enumerate(coeffs):
+            sums, masks = subsets[full ^ (1 << p)]
+            lanes.append(([s + c * x for s in sums], masks, mates))
+    lo, size, r = 0, oracle.FIRST_PIECE, 0
+    while any(lo < len(sums) for sums, _, _ in lanes):
+        for lane, (sums, masks, mates) in enumerate(lanes):
+            piece = range(lo, min(lo + size, len(sums)))
+            nodes += len(piece)
+            for i in piece:
+                bucket = mates.get(sums[i], [])
+                for mate in [bucket] if isinstance(bucket, int) else bucket:
+                    nodes += 1
+                    if not masks[i] & mate:
+                        both = masks[i] | mate
+                        witness = 0
+                        for j, v in enumerate(idx.values):
+                            if both >> j & 1:
+                                witness |= memory.bits[v]
+                        return False, witness, nodes, r, lane
+        lo, size, r = lo + size, 2 * size, r + 1
+    return True, None, nodes, None, None
+
+
 @pytest.mark.parametrize("eq", [make_symmetric([211, 347, 509]),
                                 make_equation([5, 7, 11, -23])])
-def test_distinct_index_pieces_differential(monkeypatch, eq):
+def test_distinct_index_pieces_differential(eq):
     """Random legal/add/pop sequences in distinct mode over range(60), on
     held sets that reach 11-14 values, so that a position's full chunk,
     n(n-1) tuples on a side of three positions, spans three pieces or
-    more.  Each answer agrees with mitm, which shares no code with the
-    index, and each remembered conflict plus its key holds a solution
-    that uses the key.  Built whole (one piece per chunk), the same
-    sequence gives the same answers and witnesses, and no test spends
-    fewer nodes than with pieces."""
-    def replay():
-        rng = random.Random(20261020)
-        idx = IncrementalSolutionIndex(eq, distinct=True)
-        log = []
-        for _ in range(400):
-            x = rng.randrange(60)
-            if rng.random() < 0.1 and idx.values:
-                idx.pop()
-                continue
-            remembered = any(w & idx.held == w
-                             for w in idx.memory.conflicts.get(x, ()))
-            before = idx.nodes
-            answer = idx.legal(x)
-            log.append((tuple(idx.values), x, answer, remembered,
-                        idx.nodes - before))
-            if answer and len(idx.values) < 14:
-                idx.add(x)
-        return idx.memory, log
-
-    memory, log = replay()
-    monkeypatch.setattr(oracle, "FIRST_PIECE", 10 ** 9)
-    whole_memory, whole_log = replay()
-    assert [step[:4] for step in log] == [step[:4] for step in whole_log]
-    assert (memory.bits, memory.conflicts) == (whole_memory.bits,
-                                               whole_memory.conflicts)
-    assert all(step[4] <= whole[4] for step, whole in zip(log, whole_log))
-    # rejections built from the index's tables on 11 values or more
-    built = [(step[4], whole[4]) for step, whole in zip(log, whole_log)
-             if len(step[0]) >= 11 and not step[2] and not step[3]
-             and step[1] not in step[0]]
-    assert max(len(step[0]) for step in log) == 14
+    more.  Each test's answer, witness and nodes are those of a plain
+    walk over whole chunks in round order, and the memory holds exactly
+    the witnesses it gave.  Each answer agrees with mitm, which shares no
+    code with the index, and each remembered conflict plus its key holds
+    a solution that uses the key."""
+    rng = random.Random(20261020)
+    idx = IncrementalSolutionIndex(eq, distinct=True)
+    memory = idx.memory
+    log, conflicts, found = [], {}, []
+    for _ in range(400):
+        x = rng.randrange(60)
+        if rng.random() < 0.1 and idx.values:
+            idx.pop()
+            continue
+        answer, witness, nodes, r, lane = rounds_reference(idx, x)
+        before = idx.nodes
+        assert idx.legal(x) == answer
+        assert idx.nodes - before == nodes
+        if witness is not None:
+            conflicts.setdefault(x, []).append(witness)
+            found.append((len(idx.values), r, lane))
+        assert memory.conflicts == conflicts
+        log.append((tuple(idx.values), x, answer))
+        if answer and len(idx.values) < 14:
+            idx.add(x)
+    assert max(len(values) for values, _, _ in log) == 14
+    # rejections built from the index's tables on 11 values or more, some
+    # of them met in a later round, and some in a later lane of a round
+    built = [(r, lane) for n, r, lane in found if n >= 11]
     assert len(built) >= 50
-    assert sum(nodes < whole for nodes, whole in built) >= 30
+    assert any(r >= 2 for r, _ in built)
+    assert any(r >= 1 and lane >= 1 for r, lane in built)
 
     expected = {}
-    for values, x, answer, _, _ in log:
+    for values, x, answer in log:
         if x in values:
             assert not answer
             continue

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nosol import search
+from nosol import oracle, search
 from nosol.cli import main
 from nosol.equations import is_dissociated, make_equation, make_symmetric
 from nosol.oracle import (
@@ -16,6 +16,7 @@ from nosol.oracle import (
     IncrementalSolutionIndex,
     SolutionQuery,
     _Budget,
+    _mirrored,
     _naive_solutions,
     find_nontrivial_solution,
 )
@@ -235,12 +236,12 @@ def test_seed_phase_that_repeats_greedy_reuses_it_within_budget():
     # the budget left covers greedy's nodes: reused, at no cost
     reused = run(2 * g)
     assert reused.phases[:2] == full.phases[:2] and len(reused.phases) > 2
-    # one node short: the phase runs, and its r nodes leave the last phase
-    # less
+    # one node short: the phase runs, and its r nodes cut the run one phase
+    # earlier, in the phase before reused's last
     short = run(2 * g - 1)
-    assert short.phases[:-1] == reused.phases[:-1]
-    assert (short.phases[-1], reused.phases[-1]) == (("extend[8]", 6),
-                                                      ("extend[8]", 8))
+    assert short.phases[:-1] == reused.phases[:-2]
+    assert (short.phases[-1], reused.phases[-2:]) == (
+        ("pseed[32]", 8), [("pseed[32]", 9), ("extend[8]", 5)])
     # a budget of g + r covers greedy and the phase, and nothing after: the
     # phase adds 0..7 to the prefix index untested, which spends what the
     # replay's accepting tests of them do, and scans rows 8..32 as it does
@@ -460,17 +461,17 @@ SEARCH_TABLE = [
     (("sym", (3, 5, 17)), True, 8, 30000,
      (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True, 2041, "exact"),
     (("sym", (3, 5, 17)), True, 64, 30000,
-     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 13618,
+     (0, 1, 2, 3, 4, 5, 35, 45), (0, 1, 2, 3, 4, 5), False, 12588,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
      "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
      "extend[5] extend[6] extend[8]"),
     (("sym", (3, 5, 17)), True, 300, 3000,
-     (0, 1, 2, 3, 4, 5, 35), (0, 1, 2, 3, 4, 5), False, 3019, "greedy"),
+     (0, 1, 2, 3, 4, 5, 35), (0, 1, 2, 3, 4, 5), False, 3011, "greedy"),
     (("sym", (3, 5, 17)), True, 300, 30000,
-     (0, 1, 2, 3, 4, 5, 35, 45, 86), (0, 1, 2, 3, 4, 5), False, 30018,
-     "greedy"),
+     (0, 1, 2, 3, 4, 5, 35, 45, 86), (0, 1, 2, 3, 4, 5), False, 30031,
+     "greedy seed[5] seed[6] seed[8]"),
     (("sym", (3, 5, 17)), True, 300, 10 ** 7,
-     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 139203,
+     (0, 1, 2, 3, 4, 5, 35, 45, 90, 300), (0, 1, 2, 3, 4, 5), False, 98278,
      "greedy seed[5] seed[6] seed[8] seed[10] seed[12] seed[14] seed[16] "
      "seed[17] seed[20] seed[22] seed[32] seed[34] seed[64] pseed[64] "
      "seed[128] pseed[128] seed[256] pseed[256] extend[8] extend[10] "
@@ -535,6 +536,40 @@ def test_search_table(equation, distinct, M, budget, digits, best, exhausted,
             " ".join(name for name, _ in res.phases)) == (
         digits, best, exhausted, nodes, phases)
 
+
+
+def test_distinct_search_answers_do_not_depend_on_the_round_order(
+        monkeypatch):
+    """A distinct-mode legality test walks its lanes, one per side and
+    position, in rounds of pieces.  With FIRST_PIECE past any chunk's
+    length each lane is one piece, and the lanes are walked one after
+    another.  Either way, a full-budget search of seeded symmetric and
+    non-mirrored equations gives the same digits, best-rate digits,
+    exhausted flag and phases; only the nodes move."""
+    rng = random.Random(20261035)
+    eqs = [make_symmetric(sorted(rng.sample(range(1, 40), 3)))
+           for _ in range(4)]
+    while len(eqs) < 8:
+        pos = [rng.randint(1, 12) for _ in range(rng.randint(2, 3))]
+        neg = [rng.randint(1, 12) for _ in range(rng.randint(1, 2))]
+        if sum(neg) < sum(pos):
+            eq = make_equation(pos + [-c for c in neg + [sum(pos) - sum(neg)]])
+            if not _mirrored(eq):
+                eqs.append(eq)
+
+    def runs():
+        for eq in eqs:
+            for M in (32, 64, 128):
+                res = max_digit_set(eq, eq.side_sum * M + 1,
+                                    SearchConfig(budget=10 ** 8), distinct=True)
+                yield (res.digits, res.best_rate_digits, res.exhausted,
+                       res.phases), res.nodes
+
+    rounds = list(runs())
+    monkeypatch.setattr(oracle, "FIRST_PIECE", 10 ** 9)
+    lanes = list(runs())
+    assert [answer for answer, _ in rounds] == [answer for answer, _ in lanes]
+    assert any(a != b for (_, a), (_, b) in zip(rounds, lanes))
 
 def _random_equations(rng, count):
     """Symmetric equations of two or three generators, and equations of
