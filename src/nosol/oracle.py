@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice, product
-from math import perm
+from math import inf
 from operator import eq, mul
 
 from .certificates import MODE_DISTINCT, Certificate
@@ -674,8 +674,9 @@ class IncrementalSolutionIndex:
       full position set it is a dict from a sum to its mask, bare while
       the sum has one tuple, else to the list of their masks;
     - tuples, otherwise: for each side of the equation a table
-      (``pos_table``, ``neg_table``) mapping one-side sums to the value
-      tuples achieving them.
+      (``pos_table``, ``neg_table``) mapping one-side sums to the tuple of
+      the value tuples achieving them; a filed bucket is never changed in
+      place, so a copy of a table shares them.
 
     When both sides have the same coefficients (a symmetric equation), the
     sides share their tuples and one table.  Adding a candidate value only
@@ -685,8 +686,9 @@ class IncrementalSolutionIndex:
     it without building or spending again; ``pop`` and any other ``legal``
     or ``add`` drop it.  ``add`` spends its nodes before it changes any
     table, so a BudgetExhausted leaves the index as it was, and it keeps
-    no undo record: ``pop`` rebuilds what the last ``add`` filed, spending
-    nothing, and removes it (recomputing, not trailing: Schulte, ICLP 1999).
+    no undo record: a search that returns to an earlier state branches on
+    a ``copy`` (copying, not trailing: Schulte, ICLP 1999), and ``pop``
+    rebuilds the index from the values before the last, spending nothing.
 
     Sums accounting: a sum costs one node when it is built.  The new sums
     are built stage by stage, each stage in chunks (x appended to the
@@ -868,29 +870,6 @@ class IncrementalSolutionIndex:
                 else:
                     bucket.append(m)
 
-    def _pop_masks(self, x) -> None:
-        """Undo _add_masks of x, just popped from values: the full chunks it
-        filed are rebuilt from the first perm(n, k-1) entries of the
-        position sets they shift, the tuples of the n values held before x."""
-        n = len(self.values)
-        for coeffs, subsets, _ in self._mask_sides():
-            table, size = subsets[-1], perm(n, len(coeffs) - 1)
-            for sums, _, cx in _full_shifts(coeffs, subsets, x):
-                for s in sums[:size]:
-                    s += cx
-                    bucket = table[s]
-                    if bucket.__class__ is int:
-                        del table[s]
-                    elif len(bucket) == 2:
-                        table[s] = bucket[0]
-                    else:
-                        bucket.pop()
-            # a position set S holds the perm(n, |S|) tuples of n values
-            for S in range(1, len(subsets) - 1):
-                sums, masks = subsets[S]
-                size = perm(n, S.bit_count())
-                del sums[size:], masks[size:]
-
     def _new_tuples(self, coeffs, x):
         """Chunks (tuples, sums) covering, in product order, every tuple over
         values+[x] that uses x.  A chunk's tuples differ only in the last
@@ -1052,7 +1031,7 @@ class IncrementalSolutionIndex:
                                      (self.neg_table,), True, pos_chunks)
         if found is not None:
             return None, found[0] + found[1]
-        new_pos: dict[int, list[tuple[int, ...]]] = {}
+        new_pos: dict[int, tuple[tuple[int, ...], ...]] = {}
         _store(new_pos, pos_chunks)
         if self.symmetric:
             # the sides' tuples and tables coincide, and each pairing of a
@@ -1137,7 +1116,8 @@ class IncrementalSolutionIndex:
     def copy(self) -> IncrementalSolutionIndex:
         """An independent index holding the same values in the same order.
         It spends on the same budget and shares the ConflictMemory; its
-        tables are copied, and copying spends nothing."""
+        tables are copied, sharing only a tuples table's buckets, which no
+        index changes in place, and copying spends nothing."""
         twin = object.__new__(IncrementalSolutionIndex)
         twin.__dict__.update(self.__dict__)
         twin.values = self.values.copy()
@@ -1149,32 +1129,22 @@ class IncrementalSolutionIndex:
             twin.neg_subsets = (twin.pos_subsets if self.symmetric
                                 else _copy_subsets(self.neg_subsets))
         else:
-            twin.pos_table = {s: bucket.copy()
-                              for s, bucket in self.pos_table.items()}
+            twin.pos_table = self.pos_table.copy()
             twin.neg_table = (twin.pos_table if self.symmetric
-                              else {s: bucket.copy()
-                                    for s, bucket in self.neg_table.items()})
+                              else self.neg_table.copy())
         return twin
 
     def pop(self) -> int:
-        """Drop the last value added, and return it; see the class notes."""
-        self._kept = None
-        x = self.values.pop()
-        self.held ^= self.memory.bits[x]
-        if self.sums is not None:
-            # x's stage-j sums: x on any (j-1)-sum, a value left on x's own
-            old_prev, new_prev = (0,), ()
-            for c, stage in zip(self.eq.symmetric_gen, self.sums):
-                new = {s + c * x for p in (old_prev, new_prev) for s in p}
-                new.update([s + c * v for v in self.values for s in new_prev])
-                stage -= new
-                old_prev, new_prev = stage, new
-        elif self.distinct:
-            self._pop_masks(x)
-        else:
-            _unstore(self.pos_table, self._new_tuples(self.pos_coeffs, x))
-            if not self.symmetric:
-                _unstore(self.neg_table, self._new_tuples(self.neg_coeffs, x))
+        """Drop the last value added, and return it, spending nothing: the
+        index is rebuilt from the values before it on a budget of its own,
+        and keeps its memory and its budget."""
+        x = self.values[-1]
+        fresh = IncrementalSolutionIndex(self.eq, self.distinct,
+                                         _Budget(inf), self.memory)
+        for v in self.values[:-1]:
+            fresh.add(v)
+        fresh.tracker = self.tracker
+        self.__dict__.update(fresh.__dict__)
         return x
 
 
@@ -1205,25 +1175,15 @@ def _full_shifts(coeffs, subsets, x):
 
 
 def _store(table, chunks) -> None:
+    """File each chunk's tuples under their sums.  A bucket is replaced by
+    a longer tuple, never changed in place, so copies of the table may
+    share it."""
     for tups, sums in chunks:
         # a chunk's tuples differ in one value, so its sums are distinct and
         # keys new to the table need no bucket lookups
         if table.keys().isdisjoint(sums):
-            table.update(zip(sums, [[tup] for tup in tups]))
+            table.update(zip(sums, [(tup,) for tup in tups]))
             continue
+        get = table.get
         for tup, s in zip(tups, sums):
-            bucket = table.get(s)
-            if bucket is None:
-                table[s] = [tup]
-            else:
-                bucket.append(tup)
-
-
-def _unstore(table, chunks) -> None:
-    # the tuples of the table's last _store end their buckets
-    for _, sums in chunks:
-        for s in sums:
-            bucket = table[s]
-            bucket.pop()
-            if not bucket:
-                del table[s]
+            table[s] = get(s, ()) + (tup,)

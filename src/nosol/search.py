@@ -12,11 +12,11 @@ countable solution that the oracle's one meet-in-the-middle kernel
 (_mitm_pairs) yields in a table of its largest value, closes each table
 upward (_TableIndex), and tests a value by one lookup; where they do not
 pay (more expected solutions than its mode's cap allows), or their
-listing runs out of its trial budget, it tests on one
-IncrementalSolutionIndex as well.  The anytime phases' indexes share one
-ConflictMemory, which a search grid may pass from base to base
-(SearchConfig.memory): the digits found do not depend on it, only the
-nodes spent.  Everything is deterministic: rerunning a search reproduces
+listing runs out of its trial budget, it tests on an
+IncrementalSolutionIndex, branching on its copies.  The anytime phases'
+indexes share one ConflictMemory, which a search grid may pass from base
+to base (SearchConfig.memory): the digits found do not depend on it, only
+the nodes spent.  Everything is deterministic: rerunning a search reproduces
 the same sets bit for bit.
 """
 
@@ -94,7 +94,10 @@ class SearchResult:
     digits: tuple[int, ...]            # largest set found (canonical witness)
     exhausted: bool
     nodes: int
-    best_rate_digits: tuple[int, ...]  # prefix maximizing log|D|/log(s*max+1)
+    # the first set of the highest tight_rate among those the search met:
+    # every set an anytime phase held after a gain; in exact mode every
+    # improving leaf, offered before its proper prefixes, longest first
+    best_rate_digits: tuple[int, ...]
     phases: list = field(default_factory=list)
 
 
@@ -151,35 +154,41 @@ def _seed_bases(eq: Equation, cap: int) -> list[int]:
 
 def _exact_branch_and_bound(eq, n, budget, tracker, distinct) -> bool:
     """Full include-first DFS over the candidates 0..n-1 in increasing order,
-    on a stack whose entry i >= 0 enters candidate i and ~i leaves the include
-    branch of i for its exclude branch; each branch costs one node.  Where
-    the range's closed solution tables pay (_TableIndex.trial), a test is
-    one lookup in them; else one IncrementalSolutionIndex tests legality,
-    whose work grows with the values held, so that a budget cut still
-    leaves the sets found.  Returns whether the whole tree was enumerated
-    within budget, the search's _Budget."""
+    on a stack of (index, i) entries, each entering candidate i with the
+    values of index; each entry it expands costs one node.  A legal i
+    branches: a copy of the index, taken before i is added, enters i + 1
+    on the exclude branch once the include branch is done (copying, not
+    undoing: Schulte, ICLP 1999).  Where the range's closed solution
+    tables pay (_TableIndex.trial), a test is one lookup in them; else an
+    IncrementalSolutionIndex tests legality, whose work grows with the
+    values held, so that a budget cut still leaves the sets found.  An
+    improving leaf is offered, and then its proper prefixes, longest
+    first, which are solution-free too, for the best rate.  Returns
+    whether the whole tree was enumerated within budget, the search's
+    _Budget."""
     best_here = 0
-    stack = [0]
     try:
         index = (_TableIndex.trial(eq, n, distinct, budget)
                  or IncrementalSolutionIndex(eq, distinct=distinct,
                                              budget=budget))
+        stack = [(index, 0)]
         while stack:
-            i = stack.pop()
-            if i < 0:
-                index.pop()
-                i = ~i + 1
+            index, i = stack.pop()
             size = len(index.values)
             if i == n:
                 if size > best_here:
                     best_here = size
-                    tracker.offer(sorted(index.values), budget.nodes, "exact")
+                    leaf = sorted(index.values)
+                    for end in range(size, 0, -1):
+                        tracker.offer(leaf[:end], budget.nodes, "exact")
             elif size + (n - i) > best_here:  # else it cannot beat the incumbent
                 budget.spend()
                 if index.legal(i):
+                    # the copy is taken after legal, so add stores what
+                    # legal kept
+                    stack.append((index.copy(), i + 1))
                     index.add(i)
-                    stack.append(~i)
-                stack.append(i + 1)
+                stack.append((index, i + 1))
     except BudgetExhausted:
         return False
     return True
@@ -199,7 +208,8 @@ HYPERGRAPH_SOLUTION_CAP = 10_000
 
 class _TableIndex:
     """Legality over range(n) on closed solution tables, for values added
-    in ascending order: a test is one lookup, and it spends nothing.
+    in ascending order: a test is one lookup, and it spends nothing.  A
+    copy shares the tables.
 
     tables[x] has bit h set iff the values of the mask h, all below x, and
     x hold a countable solution that uses x.  The one meet-in-the-middle
@@ -282,8 +292,13 @@ class _TableIndex:
         self.values.append(x)
         self.held |= 1 << x
 
-    def pop(self) -> None:
-        self.held ^= 1 << self.values.pop()
+    def copy(self) -> _TableIndex:
+        """An index holding the same values, sharing the tables."""
+        twin = object.__new__(_TableIndex)
+        twin.tables = self.tables
+        twin.values = self.values.copy()
+        twin.held = self.held
+        return twin
 
 
 def max_digit_set(eq: Equation, L: int, cfg: SearchConfig | None = None,

@@ -827,3 +827,36 @@ def test_construct_thm3_greedy_step_is_capped_whatever_the_budget(
     assert os.listdir(tmp_path) == []
     monkeypatch.setattr(constructions, "MITM_TABLE_CAP", oracle.MITM_TABLE_CAP)
     assert main(argv) == 0
+
+
+# the rows of README's "Reproduction commands" table, in its order
+README_COMMANDS = [
+    "construct geometric --m 2 --k 3 --N 4096",
+    "construct two-var --a 5 --b 6",
+    "rate --cert two-var.cert.json",
+    "construct thm3 --a 10 --b 11 --c 31 --alpha 0.3 --alpha2 0.03",
+    "search --sym 43,69,70 --distinct --extended --budget 1000000000",
+    "alpha --beta 1",
+    "alpha --beta 1.01",
+    "alpha --beta 1.1",
+    "sweep --k 2 --C 200 --eps 0.3",
+    "construct section5 --d 21",
+]
+
+
+def test_readme_reproduction_commands(tmp_path, capsys, monkeypatch):
+    """Every README reproduction command exits 0 in a scratch directory,
+    and the oracle re-checks every certificate they write and the lifted
+    set that the geometric row writes."""
+    monkeypatch.chdir(tmp_path)
+    for command in README_COMMANDS:
+        assert main(command.split()) == 0, command
+    certs = sorted(path.name for path in tmp_path.glob("*.cert.json"))
+    assert certs == ["geometric.cert.json", "search.cert.json",
+                     "section5.cert.json", "thm3.cert.json",
+                     "two-var.cert.json"]
+    for cert in certs:
+        assert main(["verify", "--cert", cert]) == 0, cert
+    assert main(["verify", "--sym", "1,2,4", "--set-file",
+                 "geometric.cert.json.set"]) == 0
+    capsys.readouterr()

@@ -633,22 +633,19 @@ def test_distinct_index_pieces_differential(eq):
             assert solution is not None and x in solution.assignment, (x, values)
 
 
-# sym(43,69,70)'s held sets here give no sum three tuples, so only
-# [5,7,11,-23]'s, hundreds of them, test the pop back to a bare mask
-@pytest.mark.parametrize("eq,regrows", [(make_symmetric([43, 69, 70]), None),
-                                        (make_equation([5, 7, 11, -23]), 100)])
-def test_distinct_index_budget_edge(eq, regrows):
+@pytest.mark.parametrize("eq", [make_symmetric([43, 69, 70]),
+                                make_equation([5, 7, 11, -23])])
+def test_distinct_index_budget_edge(eq):
     """A distinct-mode test spends its pairings once per walked piece, or
     at the witness.  On seeded held sets, legal(x) at every limit from its
     unlimited cost - 40 to + 5 gives the unlimited answer when the cost
     fits the limit, and otherwise raises BudgetExhausted with a count past
     the limit and within the cost, leaving the tables and the memory as
     they were.  Popped back value by value, the index holds a fresh
-    index's tables at every size, and a full-table sum that held three
-    masks or more holds one bare mask again."""
+    index's tables at every size."""
     rng = random.Random(20261021)
     idx = IncrementalSolutionIndex(eq, distinct=True)
-    memory, table = idx.memory, idx.pos_subsets[-1]
+    memory = idx.memory
     cut = 0
     for _ in range(150):
         x = rng.randrange(60)
@@ -674,15 +671,9 @@ def test_distinct_index_budget_edge(eq, regrows):
         if idx.legal(x) and len(idx.values) < 12:
             idx.add(x)
     assert len(idx.values) >= 9 and cut >= 2000
-    crowded = {s for s, b in table.items() if not isinstance(b, int)
-               and len(b) >= 3}
-    regrown = set()
     while idx.values:
         idx.pop()
         assert index_state(idx) == fresh_index_state(idx)
-        regrown |= {s for s in crowded if isinstance(table.get(s), int)}
-    if regrows is not None:
-        assert len(regrown) >= regrows
 
 
 def test_conflict_memory_serves_one_equation_and_mode():

@@ -744,6 +744,89 @@ def test_budget_cut_exact_search_keeps_its_learned_range_apart(monkeypatch):
     assert res.digits == tuple(range(8)) and res.nodes > 10_000
 
 
+@pytest.mark.parametrize("equation,distinct,n,budget,representation,digits,"
+                         "exhausted", [
+    (("sym", (1, 2, 4)), False, 23, 10 ** 7, "sums", (0, 1, 8, 9), True),
+    (("sym", (1, 2, 3, 4)), True, 17, 300_000, "masks", tuple(range(7)),
+     False),
+    (("eq", (2, 2, -3, -1)), False, 23, 10 ** 7, "tuples",
+     (0, 1, 5, 14, 18, 19), True),
+    (("sym", (43, 69, 70)), True, 17, 10 ** 9 // 8, None,
+     (0, 1, 5, 6, 7, 10, 11, 12, 16), True),
+])
+def test_exact_search_branches_on_copies(monkeypatch, equation, distinct, n,
+                                         budget, representation, digits,
+                                         exhausted):
+    """The exact search goes back up its tree on copies, and pops no
+    index: with IncrementalSolutionIndex.pop raising, exact searches on
+    each representation of the index, and one on closed tables (no index),
+    find the digits that the search which popped its index found."""
+    indexes = []
+
+    class Recorded(IncrementalSolutionIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            indexes.append(self)
+
+    def never(self):
+        raise AssertionError("an index was popped")
+
+    monkeypatch.setattr(search, "IncrementalSolutionIndex", Recorded)
+    monkeypatch.setattr(IncrementalSolutionIndex, "pop", never)
+    kind, coeffs = equation
+    eq = make_symmetric(coeffs) if kind == "sym" else make_equation(coeffs)
+    res = max_digit_set(eq, eq.side_sum * (n - 1) + 1,
+                        SearchConfig(mode="exact", budget=budget),
+                        distinct=distinct)
+    assert (res.digits, res.exhausted) == (digits, exhausted)
+    if representation is None:
+        assert indexes == []
+    else:
+        index, = indexes
+        assert [name for name, state in (
+            ("sums", index.sums), ("masks", index.pos_subsets),
+            ("tuples", index.pos_table)) if state is not None
+        ] == [representation]
+
+
+def test_table_index_copy_shares_the_tables():
+    """A copy of closed tables shares them, and adding to it leaves the
+    original's values as they were."""
+    index = search._TableIndex(make_symmetric([43, 69, 70]), 17, True,
+                               _Budget(10 ** 8))
+    for x in (0, 1, 5):
+        assert index.legal(x)
+        index.add(x)
+    twin = index.copy()
+    assert twin.tables is index.tables
+    assert (twin.values, twin.held) == ([0, 1, 5], 0b100011)
+    assert twin.legal(6)
+    twin.add(6)
+    assert (twin.values, twin.held) == ([0, 1, 5, 6], 0b1100011)
+    assert (index.values, index.held) == ([0, 1, 5], 0b100011)
+    assert index.legal(6)
+
+
+@pytest.mark.parametrize("equation,distinct,L,digits,best", [
+    (("sym", (1, 2, 3)), False, 49, (0, 1, 7), (0, 1)),
+    (("sym", (1, 1)), True, 9, (0, 1, 2, 4), (0, 1, 2)),
+    # (0, 1, 5, 6) ties (0, 1) and is offered first
+    (("eq", (2, 2, -3, -1)), False, 33, (0, 1, 5, 6), (0, 1, 5, 6)),
+])
+def test_exact_best_rate_digits_weigh_every_prefix(equation, distinct, L,
+                                                   digits, best):
+    """An exact row's best-rate digits beat or tie every prefix of its
+    digits, each solution-free, and a leaf that ties its own prefix is
+    kept."""
+    kind, coeffs = equation
+    eq = make_symmetric(coeffs) if kind == "sym" else make_equation(coeffs)
+    res = max_digit_set(eq, L, SearchConfig(mode="exact"), distinct=distinct)
+    assert (res.digits, res.best_rate_digits) == (digits, best)
+    rate = search.tight_rate(eq, best)
+    assert all(not search.tight_rate(eq, digits[:end]) > rate
+               for end in range(2, len(digits) + 1))
+
+
 def test_small_dependency_search_matches_the_scan():
     """The lattice search against the scan it replaced, levels 1..M."""
     def scan(a, b, c, M):
